@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-store bench-daemon compare-bench
+.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-cost-model bench-store bench-daemon compare-bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,6 +42,9 @@ bench-service:
 
 bench-explorer:
 	$(PYTHON) -m pytest benchmarks/bench_explorer.py -q -s
+
+bench-cost-model:
+	$(PYTHON) -m pytest benchmarks/bench_cost_model.py -q -s
 
 bench-store:
 	$(PYTHON) -m pytest benchmarks/bench_record_store.py -q -s

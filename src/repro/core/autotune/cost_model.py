@@ -13,12 +13,16 @@ available offline, so this module implements the same idea in NumPy:
   log runtime* (so "bigger is better" for ranking), refuses to predict until
   it has seen a minimum number of samples, and exposes a ranking helper.
 
-The implementation is vectorised: split search evaluates all candidate
-thresholds for one feature at once with cumulative sums.
+The implementation is vectorised: one split search evaluates all candidate
+thresholds of all features at once, from one stable sort of the node's
+matrix and column-wise cumulative sums.  On finite inputs the trees are
+bit-identical to a per-feature loop (the reference lives in
+``tests/cost_model_oracle.py``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,6 +57,26 @@ def _routing_arrays(
     )
 
 
+@functools.lru_cache(maxsize=4096)
+def _cut_positions(unique_count: int, max_candidate_splits: int) -> np.ndarray:
+    """Which of a feature's sorted distinct values bound its candidate splits.
+
+    At most ``max_candidate_splits + 1`` quantile-spaced positions into the
+    distinct values (all of them when few enough), padded with ``-1`` to
+    exactly that length; each threshold lies between two consecutive cuts.
+    The cached row is read-only.
+    """
+    if unique_count - 1 > max_candidate_splits:
+        qs = np.linspace(0, unique_count - 1, max_candidate_splits + 1)
+        cuts = np.unique(qs.astype(int))
+    else:
+        cuts = np.arange(unique_count)
+    row = np.full(max_candidate_splits + 1, -1, dtype=np.intp)
+    row[: cuts.size] = cuts
+    row.flags.writeable = False
+    return row
+
+
 class RegressionTree:
     """A depth-limited regression tree (CART, squared error)."""
 
@@ -66,6 +90,8 @@ class RegressionTree:
             raise ValueError("max_depth must be >= 1")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if max_candidate_splits < 1:
+            raise ValueError("max_candidate_splits must be >= 1")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_candidate_splits = max_candidate_splits
@@ -88,64 +114,64 @@ class RegressionTree:
         return len(self._value) - 1
 
     def _best_split(
-        self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
+        self, x: np.ndarray, y: np.ndarray
     ) -> Optional[Tuple[int, float, float]]:
-        """Return (feature, threshold, gain) of the best split, or None."""
+        """Return (feature, threshold, gain) of the best split, or None.
+
+        One search covers every feature: row ``f`` of each ``(d, ...)``
+        array below belongs to feature ``f``.  Candidates are the midpoints
+        between quantile-spaced distinct values of a feature; the one with the
+        least summed squared error wins within a feature (first on ties), and
+        across features a strictly larger gain wins (lowest feature on ties).
+        """
         n, d = x.shape
-        if n < 2 * self.min_samples_leaf:
+        min_leaf = self.min_samples_leaf
+        if n < 2 * min_leaf or d == 0:
             return None
         base_err = float(np.var(y) * n)
-        best: Optional[Tuple[int, float, float]] = None
-        for f in range(d):
-            col = x[:, f]
-            order = np.argsort(col, kind="mergesort")
-            sorted_col = col[order]
-            sorted_y = y[order]
-            # Candidate thresholds at quantiles between distinct values.
-            uniques = np.unique(sorted_col)
-            if uniques.size < 2:
-                continue
-            if uniques.size - 1 > self.max_candidate_splits:
-                qs = np.linspace(0, uniques.size - 1, self.max_candidate_splits + 1)
-                cut_values = uniques[np.unique(qs.astype(int))]
-            else:
-                cut_values = uniques
-            thresholds = (cut_values[:-1] + cut_values[1:]) / 2.0
+        rows = np.arange(d)[:, None]
+        order = np.argsort(x.T, axis=1, kind="mergesort")
+        sorted_x = x.T[rows, order]
+        sorted_y = y[order]
+        csum = np.cumsum(sorted_y, axis=1)
+        csum_sq = np.cumsum(sorted_y**2, axis=1)
 
-            csum = np.cumsum(sorted_y)
-            csum_sq = np.cumsum(sorted_y**2)
-            total = csum[-1]
-            total_sq = csum_sq[-1]
-            # Position of each threshold: number of samples on the left.
-            lefts = np.searchsorted(sorted_col, thresholds, side="right")
-            valid = (lefts >= self.min_samples_leaf) & (
-                lefts <= n - self.min_samples_leaf
-            )
-            if not np.any(valid):
-                continue
-            lefts = lefts[valid]
-            thr = thresholds[valid]
-            left_sum = csum[lefts - 1]
-            left_sq = csum_sq[lefts - 1]
-            right_sum = total - left_sum
-            right_sq = total_sq - left_sq
-            nl = lefts.astype(np.float64)
-            nr = n - nl
-            err = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
-            idx = int(np.argmin(err))
-            gain = base_err - float(err[idx])
-            if gain > 1e-12 and (best is None or gain > best[2]):
-                best = (f, float(thr[idx]), gain)
-        return best
+        # Distinct values of every feature, concatenated feature by feature.
+        starts = np.empty((d, n), dtype=bool)
+        starts[:, 0] = True
+        np.not_equal(sorted_x[:, 1:], sorted_x[:, :-1], out=starts[:, 1:])
+        counts = starts.sum(axis=1)
+        uniques = sorted_x[starts]
+        first = (np.cumsum(counts) - counts)[:, None]
+        cuts = np.array(
+            [_cut_positions(u, self.max_candidate_splits) for u in counts.tolist()]
+        )
+        thresholds = (uniques[first + cuts[:, :-1]] + uniques[first + cuts[:, 1:]]) / 2.0
+        # Samples left of each threshold (== searchsorted(side="right")).
+        lefts = (sorted_x[:, None, :] <= thresholds[:, :, None]).sum(axis=2)
+        valid = (cuts[:, 1:] >= 0) & (lefts >= min_leaf) & (lefts <= n - min_leaf)
+        lefts = np.where(valid, lefts, 1)
+        left_sum = csum[rows, lefts - 1]
+        left_sq = csum_sq[rows, lefts - 1]
+        right_sum = csum[:, -1:] - left_sum
+        right_sq = csum_sq[:, -1:] - left_sq
+        nl = lefts.astype(np.float64)
+        nr = n - nl
+        err = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
+        err[~valid] = np.inf
+        idx = np.argmin(err, axis=1)
+        gains = base_err - err[rows[:, 0], idx]
+        f = int(np.argmax(np.where(gains > 1e-12, gains, -np.inf)))
+        if not gains[f] > 1e-12:
+            return None
+        return f, float(thresholds[f, idx[f]]), float(gains[f])
 
-    def _build(
-        self, x: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator
-    ) -> int:
+    def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> int:
         node = self._new_node(float(np.mean(y)))
         self._depth = max(self._depth, depth)
         if depth >= self.max_depth:
             return node
-        split = self._best_split(x, y, rng)
+        split = self._best_split(x, y)
         if split is None:
             return node
         f, thr, _ = split
@@ -154,12 +180,12 @@ class RegressionTree:
             return node
         self._feature[node] = f
         self._threshold[node] = thr
-        self._left[node] = self._build(x[mask], y[mask], depth + 1, rng)
-        self._right[node] = self._build(x[~mask], y[~mask], depth + 1, rng)
+        self._left[node] = self._build(x[mask], y[mask], depth + 1)
+        self._right[node] = self._build(x[~mask], y[~mask], depth + 1)
         return node
 
     # ------------------------------------------------------------------ #
-    def fit(self, x: np.ndarray, y: np.ndarray, rng: Optional[np.random.Generator] = None) -> "RegressionTree":
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "RegressionTree":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -170,7 +196,7 @@ class RegressionTree:
         self._left, self._right, self._value = [], [], []
         self._arrays = None
         self._depth = 0
-        self._build(x, y, depth=0, rng=rng or np.random.default_rng(0))
+        self._build(x, y, depth=0)
         self._arrays = _routing_arrays(
             self._feature, self._threshold, self._left, self._right, self._value
         )
@@ -223,6 +249,10 @@ class GradientBoostedTrees:
             raise ValueError("learning_rate must be in (0, 1]")
         if not (0.0 < subsample <= 1.0):
             raise ValueError("subsample must be in (0, 1]")
+        if max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -251,7 +281,7 @@ class GradientBoostedTrees:
                 idx = np.arange(n)
             tree = RegressionTree(
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
-            ).fit(x[idx], residual[idx], rng)
+            ).fit(x[idx], residual[idx])
             update = tree.predict(x)
             pred = pred + self.learning_rate * update
             self._trees.append(tree)

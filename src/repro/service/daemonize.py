@@ -183,7 +183,11 @@ def serve_forever(
             f"journal={journal} backend={daemon.backend_kind}",
             flush=True,
         )
-        terminated.wait()
+        # Timed: a SIGTERM the kernel hands to one of the server's threads
+        # runs its Python handler only when the main thread next executes
+        # bytecode, which an untimed wait would never let it do.
+        while not terminated.wait(timeout=0.5):
+            pass
         print("SIGTERM: draining...", flush=True)
         server.stop()
         summary = daemon.drain()

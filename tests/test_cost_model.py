@@ -49,6 +49,11 @@ class TestRegressionTree:
         with pytest.raises(ValueError):
             RegressionTree(min_samples_leaf=0)
 
+    @pytest.mark.parametrize("splits", [0, -1])
+    def test_invalid_candidate_splits(self, splits):
+        with pytest.raises(ValueError, match="max_candidate_splits"):
+            RegressionTree(max_candidate_splits=splits)
+
     def test_min_samples_leaf_respected(self):
         x, y = _make_regression(30)
         tree = RegressionTree(max_depth=8, min_samples_leaf=10).fit(x, y)
@@ -85,6 +90,12 @@ class TestGradientBoostedTrees:
             GradientBoostedTrees(learning_rate=0)
         with pytest.raises(ValueError):
             GradientBoostedTrees(subsample=0)
+
+    def test_invalid_tree_params_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            GradientBoostedTrees(max_depth=0)
+        with pytest.raises(ValueError, match="min_samples_leaf"):
+            GradientBoostedTrees(min_samples_leaf=0)
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):

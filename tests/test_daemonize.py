@@ -102,6 +102,45 @@ class TestServeForever:
                 )
         assert wrapper.exit_code == 0
 
+    def test_sigterm_on_a_server_thread_drains(self, tmp_path):
+        """The kernel may hand a process-directed SIGTERM to any thread that
+        does not block it.  Aimed at a non-main thread on purpose, it must
+        still wake the main thread and drain (an untimed wait hung here)."""
+        script = (
+            "import os, signal, sys, threading, time\n"
+            "from repro.service.daemonize import serve_forever\n"
+            "journal, sock, pidfile = sys.argv[1:4]\n"
+            "def kick():\n"
+            "    while not os.path.exists(sock):\n"
+            "        time.sleep(0.01)\n"
+            "    time.sleep(0.2)  # let the main thread block in its wait\n"
+            "    signal.pthread_kill(threading.get_ident(), signal.SIGTERM)\n"
+            "threading.Thread(target=kick, daemon=True).start()\n"
+            "sys.exit(serve_forever(journal, sock, pidfile))\n"
+        )
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                script,
+                str(tmp_path / "d.journal"),
+                str(tmp_path / "d.sock"),
+                str(tmp_path / "d.pid"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "drained cleanly" in done.stdout
+        assert not os.path.exists(tmp_path / "d.pid")
+
     def test_stale_pidfile_is_replaced(self, tmp_path):
         pidfile = str(tmp_path / "stale.pid")
         with open(pidfile, "w") as handle:
