@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-cost-model bench-store bench-daemon compare-bench
+.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-cost-model bench-store bench-daemon bench-e2e-selftest compare-bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -51,6 +51,14 @@ bench-store:
 
 bench-daemon:
 	$(PYTHON) -m pytest benchmarks/bench_daemon.py -q -s
+
+# Self-test of the end-to-end benchmark (benchmarks/e2e, ~35 s): the only
+# automated run of the serving pool's worker processes behind the real CLI
+# daemon (its pool_cold workload).  The harness puts each daemon socket at
+# a path relative to the working directory, and AF_UNIX allows ~100 bytes:
+# pytest's default temp root under /tmp is too deep, so use a local one.
+bench-e2e-selftest:
+	$(PYTHON) -m pytest benchmarks/e2e -q --basetemp=.e2e-selftest
 
 # Diff the latest BENCH_*.json telemetry against benchmarks/bench_baseline.json
 # (exit non-zero on regressions beyond the tolerance; CI runs it as a hard gate).

@@ -16,10 +16,10 @@ answered two ways and gated on bit-identity plus a wall-clock floor:
 
 A third workload gates the **streaming worker pool**: a duplicate-heavy
 multi-shard workload (each problem requested under several seeds, rotated so
-the variants land in different shards) answered once by the merge-at-end
-batch pool and once by the streaming pool; cross-shard record exchange must
-cut the total measurement count strictly (and deterministically — both legs
-run the serial interleaving).
+the variants land in different shards) answered once by isolated per-shard
+services over the pool's own placement and once by the streaming pool;
+cross-shard record exchange must cut the total measurement count strictly
+(and deterministically — both legs run in-process).
 
 The ``sequential per-request`` leg is the pre-service flow — one direct
 ``tune()`` per request (:meth:`TuningRequest.tune_direct`), no shared state,
@@ -32,6 +32,7 @@ CI's perf-trajectory artifacts.
 from __future__ import annotations
 
 import os
+import sys
 import warnings
 
 import pytest
@@ -40,7 +41,17 @@ from conftest import emit, write_bench_json, write_obs_json
 from repro.analysis import ResultTable, render_table
 from repro.conv import ConvParams
 from repro.obs import MonotonicClock, Observability
-from repro.service import TuningRequest, TuningService, TuningWorkerPool
+from repro.service import (
+    TuningRequest,
+    TuningService,
+    TuningWorkerPool,
+)
+
+# The no-exchange pool reference lives with the tests, not in src/.
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
+from tests.pool_reference import isolated_shards  # noqa: E402
 
 BUDGET = 48
 #: best-of rounds per leg — three because container CPU quotas can throttle
@@ -71,7 +82,7 @@ _DISTINCT_TUNERS = [
 _MIX_TUNERS = [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 0, 1, 5, 5, 0]  # 16 requests
 
 #: 4 problems for the multi-shard worker-pool workload; small enough that
-#: the merge-at-end reference leg stays cheap.
+#: the isolated-shards reference leg stays cheap.
 _POOL_PROBLEMS = [
     ConvParams.square(13, 64, 96, kernel=3, stride=1, padding=1),
     ConvParams.square(16, 32, 48, kernel=3, stride=1, padding=1),
@@ -267,21 +278,20 @@ def _pool_requests(spec):
 
 
 def run_streaming_pool_savings(spec):
-    """Time + account the streamed pool against the merge-at-end pool.
+    """Time + account the streamed pool against isolated shards.
 
-    Both legs run the deterministic serial interleaving (``use_processes=
-    False``), so the measurement counts are exact, reproducible numbers —
-    the hard gate below is an equality-grade comparison, not a bound.
+    Both legs run in-process and deterministically (the pool with
+    ``use_processes=False``), so the measurement counts are exact,
+    reproducible numbers — the hard gate below is an equality-grade
+    comparison, not a bound.
     """
     requests = _pool_requests(spec)
 
-    merge_pool = TuningWorkerPool(
-        num_workers=len(_POOL_PROBLEMS), streaming=False, use_processes=False
-    )
-    t_merge, merge_results = _best_of(lambda: merge_pool.tune(list(requests)))
     stream_pool = TuningWorkerPool(
-        num_workers=len(_POOL_PROBLEMS), streaming=True, admit_window=1,
-        use_processes=False,
+        num_workers=len(_POOL_PROBLEMS), admit_window=1, use_processes=False,
+    )
+    t_isolated, (_, isolated_stats) = _best_of(
+        lambda: isolated_shards(stream_pool, requests)
     )
     t_stream, stream_results = _best_of(lambda: stream_pool.tune(list(requests)))
 
@@ -306,16 +316,16 @@ def run_streaming_pool_savings(spec):
                 f"served result is not the best known record for "
                 f"{request.describe()}"
             )
-    return t_merge, t_stream, merge_pool.stats, stream_pool.stats
+    return t_isolated, t_stream, isolated_stats, stream_pool.stats
 
 
 @pytest.mark.benchmark(group="tuning-service")
 def test_streaming_pool_cuts_measurements(benchmark, gpu_v100):
-    t_merge, t_stream, merge_stats, stream_stats = benchmark.pedantic(
+    t_isolated, t_stream, isolated_stats, stream_stats = benchmark.pedantic(
         run_streaming_pool_savings, args=(gpu_v100,), rounds=1, iterations=1
     )
-    saving = merge_stats.measurements / stream_stats.measurements
-    speedup = t_merge / t_stream
+    saving = isolated_stats.measurements / stream_stats.measurements
+    speedup = t_isolated / t_stream
     requests = _pool_requests(gpu_v100)
     table = ResultTable(
         f"Streaming worker pool ({gpu_v100.name}, {len(requests)} requests, "
@@ -324,8 +334,8 @@ def test_streaming_pool_cuts_measurements(benchmark, gpu_v100):
         columns=["pool", "ms", "measurements", "tuning_runs"],
     )
     table.add_row(
-        pool="merge-at-end", ms=t_merge * 1e3,
-        measurements=merge_stats.measurements, tuning_runs=merge_stats.tuning_runs,
+        pool="isolated shards", ms=t_isolated * 1e3,
+        measurements=isolated_stats.measurements, tuning_runs=isolated_stats.tuning_runs,
     )
     table.add_row(
         pool="streaming", ms=t_stream * 1e3,
@@ -334,7 +344,7 @@ def test_streaming_pool_cuts_measurements(benchmark, gpu_v100):
     emit(render_table(table, precision=2))
     emit(
         f"cross-shard streaming: {saving:.2f}x fewer measurements "
-        f"({stream_stats.measurements} vs {merge_stats.measurements}), "
+        f"({stream_stats.measurements} vs {isolated_stats.measurements}), "
         f"{speedup:.1f}x wall-clock; {stream_stats.describe()}"
     )
     write_bench_json(
@@ -344,9 +354,9 @@ def test_streaming_pool_cuts_measurements(benchmark, gpu_v100):
         problems=len(_POOL_PROBLEMS),
         seed_rows=_POOL_SEED_ROWS,
         budget=BUDGET,
-        merge_seconds=t_merge,
+        merge_seconds=t_isolated,
         streaming_seconds=t_stream,
-        merge_measurements=merge_stats.measurements,
+        merge_measurements=isolated_stats.measurements,
         streaming_measurements=stream_stats.measurements,
         measurement_saving=saving,
         speedup=speedup,
@@ -356,12 +366,12 @@ def test_streaming_pool_cuts_measurements(benchmark, gpu_v100):
         database_hits=stream_stats.database_hits,
     )
     # The tentpole gate: streamed cross-shard serving performs *strictly
-    # fewer* total measurements than merge-at-end — deterministically (the
-    # serial interleaving has no timing dependence).  One fresh run per
+    # fewer* total measurements than isolated shards — deterministically
+    # (the serial interleaving has no timing dependence).  One fresh run per
     # problem; every seed variant and repeat is served or coalesced.
-    assert stream_stats.measurements < merge_stats.measurements
+    assert stream_stats.measurements < isolated_stats.measurements
     assert stream_stats.tuning_runs == len(_POOL_PROBLEMS)
-    assert merge_stats.tuning_runs == len(_POOL_PROBLEMS) * _POOL_SEED_ROWS
+    assert isolated_stats.tuning_runs == len(_POOL_PROBLEMS) * _POOL_SEED_ROWS
     assert stream_stats.records_streamed >= len(_POOL_PROBLEMS)
     assert stream_stats.poisoned_envelopes == 0
     _gate_speedup(speedup, floor=2.0)

@@ -22,7 +22,7 @@ batches:
   processes that *stream* best-known records to each other mid-workload
   (parent folds each completed run's record into the shared database
   immediately and pushes it down every other shard's sync channel), with a
-  merge-at-end batch mode and a deterministic serial fallback.
+  deterministic serial fallback; a batch ``tune()`` is one serving session.
 * :class:`TuningDaemon` / :class:`DaemonClient` — the always-on deployment
   shape: every accepted request is journaled durably (:class:`RequestJournal`)
   *before* acknowledgement, admission control answers overload with a typed

@@ -29,6 +29,13 @@ CLI (what ``make daemonize-smoke`` drives)::
 The wrapper adds no fault-model machinery of its own: a SIGKILLed wrapper
 is exactly a SIGKILLed daemon, recovered by the journal on the next start
 (the stale pidfile is detected and replaced).
+
+Send SIGTERM to the daemon's pid only.  Pool workers keep the default
+SIGTERM action, so a SIGTERM to the whole process group or cgroup (``kill
+-- -PGID``, systemd's default ``KillMode=control-group``) kills them
+mid-run: the drain still answers every request, but reruns the unfinished
+ones serially in the daemon process.  Under systemd, set
+``KillMode=mixed``.
 """
 
 from __future__ import annotations
@@ -153,11 +160,15 @@ def serve_forever(
             from ..core.autotune.database import TuningDatabase
             from .pool import TuningWorkerPool
 
-            database = (
-                TuningDatabase(path=database_path)
-                if database_path is not None
-                else None
-            )
+            database = None
+            if database_path is not None:
+                # A restart must serve what earlier sessions tuned (and the
+                # drain rewrites the file from this database).
+                database = (
+                    TuningDatabase.open(database_path)
+                    if os.path.exists(database_path)
+                    else TuningDatabase(path=database_path)
+                )
             if backend == "pool-serial":
                 resolved = _serial_pool(workers, obs=obs)
             elif backend == "pool" and workers:
@@ -275,7 +286,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--foreground",
         action="store_true",
-        help="skip the double-fork; serve in this process (for supervisors)",
+        help="skip the double-fork; serve in this process (for supervisors, "
+        "which should SIGTERM this pid only, e.g. systemd KillMode=mixed)",
     )
     args = parser.parse_args(argv)
     serve_kwargs = dict(

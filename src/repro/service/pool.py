@@ -1,14 +1,32 @@
 """Sharded tuning across a long-lived worker pool with record streaming.
 
 For workloads whose search spaces are too large for one process, the pool
-shards a batch of :class:`~repro.service.TuningRequest` across worker
+shards :class:`~repro.service.TuningRequest` objects across worker
 processes.  Each worker runs its own :class:`~repro.service.TuningService`
 (so coalescing and cross-request batching still apply *within* a shard) with
 its own private :class:`~repro.core.autotune.database.TuningDatabase`.
 
-Unlike a batch pool that only merges worker databases at workload
-completion, the workers here are **streaming**: every time a run completes,
-the worker captures the records that changed its database
+There is one execution path, the **serving session**:
+:meth:`~TuningWorkerPool.start` brings up the shard fleet with empty
+backlogs, :meth:`~TuningWorkerPool.submit` routes one request at a time to
+its shard and returns a per-request
+:class:`~repro.service.futures.TuningFuture` immediately,
+:meth:`~TuningWorkerPool.step` pumps the fleet one round (drain streamed
+records and per-request completions, advance in-parent shards, detect dead
+workers) and :meth:`~TuningWorkerPool.stop` drains and retires it.  The
+batch entry point :meth:`~TuningWorkerPool.tune` is one such session over a
+known workload: requests the caller's database covers are answered before
+any worker starts, the rest are placed round-robin over ``min(num_workers,
+distinct requests)`` shards that each start with their share as backlog,
+pumped until every future settles, and stopped.  Submits are placed by a
+stable hash of the request's idempotency digest instead
+(:func:`~repro.service.journal.request_id` — the coalescing key minus
+``deadline``), so identical rids always land in the same shard and
+coalesce there, across submits and restarts; Python's per-process salted
+``hash()`` could guarantee neither.
+
+The workers **stream**: every time a run completes, the worker captures the
+records that changed its database
 (:meth:`~repro.core.autotune.database.TuningDatabase.changes_since`) and
 ships them to the parent over a results queue as serializable
 :class:`~repro.core.autotune.database.RecordEnvelope` payloads.  The parent
@@ -35,37 +53,17 @@ Invariants the streaming layer preserves:
   re-broadcast, so an echoed record dies at the first database that already
   holds it.
 
-Sharding is by request identity: identical requests always land in the same
-shard, so duplicates coalesce in-process instead of being tuned twice in two
-workers.
-
-Fault tolerance: a worker that dies mid-workload (killed, crashed) is
-detected by the parent, which degrades gracefully — the dead worker's shard
-is re-run in-process against the shared database (so records the worker
-streamed before dying are not re-tuned) and the failure is counted in
-:attr:`TuningWorkerPool.stats`.  Malformed sync payloads ("poisoned
-envelopes") are dropped and counted, never applied.  When no worker
-processes can be created at all — restricted sandboxes, missing semaphores —
-the pool degrades to a deterministic in-process serial interleaving of the
-shards with the same streaming semantics, producing the same results.
-
-**Serving mode** (the daemon's deployment shape): besides the batch entry
-point :meth:`TuningWorkerPool.tune`, the pool has a long-lived
-submit/drain-incremental mode — :meth:`~TuningWorkerPool.start` brings up
-the shard fleet with empty backlogs, :meth:`~TuningWorkerPool.submit`
-routes one request at a time to its shard and returns a per-request
-:class:`~repro.service.futures.TuningFuture` immediately, and
-:meth:`~TuningWorkerPool.step` pumps the fleet one round (drain streamed
-records and per-request completions, advance in-parent shards, detect dead
-workers).  Serving-mode shard assignment is a stable hash of the request's
-idempotency digest (:func:`~repro.service.journal.request_id` — the
-coalescing key minus ``deadline``), so identical rids always land in the
-same shard and coalesce there, across submits and restarts; Python's
-per-process salted ``hash()`` could guarantee neither.  The fault model is
-the batch one, made incremental: a SIGKILLed serving worker fails over to
-an in-parent runner against the shared database (durable shard logs are
-salvaged first), unresolved tickets re-enqueue there, and the pool — and
-whatever daemon sits above it — keeps serving throughout.
+Fault tolerance: a worker that dies (killed, crashed) is detected by the
+parent, which degrades gracefully — its durable shard log is salvaged, and
+its unresolved tickets (and any later submits routed to it) re-run in an
+in-parent runner against the shared database, so records the worker
+streamed or persisted before dying are served, not re-tuned; the failure is
+counted in :attr:`TuningWorkerPool.stats` and the pool — and whatever
+daemon sits above it — keeps serving.  Malformed messages and sync payloads
+("poisoned envelopes") are dropped and counted, never applied.  When no
+worker processes can be created at all — restricted sandboxes, missing
+semaphores — every shard runs in-process, interleaved deterministically one
+scheduling round each, with the same streaming semantics and results.
 """
 
 from __future__ import annotations
@@ -74,6 +72,7 @@ import dataclasses
 import multiprocessing
 import os
 import queue
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -103,10 +102,11 @@ from .scheduler import ServiceStats, TuningService
 
 __all__ = ["PoolStats", "TuningWorkerPool"]
 
-#: parent's poll interval on the results queue while workers run.
+#: parent's poll interval on the results queue while it waits for the
+#: workers' final reports.
 _POLL_SECONDS = 0.2
 #: empty polls after noticing a dead worker before declaring its shard lost
-#: (a worker may exit healthily with its "done" message still in the pipe).
+#: (a worker may exit healthily with its final message still in the pipe).
 _DEATH_GRACE_POLLS = 3
 #: serving worker's idle pacing between loop iterations (pacing only).
 _SERVE_IDLE_SLEEP = 0.005
@@ -118,7 +118,8 @@ _SERVE_PARENT_WAIT = 0.005
 
 @dataclass
 class PoolStats:
-    """Accounting of one :meth:`TuningWorkerPool.tune` workload.
+    """Accounting of one :meth:`TuningWorkerPool.tune` workload or serving
+    session.
 
     Like :class:`~repro.service.scheduler.ServiceStats`, this is a *snapshot
     view* since the registry migration: the live counts are thread-safe
@@ -127,12 +128,11 @@ class PoolStats:
     """
 
     requests: int = 0
-    #: requests answered from the caller's database before sharding.
+    #: requests answered from the caller's database in the parent.
     pre_served: int = 0
     shards: int = 0
     #: "serial" or "processes" ("unused" until a workload ran).
     mode: str = "unused"
-    streaming: bool = False
     #: record envelopes received by the parent mid-workload ...
     records_streamed: int = 0
     #: ... of which improved the shared database (and were re-broadcast).
@@ -163,7 +163,7 @@ class PoolStats:
 
 
 def _shard_for_request(request: TuningRequest, num_shards: int) -> int:
-    """Serving-mode shard assignment: a stable hash of the coalescing key.
+    """Submit-time shard assignment: a stable hash of the coalescing key.
 
     Hashes the daemon's idempotency digest (:func:`request_id` — canonical
     wire form minus ``deadline``), so identical rids always map to the same
@@ -172,6 +172,23 @@ def _shard_for_request(request: TuningRequest, num_shards: int) -> int:
     process and would guarantee none of that.
     """
     return int(request_id(request)[:8], 16) % num_shards
+
+
+def _covering_record(
+    database: TuningDatabase, request: TuningRequest
+) -> Optional[TuningRecord]:
+    """The record ``database`` serves ``request`` from, exactly as
+    :meth:`TuningService.submit` looks it up (pruned requests only)."""
+    if not request.pruned:
+        return None
+    return database.lookup(
+        request.params,
+        request.spec,
+        request.algorithm,
+        budget=request.max_measurements,
+        noise=request.noise,
+        noise_seed=request.noise_seed,
+    )
 
 
 def _decode_envelope(wire: object) -> Optional[RecordEnvelope]:
@@ -205,11 +222,11 @@ class _ShardRunner:
     """Drive one shard's service incrementally: sync -> admit -> step.
 
     The runner owns the shard's private :class:`TuningService` and feeds it
-    the shard's requests at most ``admit_window`` active runs at a time
-    (``<= 0`` = admit everything up front, the maximal-packing batch
-    behaviour).  Windowed admission is what gives cross-shard streaming its
-    leverage: a request still in the backlog when a synced record arrives is
-    served at submit time with zero measurements.
+    the shard's backlog at most ``admit_window`` active runs at a time
+    (``<= 0`` = admit the whole backlog at once, maximal packing).  Windowed
+    admission is what gives cross-shard streaming its leverage: a request
+    still in the backlog when a synced record arrives is served at submit
+    time with zero measurements.
 
     ``take_new_records`` returns the records stored since the last call
     using the database's revision counter; :meth:`sync` advances the same
@@ -219,7 +236,6 @@ class _ShardRunner:
 
     def __init__(
         self,
-        requests: Sequence[TuningRequest],
         policy: Optional[SchedulingPolicy] = None,
         admit_window: int = 0,
         database: Optional[TuningDatabase] = None,
@@ -234,24 +250,16 @@ class _ShardRunner:
             database = TuningDatabase(store=LogStore(store_path))
         self.service = TuningService(database=database, policy=policy, obs=obs)
         self.admit_window = admit_window
-        #: backlog of (shard position, request); duplicates may be admitted
-        #: out of backlog order (to coalesce onto their twin's in-flight
-        #: run), so futures are keyed by position, not appended.
-        self.pending: Deque[Tuple[int, TuningRequest]] = deque(enumerate(requests))
+        #: backlog of (ticket, request); duplicates may be admitted out of
+        #: backlog order (to coalesce onto their twin's in-flight run), so
+        #: futures are keyed by ticket.
+        self.pending: Deque[Tuple[int, TuningRequest]] = deque()
         self.futures: Dict[int, object] = {}
-        self._num_requests = len(self.pending)
         self._checkpoint = self.service.database.revision
 
-    def enqueue(self, position: int, request: TuningRequest) -> None:
-        """Append one request to the backlog (serving mode).
-
-        ``position`` is the caller's ticket — serving-mode positions are
-        caller-assigned and need not be contiguous; :meth:`results` (which
-        assumes the batch mode's dense ``0..n-1`` numbering) is not used on
-        serving runners.
-        """
-        self.pending.append((position, request))
-        self._num_requests += 1
+    def enqueue(self, ticket: int, request: TuningRequest) -> None:
+        """Append one request to the backlog under the caller's ``ticket``."""
+        self.pending.append((ticket, request))
 
     def sync(self, records: Sequence[TuningRecord]) -> int:
         """Inject cross-shard records; returns how many improved the shard."""
@@ -275,7 +283,7 @@ class _ShardRunner:
         pending) — by then every future is answered.
         """
         while self.pending:
-            position, head = self.pending[0]
+            ticket, head = self.pending[0]
             coalesces = self.service.coalescer.get(head) is not None
             if (
                 not coalesces
@@ -284,17 +292,17 @@ class _ShardRunner:
             ):
                 break
             self.pending.popleft()
-            self.futures[position] = self.service.submit(head)
+            self.futures[ticket] = self.service.submit(head)
             if self.service.coalescer.get(head) is not None:
                 # The request is now in flight: pull its backlog duplicates
                 # forward so they ride the run instead of re-tuning after
                 # it retires.
                 remaining: Deque[Tuple[int, TuningRequest]] = deque()
-                for later_position, later in self.pending:
+                for later_ticket, later in self.pending:
                     if later == head:
-                        self.futures[later_position] = self.service.submit(later)
+                        self.futures[later_ticket] = self.service.submit(later)
                     else:
-                        remaining.append((later_position, later))
+                        remaining.append((later_ticket, later))
                 self.pending = remaining
         return self.service.step() or bool(self.pending)
 
@@ -302,13 +310,6 @@ class _ShardRunner:
         new = self.service.database.changes_since(self._checkpoint)
         self._checkpoint = self.service.database.revision
         return new
-
-    def results(self) -> List[TuningResult]:
-        """Shard results in shard submission order (position-keyed)."""
-        return [
-            self.futures[position].result(timeout=0)
-            for position in range(self._num_requests)
-        ]
 
     def drain_store(self) -> None:
         """Retire the shard's database: flush durable state, then close.
@@ -331,149 +332,70 @@ class _ShardRunner:
         self.service.database.close()
 
 
-def _tune_shard(
-    requests: Sequence[TuningRequest],
-    policy: Optional[SchedulingPolicy] = None,
-    obs_enabled: bool = False,
-) -> Tuple[List[TuningResult], List[dict], ServiceStats, dict]:
-    """Merge-at-end worker: run one whole shard through a private service.
-
-    Module-level so it pickles under every start method.  Returns the
-    shard's results (in shard submission order), the worker database as
-    plain dicts ready for the parent to merge, the shard's accounting, and
-    a metrics-snapshot wire dict for the parent's fleet view.
-
-    :class:`~repro.obs.Observability` holds locks and ring buffers and is
-    deliberately not picklable, so the parent sends only ``obs_enabled`` and
-    the worker builds its own bundle (real monotonic clock — a worker entry
-    point is an edge of the system, where real clocks are allowed).
-    """
-    obs = Observability(enabled=obs_enabled, clock=MonotonicClock() if obs_enabled else None)
-    service = TuningService(policy=policy, obs=obs)
-    results = service.tune(list(requests))
-    wire = service.metrics_snapshot().merged(obs.snapshot()).to_wire()
-    return results, [r.to_dict() for r in service.database.records()], service.stats, wire
-
-
-def _stream_shard(
-    shard_index: int,
-    requests: Sequence[TuningRequest],
-    policy: Optional[SchedulingPolicy],
-    admit_window: int,
-    sync_queue,
-    results_queue,
-    obs_enabled: bool = False,
-    store_path: Optional[str] = None,
-) -> None:
-    """Streaming worker entry point (module-level: pickles everywhere).
-
-    Runs the shard through a :class:`_ShardRunner`; between scheduling
-    rounds it drains the sync queue (dropping poisoned envelopes) and ships
-    every newly stored record to the parent.  Ends with a ``("done", ...)``
-    message carrying results, accounting, a metrics-snapshot wire dict
-    (``obs_enabled`` telemetry — the worker builds its own
-    :class:`~repro.obs.Observability`, since the parent's is not picklable)
-    and the full shard database (a final merge-at-end safety net in case any
-    streamed message was lost); any crash becomes an ``("error", ...)``
-    message instead of a silent death.
-    """
-    try:
-        obs = Observability(
-            enabled=obs_enabled, clock=MonotonicClock() if obs_enabled else None
-        )
-        runner = _ShardRunner(
-            requests,
-            policy=policy,
-            admit_window=admit_window,
-            obs=obs,
-            store_path=store_path,
-        )
-        poisoned = 0
-        while True:
-            incoming: List[TuningRecord] = []
-            for wire in _drain(sync_queue):
-                envelope = _decode_envelope(wire)
-                if envelope is None:
-                    poisoned += 1
-                else:
-                    incoming.append(envelope.record)
-            runner.sync(incoming)
-            progressed = runner.step()
-            for record in runner.take_new_records():
-                envelope = RecordEnvelope(
-                    record=record,
-                    origin=shard_index,
-                    revision=runner.service.database.revision,
-                )
-                results_queue.put(("record", shard_index, envelope.to_wire()))
-            if not progressed:
-                break
-        results_queue.put(
-            (
-                "done",
-                shard_index,
-                {
-                    "results": runner.results(),
-                    "stats": runner.service.stats,
-                    "metrics": runner.service.metrics_snapshot()
-                    .merged(obs.snapshot())
-                    .to_wire(),
-                    "records": [r.to_dict() for r in runner.service.database.records()],
-                    "poisoned": poisoned,
-                },
-            )
-        )
-    except BaseException as exc:  # pragma: no cover - exercised via kill tests
-        try:
-            results_queue.put(
-                ("error", shard_index, f"{type(exc).__name__}: {exc}")
-            )
-        except Exception:
-            pass
-    else:
-        # Graceful worker exit = a drained shard: durable stores are
-        # compacted before close so a restart replays a short tail.
-        runner.drain_store()
-
-
 def _serve_shard(
     shard_index: int,
     policy: Optional[SchedulingPolicy],
     admit_window: int,
+    backlog: Sequence[Tuple[int, TuningRequest]],
     submit_queue,
     sync_queue,
     results_queue,
     obs_enabled: bool = False,
     store_path: Optional[str] = None,
 ) -> None:
-    """Long-lived serving worker entry point (module-level: pickles everywhere).
+    """Worker process entry point (module-level: pickles everywhere).
 
-    The incremental sibling of :func:`_stream_shard`: the backlog arrives
-    one request at a time over ``submit_queue`` as ``("submit", ticket,
-    request)`` messages instead of up front, and every settled ticket is
-    reported individually as ``("done_one", shard, ticket, outcome)`` where
-    ``outcome`` is ``("ok", result)`` or ``("err", error_wire)`` — typed
-    errors travel as their wire dicts so the parent re-raises the same
-    class.  Records stream exactly as in batch mode.  A ``("stop",)``
-    sentinel finishes in-flight work, ships a final ``("bye", ...)`` report
-    (stats, metrics, full-database safety net) and exits gracefully; any
-    crash becomes an ``("error", ...)`` message and the parent fails the
-    shard over.
+    Runs the shard through a :class:`_ShardRunner`.  A known workload's
+    share comes with the start arguments as ``backlog`` ``(ticket,
+    request)`` pairs (empty when serving), so the first round packs a full
+    window; later requests arrive over ``submit_queue`` as ``("submit",
+    ticket, request)`` messages.  Between scheduling rounds the worker
+    drains its sync queue (dropping poisoned envelopes), ships every newly
+    stored record to the parent as ``("record", shard, envelope_wire)``, and
+    reports every settled ticket individually as ``("done_one", shard,
+    ticket, outcome)`` where ``outcome`` is ``("ok", result)`` or ``("err",
+    error_wire)`` — typed errors travel as their wire dicts so the parent
+    re-raises the same class.  A ``("stop",)`` sentinel finishes in-flight
+    work, ships a final ``("bye", ...)`` report (stats, a metrics-snapshot
+    wire dict, full-database safety net) and exits gracefully; any crash
+    becomes an ``("error", ...)`` message and the parent fails the shard
+    over.
+
+    :class:`~repro.obs.Observability` holds locks and ring buffers and is
+    deliberately not picklable, so the parent sends only ``obs_enabled`` and
+    the worker builds its own bundle (real monotonic clock — a worker entry
+    point is an edge of the system, where real clocks are allowed).
+
+    A forked worker inherits its parent's signal handlers, which act on the
+    parent's state, not the worker's.  The worker therefore restores the
+    default SIGTERM action (a direct SIGTERM ends it and the parent fails
+    the shard over) and ignores SIGINT (a terminal's Ctrl-C reaches the
+    whole process group, and the parent's drain already stops its workers).
+    A worker whose parent died — ``os.getppid()`` no longer names the
+    parent it started under — exits at once, without waiting to flush a
+    results queue nobody reads.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
     try:
         obs = Observability(
             enabled=obs_enabled, clock=MonotonicClock() if obs_enabled else None
         )
         runner = _ShardRunner(
-            [],
             policy=policy,
             admit_window=admit_window,
             obs=obs,
             store_path=store_path,
         )
+        for ticket, request in backlog:
+            runner.enqueue(ticket, request)
         poisoned = 0
         stopping = False
         while True:
+            if os.getppid() != parent:
+                results_queue.cancel_join_thread()
+                return
             submits = _drain(submit_queue)
             for message in submits:
                 if message == ("stop",):
@@ -542,17 +464,17 @@ def _serve_shard(
         except Exception:
             pass
     else:
+        # Graceful worker exit = a drained shard: durable stores are
+        # compacted before close so a restart replays a short tail.
         runner.drain_store()
 
 
 class TuningWorkerPool:
     """Shard tuning workloads across processes, streaming records between them.
 
-    ``streaming=True`` (default) exchanges best-known records mid-workload as
-    described in the module docstring; ``streaming=False`` is the classic
-    batch pool (run every shard to completion, merge databases at the end) —
-    kept both as the conservative mode and as the benchmark reference the
-    streamed exchange is gated against.
+    One execution path (see the module docstring): a serving session —
+    :meth:`start`, :meth:`submit`, :meth:`step`, :meth:`stop` — with the
+    batch :meth:`tune` run as one such session over a known workload.
 
     ``admit_window`` bounds how many runs each shard keeps active at once
     (``<= 0`` = admit the whole backlog up front).  Smaller windows trade a
@@ -561,26 +483,28 @@ class TuningWorkerPool:
     ``use_processes`` forces the execution mode: ``None`` (default) tries
     processes and falls back to the deterministic serial interleaving,
     ``False`` always runs serially in-process, ``True`` requires processes
-    (raises where they are unavailable).  Workloads that fit one shard
-    always run serially — a pool buys nothing there.
+    (raises where they are unavailable).  Sessions with one shard always
+    run serially — a pool buys nothing there.
 
     ``obs`` is an optional :class:`~repro.obs.Observability` bundle for the
     telemetry extras (stream counters, worker lifecycle events, sync-queue
     depths, spans).  The accounting behind :attr:`stats` is always live.
     Worker processes cannot share the parent's bundle (it is not picklable),
     so each worker builds its own when observability is enabled and ships a
-    metrics snapshot back in its ``done`` report; :meth:`fleet_snapshot`
+    metrics snapshot back in its ``bye`` report; :meth:`fleet_snapshot`
     merges the shards' snapshots with the parent's into one fleet view.
 
-    ``store_dir`` makes streaming shards durable: shard ``i``'s private
-    database is backed by an append-only
-    :class:`~repro.core.autotune.store.LogStore` at
-    ``<store_dir>/shard-<i>.log``, so every effective put survives the
+    ``store_dir`` makes shards durable: shard ``i``'s private database is
+    backed by an append-only :class:`~repro.core.autotune.store.LogStore`
+    at ``<store_dir>/shard-<i>.log``, so every effective put survives the
     worker process.  A restarted worker recovers its records from the log
     instead of re-tuning them, and when a worker dies mid-workload the
     parent recovers its log directly — records the worker persisted but
     never streamed are folded into the shared database before the shard's
     in-parent rerun (counted in :attr:`PoolStats.records_recovered`).
+
+    The pool is not thread-safe; the daemon above serialises every call
+    under its own lock, and direct users must do the same.
     """
 
     def __init__(
@@ -589,7 +513,6 @@ class TuningWorkerPool:
         start_method: Optional[str] = None,
         allow_serial_fallback: bool = True,
         policy: "Optional[object]" = None,
-        streaming: bool = True,
         admit_window: int = 4,
         use_processes: Optional[bool] = None,
         obs: Optional[Observability] = None,
@@ -603,13 +526,12 @@ class TuningWorkerPool:
         #: scheduling policy every worker's in-process service runs with
         #: (instance or registry name; normalised here so bad names fail fast).
         self.policy = make_policy(policy)
-        self.streaming = streaming
         self.admit_window = admit_window
         self.use_processes = use_processes
         #: directory for durable per-shard record logs (None = in-memory
         #: shard databases, the default).
         self.store_dir = os.fspath(store_dir) if store_dir is not None else None
-        #: True when the last workload ran in worker processes (False = the
+        #: True when the last session ran in worker processes (False = the
         #: serial in-process interleaving was used).
         self.used_processes = False
         self.obs = obs if obs is not None else NULL_OBS
@@ -621,9 +543,8 @@ class TuningWorkerPool:
         self._o_workers_done = reg.counter("pool.workers.done")
         self._o_workers_failed = reg.counter("pool.workers.failed")
         self._o_sync_depth = reg.gauge("pool.sync.queue_depth")
-        # Long-lived serving mode state (inert until start()).  The pool is
-        # not thread-safe; the daemon above serialises every call under its
-        # own lock, and direct users must do the same.
+        # Serving-session state (inert until a session starts; every
+        # container is emptied again when it ends).
         self._serving = False
         self._serve_shards = 0
         self._serve_exchange: Optional[TuningDatabase] = None
@@ -638,10 +559,10 @@ class TuningWorkerPool:
         self._serve_results_queue = None
         self._serve_dead_polls: Dict[int, int] = {}
         self._serve_byes: Dict[int, bool] = {}
-        self._reset_accounting(streaming=False)
+        self._reset_accounting()
 
-    def _reset_accounting(self, streaming: bool) -> None:
-        """Fresh per-workload accounting registry (called by every tune)."""
+    def _reset_accounting(self) -> None:
+        """Fresh per-session accounting registry (every tune and start)."""
         self._metrics = MetricsRegistry()
         acc = self._metrics.scope("pool")
         self._c_requests = acc.counter("requests")
@@ -657,7 +578,6 @@ class TuningWorkerPool:
         self._c_database_hits = acc.counter("database_hits")
         self._c_coalesced = acc.counter("coalesced")
         self._stats_mode = "unused"
-        self._stats_streaming = streaming
         #: merged shard telemetry (worker wire snapshots in process mode,
         #: shard-service accounting in serial mode) for :meth:`fleet_snapshot`.
         self._shard_metrics = MetricsSnapshot()
@@ -677,7 +597,6 @@ class TuningWorkerPool:
             pre_served=c.get("pool.pre_served", 0),
             shards=c.get("pool.shards", 0),
             mode=self._stats_mode,
-            streaming=self._stats_streaming,
             records_streamed=c.get("pool.records_streamed", 0),
             records_applied=c.get("pool.records_applied", 0),
             poisoned_envelopes=c.get("pool.poisoned_envelopes", 0),
@@ -704,9 +623,6 @@ class TuningWorkerPool:
         self._c_database_hits.inc(service_stats.database_hits)
         self._c_coalesced.inc(service_stats.coalesced)
 
-    def _merge_shard_metrics(self, snapshot: MetricsSnapshot) -> None:
-        self._shard_metrics = self._shard_metrics.merged(snapshot)
-
     def fleet_snapshot(self) -> MetricsSnapshot:
         """One merged telemetry view of the last workload's whole fleet.
 
@@ -724,32 +640,25 @@ class TuningWorkerPool:
         return snapshot.merged(self.obs.snapshot())
 
     # ------------------------------------------------------------------ #
-    def _shard(
-        self, requests: Sequence[TuningRequest]
-    ) -> Tuple[List[List[TuningRequest]], List[Tuple[int, int]]]:
-        """Round-robin distinct requests over shards; duplicates follow their
-        first occurrence so they coalesce inside one worker.
+    def _shard(self, requests: Sequence[TuningRequest]) -> Tuple[int, List[int]]:
+        """Place a known workload: ``(num_shards, shard of each request)``.
 
-        ``placement`` indexes into the returned shard list, so every shard is
-        returned even in the (currently impossible: the shard count never
-        exceeds the distinct-request count) case of an empty one.
+        ``num_shards`` is ``min(num_workers, distinct requests)``, so every
+        shard gets work; distinct requests are dealt round-robin and
+        duplicates follow their first occurrence, so they coalesce inside
+        one shard.
         """
-        num_shards = max(1, min(self.num_workers, len(set(requests)) or 1))
-        shards: List[List[TuningRequest]] = [[] for _ in range(num_shards)]
-        shard_of: dict = {}
-        placement: List[Tuple[int, int]] = []
-        for request in requests:
-            shard = shard_of.get(request)
-            if shard is None:
-                shard = len(shard_of) % num_shards
-                shard_of[request] = shard
-            shards[shard].append(request)
-            placement.append((shard, len(shards[shard]) - 1))
-        return shards, placement
+        num_shards = min(self.num_workers, len(set(requests)))
+        shard_of: Dict[TuningRequest, int] = {}
+        placement = [
+            shard_of.setdefault(request, len(shard_of) % num_shards)
+            for request in requests
+        ]
+        return num_shards, placement
 
     def _shard_store_path(self, index: int) -> Optional[str]:
-        """The durable log location for streaming shard ``index`` (None
-        when the pool was built without ``store_dir``)."""
+        """The durable log location for shard ``index`` (None when the pool
+        was built without ``store_dir``)."""
         if self.store_dir is None:
             return None
         return os.path.join(self.store_dir, f"shard-{index}.log")
@@ -792,12 +701,16 @@ class TuningWorkerPool:
     ) -> List[TuningResult]:
         """Tune a workload across the pool; results in submission order.
 
-        ``database`` (optional) plays the same role as the in-process
-        service's shared database: requests it already covers are served in
-        the parent with zero measurements (workers never see them), records
-        streamed back mid-workload are folded into it immediately, and when
-        the workload finishes it holds every worker's records (the final
-        merge is a keep-better no-op for anything already streamed).
+        One serving session over a known workload.  ``database`` (optional)
+        plays the same role as the in-process service's shared database:
+        requests it already covers are answered before any worker starts
+        (an all-covered workload forks nothing), records streamed back
+        mid-workload are folded into it immediately, and when the workload
+        finishes it holds every worker's records.  The rest run on
+        :meth:`_shard`'s placement — ``min(num_workers, distinct pending
+        requests)`` shards, so a one-shard workload runs serially — each
+        shard starting with its whole share, and are pumped until every
+        future settles, then the session stops.
         """
         if self._serving:
             raise RuntimeError(
@@ -805,426 +718,113 @@ class TuningWorkerPool:
                 "serving before running a batch workload"
             )
         requests = list(requests)
-        self._reset_accounting(streaming=self.streaming)
+        self._reset_accounting()
         if not requests:
             return []
         self._c_requests.inc(len(requests))
-        # Serve covered requests from the caller's database up front, exactly
-        # like TuningService.submit does — workers start with empty private
-        # databases and must not re-tune what the caller already knows.
-        served: dict = {}
-        pending_indices: List[int] = []
-        for i, request in enumerate(requests):
-            record = None
-            if database is not None and request.pruned:
-                record = database.lookup(
-                    request.params,
-                    request.spec,
-                    request.algorithm,
-                    budget=request.max_measurements,
-                    noise=request.noise,
-                    noise_seed=request.noise_seed,
-                )
-            if record is not None:
-                served[i] = record.as_result()
-            else:
-                pending_indices.append(i)
-        self._c_pre_served.inc(len(served))
-        if not pending_indices:
-            self.used_processes = False
-            self._stats_mode = "serial"
-            return [served[i] for i in range(len(requests))]
-        pending = [requests[i] for i in pending_indices]
-        shards, placement = self._shard(pending)
-        self._c_shards.inc(len(shards))
         #: the cross-shard exchange point: the caller's database when given
         #: (so streamed records are visible to the caller mid-workload),
         #: otherwise a workload-private one.
         exchange = database if database is not None else TuningDatabase()
-
-        shard_results: Optional[Dict[int, List[TuningResult]]] = None
-        if len(shards) > 1 and self.use_processes is not False:
-            try:
-                shard_results = self._run_processes(shards, exchange)
-                self.used_processes = True
-            except (OSError, PermissionError, ImportError):
-                if not self.allow_serial_fallback or self.use_processes is True:
-                    raise
-        if shard_results is None:
-            shard_results = self._run_serial(shards, exchange)
-            self.used_processes = False
-        self._stats_mode = "processes" if self.used_processes else "serial"
-
-        for i, (shard, pos) in zip(pending_indices, placement):
-            served[i] = shard_results[shard][pos]
-        return [served[i] for i in range(len(requests))]
-
-    # -- serial in-process execution ------------------------------------ #
-    def _run_serial(
-        self, shards: List[List[TuningRequest]], exchange: TuningDatabase
-    ) -> Dict[int, List[TuningResult]]:
-        if not self.streaming:
-            outputs: Dict[int, List[TuningResult]] = {}
-            for i, shard in enumerate(shards):
-                results, record_dicts, stats, wire = _tune_shard(
-                    shard, self.policy, obs_enabled=self.obs.enabled
-                )
-                exchange.apply(TuningRecord.from_dict(d) for d in record_dicts)
-                self._absorb(stats)
-                self._merge_shard_metrics(MetricsSnapshot.from_wire(wire))
-                outputs[i] = results
-            return outputs
-        # Streaming: interleave the shards round-robin, one scheduling round
-        # each, exchanging records between rounds.  Deterministic — the same
-        # workload always yields the same serving pattern and measurement
-        # count, which is what the streaming benchmark gates on.
-        runners = [
-            _ShardRunner(
-                shard,
-                policy=self.policy,
-                admit_window=self.admit_window,
-                obs=self.obs,
-                store_path=self._shard_store_path(i),
-            )
-            for i, shard in enumerate(shards)
-        ]
-        inboxes: List[List[TuningRecord]] = [[] for _ in shards]
-        unfinished = list(range(len(shards)))
-        while unfinished:
-            still_running: List[int] = []
-            for i in unfinished:
-                runner = runners[i]
-                self._o_sync_depth.set(len(inboxes[i]))
-                runner.sync(inboxes[i])
-                inboxes[i] = []
-                progressed = runner.step()
-                for record in runner.take_new_records():
-                    self._c_records_streamed.inc()
-                    self._o_envelopes.inc()
-                    applied = exchange.apply([record])
-                    if applied:
-                        self._c_records_applied.inc()
-                        # Broadcast what apply() kept, not the raw incoming
-                        # record: on a collision the exchange's surviving
-                        # (faster / budget-upgraded) record is the one the
-                        # other shards must serve from.
-                        for j in range(len(runners)):
-                            if j != i:
-                                inboxes[j].append(applied[0])
-                if progressed:
-                    still_running.append(i)
-            unfinished = still_running
-        outputs = {}
-        for i, runner in enumerate(runners):
-            exchange.apply(runner.service.database)
-            runner.drain_store()
-            self._absorb(runner.service.stats)
-            # Serial shards share self.obs, so their extras are already in
-            # the parent registry — only the per-service accounting needs
-            # merging here (process workers ship both over the wire).
-            self._merge_shard_metrics(runner.service.metrics_snapshot())
-            outputs[i] = runner.results()
-        return outputs
-
-    # -- worker-process execution ---------------------------------------- #
-    def _run_processes(
-        self, shards: List[List[TuningRequest]], exchange: TuningDatabase
-    ) -> Dict[int, List[TuningResult]]:
-        if not self.streaming:
-            ctx = self._context()
-            with ctx.Pool(processes=len(shards)) as pool:
-                shard_outputs = pool.starmap(
-                    _tune_shard,
-                    [(s, self.policy, self.obs.enabled) for s in shards],
-                )
-            outputs = {}
-            for i, (results, record_dicts, stats, wire) in enumerate(shard_outputs):
-                exchange.apply(TuningRecord.from_dict(d) for d in record_dicts)
-                self._absorb(stats)
-                self._merge_shard_metrics(MetricsSnapshot.from_wire(wire))
-                outputs[i] = results
-            return outputs
-        return self._run_streaming_processes(shards, exchange)
-
-    def _ingest_record(
-        self,
-        wire: object,
-        origin: int,
-        exchange: TuningDatabase,
-        sync_queues: Optional[list],
-    ) -> None:
-        """Fold one streamed envelope into the shared database and, when it
-        improved it, forward it to every shard but the sender."""
-        envelope = _decode_envelope(wire)
-        if envelope is None:
-            self._c_poisoned.inc()
-            return
-        self._c_records_streamed.inc()
-        self._o_envelopes.inc()
-        applied = exchange.apply([envelope.record])
-        if applied:
-            self._c_records_applied.inc()
-            if sync_queues is not None:
-                # Forward what apply() kept, not the original wire: on a
-                # collision (e.g. with a faster caller-database record) the
-                # exchange's surviving record is the servable best.
-                winner = RecordEnvelope(
-                    record=applied[0], origin=origin, revision=exchange.revision
-                ).to_wire()
-                for j, sync_queue in enumerate(sync_queues):
-                    if j != origin:
-                        sync_queue.put(winner)
-                if self.obs.enabled:
-                    try:
-                        depth = max(q.qsize() for q in sync_queues)
-                    except NotImplementedError:  # pragma: no cover - macOS
-                        depth = 0
-                    self._o_sync_depth.set(depth)
-
-    def _handle_message(
-        self,
-        message: object,
-        outputs: Dict[int, dict],
-        failures: Dict[int, str],
-        exchange: TuningDatabase,
-        sync_queues: Optional[list],
-        shards: List[List[TuningRequest]],
-    ) -> None:
-        """Validate and dispatch one results-queue message.
-
-        A corrupted message is the same failure class as a poisoned
-        envelope: dropped and counted, never allowed to crash the parent.
-        A "done" report that fails validation (wrong payload shape, wrong
-        result count) marks its shard failed instead — the shard then
-        degrades to the in-parent recovery rerun like a dead worker.
-        """
-        if not (isinstance(message, tuple) and len(message) == 3):
-            self._c_poisoned.inc()
-            return
-        tag, index, payload = message
-        if (
-            not isinstance(index, int)
-            or isinstance(index, bool)
-            or not 0 <= index < len(shards)
-        ):
-            self._c_poisoned.inc()
-            return
-        if tag == "record":
-            self._ingest_record(payload, index, exchange, sync_queues)
-        elif tag == "done":
-            if index in outputs or index in failures:
-                self._c_poisoned.inc()
-            elif (
-                isinstance(payload, dict)
-                and isinstance(payload.get("results"), list)
-                and len(payload["results"]) == len(shards[index])
-            ):
-                outputs[index] = payload
+        results: List[Optional[TuningResult]] = [None] * len(requests)
+        pending: List[int] = []
+        for i, request in enumerate(requests):
+            record = _covering_record(exchange, request)
+            if record is None:
+                pending.append(i)
             else:
-                failures[index] = "malformed completion report"
-        elif tag == "error":
-            if index not in outputs and index not in failures:
-                failures[index] = str(payload)
-        else:
-            self._c_poisoned.inc()
-
-    def _run_streaming_processes(
-        self, shards: List[List[TuningRequest]], exchange: TuningDatabase
-    ) -> Dict[int, List[TuningResult]]:
-        ctx = self._context()
-        results_queue = ctx.Queue()
-        sync_queues = [ctx.Queue() for _ in shards]
-        workers: list = []
+                results[i] = record.as_result()
+        self._c_pre_served.inc(len(requests) - len(pending))
+        if not pending:
+            self.used_processes = False
+            self._stats_mode = "serial"
+            return results
+        work = [requests[i] for i in pending]
+        num_shards, placement = self._shard(work)
+        futures = self._start(exchange, num_shards, list(zip(work, placement)))
         try:
-            for i, shard in enumerate(shards):
-                process = ctx.Process(
-                    target=_stream_shard,
-                    args=(
-                        i,
-                        list(shard),
-                        self.policy,
-                        self.admit_window,
-                        sync_queues[i],
-                        results_queue,
-                        self.obs.enabled,
-                        self._shard_store_path(i),
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                self._o_workers_started.inc()
-                workers.append(process)
+            while self._serve_futures:
+                self.step()
         except BaseException:
-            for process in workers:
-                process.terminate()
+            self.terminate()
             raise
+        self.stop()
+        for i, future in zip(pending, futures):
+            results[i] = future.result(timeout=0)
+        return results
 
-        outputs: Dict[int, dict] = {}
-        failures: Dict[int, str] = {}
-        dead_polls: Dict[int, int] = {}
-
-        def note_silent_deaths() -> None:
-            # Check for workers that died without a word (killed mid-run).
-            # A few grace polls let a healthy exit's final message finish
-            # travelling the pipe.
-            for i, process in enumerate(workers):
-                if i in outputs or i in failures or process.is_alive():
-                    continue
-                dead_polls[i] = dead_polls.get(i, 0) + 1
-                if dead_polls[i] >= _DEATH_GRACE_POLLS:
-                    failures[i] = (
-                        f"worker {i} died without reporting "
-                        f"(exit code {process.exitcode})"
-                    )
-
-        try:
-            while len(outputs) + len(failures) < len(shards):
-                try:
-                    message = results_queue.get(timeout=_POLL_SECONDS)
-                except queue.Empty:
-                    note_silent_deaths()
-                    continue
-                except Exception:
-                    # A worker SIGKILLed mid-put can leave a truncated
-                    # pickle frame in the shared pipe; get() then raises
-                    # EOFError/UnpicklingError instead of Empty.  Same
-                    # failure class as a poisoned envelope: count it, keep
-                    # polling liveness (the sender will be noticed dead),
-                    # and pace the loop — a wedged pipe raises immediately.
-                    self._c_poisoned.inc()
-                    note_silent_deaths()
-                    time.sleep(_POLL_SECONDS)
-                    continue
-                self._handle_message(
-                    message, outputs, failures, exchange, sync_queues, shards
-                )
-            # Residual records still in flight after the last shard reported
-            # (stream/final-report races) are folded in, not thrown away.
-            for message in _drain(results_queue):
-                if (
-                    isinstance(message, tuple)
-                    and len(message) == 3
-                    and message[0] == "record"
-                ):
-                    self._ingest_record(message[2], message[1], exchange, None)
-        finally:
-            for process in workers:
-                process.join(timeout=1.0)
-            for process in workers:
-                if process.is_alive():  # pragma: no cover - defensive
-                    process.terminate()
-                    process.join(timeout=1.0)
-            for sync_queue in sync_queues:
-                sync_queue.close()
-                sync_queue.cancel_join_thread()
-            results_queue.close()
-            results_queue.cancel_join_thread()
-
-        shard_results: Dict[int, List[TuningResult]] = {}
-        for i, payload in outputs.items():
-            self._o_workers_done.inc()
-            exchange.apply(
-                TuningRecord.from_dict(d) for d in payload.get("records", [])
-            )
-            stats = payload.get("stats")
-            if isinstance(stats, ServiceStats):
-                self._absorb(stats)
-            wire = payload.get("metrics")
-            if isinstance(wire, dict):
-                try:
-                    self._merge_shard_metrics(MetricsSnapshot.from_wire(wire))
-                except Exception:
-                    # A corrupted telemetry blob is the same failure class as
-                    # a poisoned envelope — never crash the parent over it.
-                    self._c_poisoned.inc()
-            self._c_poisoned.inc(int(payload.get("poisoned", 0)))
-            shard_results[i] = payload["results"]
-        # Graceful degradation: every failed shard re-runs in the parent
-        # against the shared database — anything its worker streamed before
-        # dying (or other shards solved meanwhile) is served, not re-tuned.
-        for i in sorted(failures):
-            self._c_worker_failures.inc()
-            self._o_workers_failed.inc()
-            # Durable pools first salvage what the dead worker persisted
-            # but never streamed, so the rerun serves it instead of
-            # re-measuring.
-            self._recover_shard_store(i, exchange)
-            runner = _ShardRunner(
-                shards[i],
-                policy=self.policy,
-                admit_window=self.admit_window,
-                database=exchange,
-                obs=self.obs,
-            )
-            while runner.step():
-                pass
-            self._absorb(runner.service.stats)
-            self._merge_shard_metrics(runner.service.metrics_snapshot())
-            shard_results[i] = runner.results()
-        return shard_results
-
-    # -- long-lived serving mode ----------------------------------------- #
+    # -- the serving session --------------------------------------------- #
     @property
     def serving(self) -> bool:
         return self._serving
 
     def start(self, database: Optional[TuningDatabase] = None) -> None:
-        """Enter serving mode: bring up the shard fleet with empty backlogs.
+        """Enter serving mode: bring up ``num_workers`` shards with empty
+        backlogs.
 
-        ``database`` plays the batch ``tune(database=...)`` role for the
-        whole serving session: pruned submits it covers are answered in the
+        ``database`` plays the ``tune(database=...)`` role for the whole
+        serving session: pruned submits it covers are answered in the
         parent with zero measurements, streamed records fold into it
         immediately, and the graceful :meth:`stop` leaves it holding every
         shard's records.  The daemon passes its shared database here.
 
-        Mode selection mirrors :meth:`tune`: processes when available (and
-        more than one shard), else the deterministic in-process serial
-        interleaving; ``use_processes`` forces either.  A stopped or
-        terminated pool may ``start()`` again — durable shards
-        (``store_dir``) then recover their logs instead of re-tuning.
+        Mode selection: processes when available (and more than one
+        shard), else the deterministic in-process serial interleaving;
+        ``use_processes`` forces either.  A stopped or terminated pool may
+        ``start()`` again — durable shards (``store_dir``) then recover
+        their logs instead of re-tuning.
         """
         if self._serving:
             raise RuntimeError("pool is already serving; stop() it first")
-        self._reset_accounting(streaming=True)
-        self._serve_exchange = database if database is not None else TuningDatabase()
-        self._serve_shards = max(1, self.num_workers)
-        self._serve_futures = {}
-        self._serve_tickets = {}
+        self._reset_accounting()
+        exchange = database if database is not None else TuningDatabase()
+        self._start(exchange, self.num_workers)
+
+    def _start(
+        self,
+        exchange: TuningDatabase,
+        num_shards: int,
+        placed: Sequence[Tuple[TuningRequest, int]] = (),
+    ) -> List[TuningFuture]:
+        """Bring up ``num_shards`` shards around ``exchange``, each starting
+        with its share of the ``(request, shard)`` pairs in ``placed`` as
+        its backlog; returns their futures in order."""
+        self._serve_exchange = exchange
+        self._serve_shards = num_shards
         self._next_ticket = 0
-        self._serve_runners = {}
-        self._serve_inboxes = {}
-        self._serve_workers = {}
-        self._serve_submit_queues = {}
-        self._serve_sync_queues = {}
-        self._serve_results_queue = None
-        self._serve_dead_polls = {}
-        self._serve_byes = {}
         self._serving = True
-        self._c_shards.inc(self._serve_shards)
+        self._c_shards.inc(num_shards)
+        backlogs: List[List[Tuple[int, TuningRequest]]] = [[] for _ in range(num_shards)]
+        futures: List[TuningFuture] = []
+        for request, shard in placed:
+            ticket, future = self._ticket(request, shard)
+            backlogs[shard].append((ticket, request))
+            futures.append(future)
         started = False
-        if self._serve_shards > 1 and self.use_processes is not False:
+        if num_shards > 1 and self.use_processes is not False:
             try:
-                self._start_serving_processes()
+                self._start_serving_processes(backlogs)
                 started = True
-                self.used_processes = True
             except (OSError, PermissionError, ImportError):
                 if not self.allow_serial_fallback or self.use_processes is True:
-                    self._serving = False
+                    self._finish_serving()
                     raise
         if not started:
-            for i in range(self._serve_shards):
+            for i in range(num_shards):
                 self._serve_runners[i] = _ShardRunner(
-                    [],
                     policy=self.policy,
                     admit_window=self.admit_window,
                     obs=self.obs,
                     store_path=self._shard_store_path(i),
                 )
                 self._serve_inboxes[i] = []
-            self.used_processes = False
-        self._stats_mode = "processes" if self.used_processes else "serial"
+                for ticket, request in backlogs[i]:
+                    self._serve_runners[i].enqueue(ticket, request)
+        self.used_processes = started
+        self._stats_mode = "processes" if started else "serial"
+        return futures
 
-    def _start_serving_processes(self) -> None:
+    def _start_serving_processes(self, backlogs: List[list]) -> None:
         ctx = self._context()
         self._serve_results_queue = ctx.Queue()
         for i in range(self._serve_shards):
@@ -1238,6 +838,7 @@ class TuningWorkerPool:
                         i,
                         self.policy,
                         self.admit_window,
+                        backlogs[i],
                         self._serve_submit_queues[i],
                         self._serve_sync_queues[i],
                         self._serve_results_queue,
@@ -1268,33 +869,34 @@ class TuningWorkerPool:
         """
         if not self._serving:
             raise RuntimeError("pool is not serving; call start() first")
-        future = TuningFuture(request)
         self._c_requests.inc()
-        if request.pruned:
-            record = self._serve_exchange.lookup(
-                request.params,
-                request.spec,
-                request.algorithm,
-                budget=request.max_measurements,
-                noise=request.noise,
-                noise_seed=request.noise_seed,
-            )
-            if record is not None:
-                self._c_pre_served.inc()
-                future.from_database = True
-                future._set_result(record.as_result())
-                return future
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        shard = _shard_for_request(request, self._serve_shards)
-        self._serve_futures[ticket] = future
-        self._serve_tickets[ticket] = (shard, request)
+        record = _covering_record(self._serve_exchange, request)
+        if record is not None:
+            self._c_pre_served.inc()
+            future = TuningFuture(request)
+            future.from_database = True
+            future._set_result(record.as_result())
+            return future
+        return self._enqueue(request, _shard_for_request(request, self._serve_shards))
+
+    def _enqueue(self, request: TuningRequest, shard: int) -> TuningFuture:
+        """Ticket ``request`` onto a running ``shard``'s backlog."""
+        ticket, future = self._ticket(request, shard)
         runner = self._serve_runners.get(shard)
         if runner is not None:
             runner.enqueue(ticket, request)
         else:
             self._serve_submit_queues[shard].put(("submit", ticket, request))
         return future
+
+    def _ticket(self, request: TuningRequest, shard: int) -> Tuple[int, TuningFuture]:
+        """Open a parent future for ``request`` on ``shard``."""
+        future = TuningFuture(request)
+        ticket = self._next_ticket
+        self._next_ticket += 1
+        self._serve_futures[ticket] = future
+        self._serve_tickets[ticket] = (shard, request)
+        return ticket, future
 
     def step(self) -> bool:
         """Pump the serving fleet one round; True while work is in flight.
@@ -1317,38 +919,12 @@ class TuningWorkerPool:
                     progressed = True
             if not messages:
                 self._note_serving_deaths()
-        for shard in sorted(self._serve_runners):
-            runner = self._serve_runners[shard]
-            inbox = self._serve_inboxes.get(shard) or []
-            if inbox:
-                self._serve_inboxes[shard] = []
-                self._o_sync_depth.set(len(inbox))
-            runner.sync(inbox)
-            if runner.step():
-                progressed = True
-            shares_exchange = runner.service.database is self._serve_exchange
-            for record in runner.take_new_records():
-                self._c_records_streamed.inc()
-                self._o_envelopes.inc()
-                self._serve_broadcast(
-                    record, origin=shard, already_applied=shares_exchange
-                )
-            for ticket, (ticket_shard, _) in list(self._serve_tickets.items()):
-                if ticket_shard != shard:
-                    continue
-                service_future = runner.futures.get(ticket)
-                if service_future is not None and service_future.done():
-                    del runner.futures[ticket]
-                    if self._settle_serving(ticket, service_future=service_future):
-                        progressed = True
+        if self._step_runners():
+            progressed = True
         if (
             not progressed
             and self._serve_futures
-            and self._serve_results_queue is not None
-            and any(
-                s not in self._serve_runners and s not in self._serve_byes
-                for s in self._serve_workers
-            )
+            and any(s not in self._serve_byes for s in self._serve_workers)
         ):
             # Paced wait for worker completions instead of a hot no-progress
             # return (the sleep half is pacing, not a timing source).
@@ -1365,10 +941,41 @@ class TuningWorkerPool:
                     progressed = True
         return progressed or bool(self._serve_futures)
 
+    def _step_runners(self) -> bool:
+        """Advance every in-parent runner one scheduling round: sync its
+        inbox, step it, broadcast its new records and settle its finished
+        tickets.  True when any runner progressed or a ticket settled."""
+        progressed = False
+        for shard in sorted(self._serve_runners):
+            runner = self._serve_runners[shard]
+            inbox = self._serve_inboxes[shard]
+            if inbox:
+                self._serve_inboxes[shard] = []
+                self._o_sync_depth.set(len(inbox))
+            runner.sync(inbox)
+            if runner.step():
+                progressed = True
+            shares_exchange = runner.service.database is self._serve_exchange
+            for record in runner.take_new_records():
+                self._c_records_streamed.inc()
+                self._o_envelopes.inc()
+                self._serve_broadcast(
+                    record, origin=shard, already_applied=shares_exchange
+                )
+            for ticket, service_future in list(runner.futures.items()):
+                if service_future.done():
+                    del runner.futures[ticket]
+                    if self._settle_serving(ticket, service_future=service_future):
+                        progressed = True
+        return progressed
+
     def _handle_serve_message(self, message: object) -> bool:
-        """Dispatch one serving results-queue message; True when it settled
-        a ticket or advanced the exchange (the poisoned-envelope rules of
-        :meth:`_handle_message` apply)."""
+        """Validate and dispatch one results-queue message; True when it
+        settled a ticket or advanced the exchange.
+
+        A corrupted message is the same failure class as a poisoned
+        envelope: dropped and counted, never allowed to crash the parent.
+        """
         if not (isinstance(message, tuple) and len(message) in (3, 4)):
             self._c_poisoned.inc()
             return False
@@ -1409,6 +1016,9 @@ class TuningWorkerPool:
         """Fold one shard's record into the exchange and, when it improved
         it, forward the surviving record to every other shard.
 
+        Forward what ``apply()`` kept, not the incoming record: on a
+        collision (e.g. with a faster caller-database record) the
+        exchange's surviving record is the servable best.
         ``already_applied`` marks records from failed-over runners whose
         database *is* the exchange (their stores are already folded); the
         broadcast still runs so other shards serve from them.  Forwarding
@@ -1495,7 +1105,8 @@ class TuningWorkerPool:
         wire = payload.get("metrics")
         if isinstance(wire, dict):
             try:
-                self._merge_shard_metrics(MetricsSnapshot.from_wire(wire))
+                shipped = MetricsSnapshot.from_wire(wire)
+                self._shard_metrics = self._shard_metrics.merged(shipped)
             except Exception:
                 self._c_poisoned.inc()
         self._c_poisoned.inc(int(payload.get("poisoned", 0)))
@@ -1506,23 +1117,18 @@ class TuningWorkerPool:
         polls that let a final message finish travelling the pipe) degrades
         its shard to an in-parent runner."""
         for shard, process in list(self._serve_workers.items()):
-            if (
-                shard in self._serve_byes
-                or shard in self._serve_runners
-                or process.is_alive()
-            ):
+            if shard in self._serve_byes or process.is_alive():
                 continue
             self._serve_dead_polls[shard] = self._serve_dead_polls.get(shard, 0) + 1
             if self._serve_dead_polls[shard] >= _DEATH_GRACE_POLLS:
                 self._failover_serving_shard(shard)
 
     def _failover_serving_shard(self, shard: int) -> None:
-        """A serving worker died: degrade per the batch fault model, made
-        incremental — salvage its durable log into the exchange, then hand
-        its unresolved tickets (and any future submits routed to it) to an
-        in-parent runner against the exchange.  Records the worker streamed
-        or persisted before dying are served, not re-tuned; the pool (and
-        the daemon above) keeps serving throughout."""
+        """A worker died: salvage its durable log into the exchange, then
+        hand its unresolved tickets (and any future submits routed to it)
+        to an in-parent runner against the exchange.  Records the worker
+        streamed or persisted before dying are served, not re-tuned; the
+        pool (and the daemon above) keeps serving throughout."""
         if shard in self._serve_runners:
             return
         process = self._serve_workers.pop(shard, None)
@@ -1534,7 +1140,6 @@ class TuningWorkerPool:
         self._o_workers_failed.inc()
         self._recover_shard_store(shard, self._serve_exchange)
         runner = _ShardRunner(
-            [],
             policy=self.policy,
             admit_window=self.admit_window,
             database=self._serve_exchange,
@@ -1603,23 +1208,15 @@ class TuningWorkerPool:
         """
         if not self._serving:
             return
-        for shard, submit_queue in self._serve_submit_queues.items():
-            if (
-                shard in self._serve_workers
-                and shard not in self._serve_runners
-                and shard not in self._serve_byes
-            ):
-                try:
-                    submit_queue.put(("stop",))
-                except Exception:  # pragma: no cover - defensive
-                    pass
 
         def outstanding() -> List[int]:
-            return [
-                s
-                for s in self._serve_workers
-                if s not in self._serve_byes and s not in self._serve_runners
-            ]
+            return [s for s in self._serve_workers if s not in self._serve_byes]
+
+        for shard in outstanding():
+            try:
+                self._serve_submit_queues[shard].put(("stop",))
+            except Exception:  # pragma: no cover - defensive
+                pass
 
         attempts = max(1, int(timeout / _POLL_SECONDS))
         while outstanding() and attempts > 0:
@@ -1638,36 +1235,19 @@ class TuningWorkerPool:
         for shard in outstanding():
             self._failover_serving_shard(shard)
         # Drain failed-over / in-parent shards to completion.
-        while True:
-            progressed = False
-            for shard in sorted(self._serve_runners):
-                runner = self._serve_runners[shard]
-                inbox = self._serve_inboxes.get(shard) or []
-                if inbox:
-                    self._serve_inboxes[shard] = []
-                runner.sync(inbox)
-                if runner.step():
-                    progressed = True
-                shares = runner.service.database is self._serve_exchange
-                for record in runner.take_new_records():
-                    self._c_records_streamed.inc()
-                    self._o_envelopes.inc()
-                    self._serve_broadcast(record, origin=shard, already_applied=shares)
-                for ticket, (ticket_shard, _) in list(self._serve_tickets.items()):
-                    if ticket_shard != shard:
-                        continue
-                    service_future = runner.futures.get(ticket)
-                    if service_future is not None and service_future.done():
-                        del runner.futures[ticket]
-                        self._settle_serving(ticket, service_future=service_future)
-            if not progressed:
-                break
+        while self._step_runners():
+            pass
         for runner in self._serve_runners.values():
             if runner.service.database is not self._serve_exchange:
                 self._serve_exchange.apply(runner.service.database)
                 runner.drain_store()
             self._absorb(runner.service.stats)
-            self._merge_shard_metrics(runner.service.metrics_snapshot())
+            # In-parent runners share self.obs, so their extras are already
+            # in the parent registry — only the per-service accounting needs
+            # merging here (process workers ship both in their bye).
+            self._shard_metrics = self._shard_metrics.merged(
+                runner.service.metrics_snapshot()
+            )
         for future in list(self._serve_futures.values()):
             if not future.done():
                 future._set_exception(
@@ -1740,7 +1320,6 @@ class TuningWorkerPool:
             "serving": self._serving,
             "mode": self._stats_mode,
             "num_workers": self.num_workers,
-            "streaming": self.streaming,
             "admit_window": self.admit_window,
             "in_flight": len(self._serve_futures),
             "stats": dataclasses.asdict(self.stats),

@@ -7,6 +7,7 @@ detachment, a submit over the unix socket, SIGTERM, clean drain and
 pidfile removal — exactly what ``make daemonize-smoke`` gates.
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -17,6 +18,7 @@ import time
 import pytest
 
 from repro.conv import ConvParams
+from repro.core.autotune import TuningDatabase
 from repro.gpusim import V100
 from repro.service import (
     DaemonClient,
@@ -34,6 +36,20 @@ def _request(seed=0, budget=6):
     return TuningRequest(
         SMALL, V100, max_measurements=budget, seed=seed, pruned=True, tuner="random"
     )
+
+
+def _trajectory(result):
+    return [(t.config.key(), t.time_seconds) for t in result.trials]
+
+
+def _env():
+    """The environment for a child Python that imports this checkout."""
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def _wait_for(predicate, timeout=20.0, interval=0.05):
@@ -91,6 +107,26 @@ class TestServeForever:
         assert not os.path.exists(wrapper.pidfile)
         assert not os.path.exists(wrapper.socket)
 
+    def test_database_file_is_reloaded_on_restart(self, tmp_path):
+        database_path = str(tmp_path / "tuning.json")
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        with _Wrapper(first, database_path=database_path) as wrapper:
+            client = DaemonClient(SocketTransport(wrapper.socket))
+            tuned = client.submit_and_wait(_request())
+        assert tuned.num_measurements == 6
+        # A fresh journal: only the database file can answer the repeat.
+        with _Wrapper(second, database_path=database_path) as wrapper:
+            client = DaemonClient(SocketTransport(wrapper.socket))
+            repeat = client.submit_and_wait(_request())
+            measured = client.describe()["service"]["stats"]["measurements"]
+        assert repeat.from_cache and measured == 0
+        assert repeat.best_time == tuned.best_time
+        # The second drain rewrote the file without losing the first record.
+        record = TuningDatabase.open(database_path).lookup(SMALL, V100, "direct")
+        assert record is not None and record.time_seconds == tuned.best_time
+
     def test_live_pidfile_refuses_start(self, tmp_path):
         with _Wrapper(tmp_path, backend="service") as wrapper:
             with pytest.raises(PidfileError):
@@ -118,11 +154,6 @@ class TestServeForever:
             "threading.Thread(target=kick, daemon=True).start()\n"
             "sys.exit(serve_forever(journal, sock, pidfile))\n"
         )
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         done = subprocess.run(
             [
                 sys.executable,
@@ -135,11 +166,62 @@ class TestServeForever:
             capture_output=True,
             text=True,
             timeout=60,
-            env=env,
+            env=_env(),
         )
         assert done.returncode == 0, done.stderr
         assert "drained cleanly" in done.stdout
         assert not os.path.exists(tmp_path / "d.pid")
+
+    def test_process_group_sigterm_still_drains(self, tmp_path):
+        """Pool workers keep the default SIGTERM action, so a SIGTERM to the
+        daemon's whole process group (what a supervisor stopping a cgroup
+        sends) kills them mid-run.  The drain must still answer every
+        request — their shards fail over to the daemon process — and exit
+        cleanly, with results a restart re-serves bit-identically."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        wrapper = _Wrapper(tmp_path)  # the same file names for the restart
+        command = [
+            sys.executable, "-m", "repro.service.daemonize", "--foreground",
+            "--journal", wrapper.journal, "--socket", wrapper.socket,
+            "--pidfile", wrapper.pidfile, "--backend", "pool", "--workers", "2",
+        ]
+        # Unpruned ATE runs (~0.2 s each) that no database record can answer.
+        requests = [
+            TuningRequest(SMALL, V100, max_measurements=48, seed=seed, pruned=False)
+            for seed in range(4)
+        ]
+        daemon = subprocess.Popen(
+            command,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_env(),
+            start_new_session=True,  # its own process group, workers included
+        )
+        try:
+            assert _wait_for(lambda: os.path.exists(wrapper.socket))
+            client = DaemonClient(SocketTransport(wrapper.socket))
+            if client.describe()["pool"]["mode"] != "processes":
+                pytest.skip("worker processes unavailable in this environment")
+            for request in requests:
+                client.submit(request)
+            os.killpg(daemon.pid, signal.SIGTERM)
+            out, err = daemon.communicate(timeout=60)
+        finally:
+            if daemon.poll() is None:
+                os.killpg(daemon.pid, signal.SIGKILL)
+                daemon.communicate()
+        assert daemon.returncode == 0, err
+        assert "drained cleanly" in out and "'pending': 0" in out
+        assert not os.path.exists(wrapper.pidfile)
+        with wrapper:
+            client = DaemonClient(SocketTransport(wrapper.socket))
+            for request in requests:
+                result = client.submit_and_wait(request)
+                assert _trajectory(result) == _trajectory(request.tune_direct())
+            measured = client.describe()["service"]["stats"]["measurements"]
+        assert measured == 0  # journal re-serves, nothing re-tuned
 
     def test_stale_pidfile_is_replaced(self, tmp_path):
         pidfile = str(tmp_path / "stale.pid")
@@ -167,11 +249,6 @@ class TestDaemonizeSmoke:
         sock = str(tmp_path / "d.sock")
         pidfile = str(tmp_path / "d.pid")
         log = str(tmp_path / "d.log")
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         launcher = subprocess.run(
             [
                 sys.executable,
@@ -193,7 +270,7 @@ class TestDaemonizeSmoke:
             capture_output=True,
             text=True,
             timeout=60,
-            env=env,
+            env=_env(),
         )
         assert launcher.returncode == 0, launcher.stderr
         assert _wait_for(lambda: os.path.exists(sock)), "daemon socket never bound"

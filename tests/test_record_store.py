@@ -648,7 +648,6 @@ class TestBackendBitIdentity:
             pool = TuningWorkerPool(
                 num_workers=2,
                 use_processes=False,
-                streaming=True,
                 store_dir=(
                     os.path.join(tmp_path, "shards") if backend == "log" else None
                 ),
@@ -676,12 +675,12 @@ class TestPoolDurability:
         from repro.service.pool import _ShardRunner
 
         path = os.path.join(tmp_path, "shard-0.log")
-        first = _ShardRunner([], store_path=path)
+        first = _ShardRunner(store_path=path)
         planted = _record()
         first.service.database.put(planted)
         first.service.database.close()
         # A restarted shard starts from its log, not from empty.
-        second = _ShardRunner([], store_path=path)
+        second = _ShardRunner(store_path=path)
         assert second.service.database.records() == [planted]
         # Recovered records predate the streaming checkpoint: they are not
         # re-broadcast as if this incarnation had just tuned them.
@@ -692,7 +691,7 @@ class TestPoolDurability:
         pool = TuningWorkerPool(
             num_workers=2, use_processes=False, store_dir=str(tmp_path)
         )
-        pool._reset_accounting(streaming=True)
+        pool._reset_accounting()
         # Simulate a worker that persisted two records and died unstreamed.
         dead_store = LogStore(pool._shard_store_path(1))
         for record in _records(2):
@@ -707,7 +706,7 @@ class TestPoolDurability:
         pool = TuningWorkerPool(
             num_workers=2, use_processes=False, store_dir=str(tmp_path)
         )
-        pool._reset_accounting(streaming=True)
+        pool._reset_accounting()
         exchange = TuningDatabase()
         # Missing log: the worker died before its first put.
         assert pool._recover_shard_store(0, exchange) == 0

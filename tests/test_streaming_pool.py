@@ -20,6 +20,8 @@ import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -34,9 +36,15 @@ from repro.core.autotune import (
 )
 from repro.gpusim import V100
 from repro.obs import MonotonicClock
-from repro.service import TuningRequest, TuningService, TuningWorkerPool
+from repro.service import (
+    RequestFailed,
+    TuningRequest,
+    TuningService,
+    TuningWorkerPool,
+)
 
 import repro.service.pool as pool_module
+from tests.pool_reference import isolated_shards
 
 A = ConvParams.square(8, 16, 32, kernel=3, stride=1, padding=1)
 B = ConvParams.square(13, 64, 96, kernel=3, stride=1, padding=1)
@@ -77,7 +85,7 @@ def _record_for(request, time_seconds, budget=None):
 #: distinct requests): shard0 = [A(s1), B(s2)], shard1 = [B(s1), A(s2)].
 #: With windowed admission each shard's second request is still in the
 #: backlog when the other shard's record arrives -> served with zero
-#: measurements.  Merge-at-end tunes all four.
+#: measurements.  Isolated shards tune all four.
 CROSS_SHARD_WORKLOAD = [
     _request(A, seed=1),
     _request(B, seed=1),
@@ -88,20 +96,17 @@ CROSS_SHARD_WORKLOAD = [
 
 class TestCrossShardStreaming:
     def test_serial_streaming_cuts_measurements_deterministically(self):
-        merge_pool = TuningWorkerPool(
-            num_workers=2, streaming=False, use_processes=False
-        )
-        merge_results = merge_pool.tune(list(CROSS_SHARD_WORKLOAD))
         stream_pool = TuningWorkerPool(
-            num_workers=2, streaming=True, admit_window=1, use_processes=False
+            num_workers=2, admit_window=1, use_processes=False
         )
         stream_results = stream_pool.tune(list(CROSS_SHARD_WORKLOAD))
+        isolated_results, isolated = isolated_shards(stream_pool, CROSS_SHARD_WORKLOAD)
 
         # Strictly fewer measurements: one fresh run per problem instead of
         # one per (problem, seed).  Serial interleaving is deterministic, so
         # these are exact counts, not bounds.
-        assert stream_pool.stats.measurements < merge_pool.stats.measurements
-        assert merge_pool.stats.tuning_runs == 4
+        assert stream_pool.stats.measurements < isolated.measurements
+        assert isolated.tuning_runs == 4
         assert stream_pool.stats.tuning_runs == 2
         assert stream_pool.stats.database_hits == 2
         assert stream_pool.stats.records_streamed >= 2
@@ -114,7 +119,7 @@ class TestCrossShardStreaming:
             if result.from_cache:
                 assert result.best_time <= min(
                     r.best_time
-                    for q, r in zip(CROSS_SHARD_WORKLOAD, merge_results)
+                    for q, r in zip(CROSS_SHARD_WORKLOAD, isolated_results)
                     if q.params == request.params
                 )
             else:
@@ -124,14 +129,13 @@ class TestCrossShardStreaming:
         # Windowed admission can only convert fresh runs into database hits,
         # never add runs (identical in-flight duplicates bypass the window).
         workload = CROSS_SHARD_WORKLOAD + [_request(A, seed=1), _request(C, seed=3)]
-        merge_pool = TuningWorkerPool(num_workers=2, streaming=False, use_processes=False)
-        merge_pool.tune(list(workload))
         stream_pool = TuningWorkerPool(
-            num_workers=2, streaming=True, admit_window=1, use_processes=False
+            num_workers=2, admit_window=1, use_processes=False
         )
         stream_pool.tune(list(workload))
-        assert stream_pool.stats.measurements <= merge_pool.stats.measurements
-        assert stream_pool.stats.tuning_runs <= merge_pool.stats.tuning_runs
+        _, isolated = isolated_shards(stream_pool, workload)
+        assert stream_pool.stats.measurements <= isolated.measurements
+        assert stream_pool.stats.tuning_runs <= isolated.tuning_runs
 
     def test_process_streaming_matches_and_fills_parent_database(self):
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -162,7 +166,7 @@ class TestCrossShardStreaming:
     def test_unpruned_duplicates_still_coalesce_through_the_window(self):
         workload = [_request(A, pruned=False)] * 3 + [_request(B, seed=2)]
         pool = TuningWorkerPool(
-            num_workers=2, streaming=True, admit_window=1, use_processes=False
+            num_workers=2, admit_window=1, use_processes=False
         )
         results = pool.tune(workload)
         # All three unpruned duplicates rode one run (they can never be
@@ -176,9 +180,9 @@ class TestCrossShardStreaming:
     def test_distant_unpruned_duplicate_coalesces_too(self):
         # Regression: a duplicate queued *behind* other requests used to be
         # admitted only after its twin's run retired, re-tuning from
-        # scratch — the streaming pool then measured MORE than merge-at-end.
-        # Duplicates are pulled forward at their twin's admission, so the
-        # backlog distance must not matter.
+        # scratch — the streaming pool then measured MORE than isolated
+        # shards.  Duplicates are pulled forward at their twin's admission,
+        # so the backlog distance must not matter.
         workload = [
             _request(A, pruned=False),
             _request(B, seed=1),
@@ -186,17 +190,16 @@ class TestCrossShardStreaming:
             _request(D, seed=1),
             _request(A, pruned=False),  # same shard as [0], two slots back
         ]
-        merge_pool = TuningWorkerPool(num_workers=2, streaming=False, use_processes=False)
-        merge_results = merge_pool.tune(list(workload))
         stream_pool = TuningWorkerPool(
-            num_workers=2, streaming=True, admit_window=1, use_processes=False
+            num_workers=2, admit_window=1, use_processes=False
         )
         stream_results = stream_pool.tune(list(workload))
-        assert stream_pool.stats.tuning_runs <= merge_pool.stats.tuning_runs
-        assert stream_pool.stats.measurements <= merge_pool.stats.measurements
+        isolated_results, isolated = isolated_shards(stream_pool, workload)
+        assert stream_pool.stats.tuning_runs <= isolated.tuning_runs
+        assert stream_pool.stats.measurements <= isolated.measurements
         assert stream_pool.stats.coalesced == 1
         # Ordering survives out-of-order admission: result[4] is request[4]'s.
-        for a, b in zip(merge_results, stream_results):
+        for a, b in zip(isolated_results, stream_results):
             assert a.best_config == b.best_config
 
     def test_exchange_broadcasts_the_keep_better_winner(self):
@@ -210,7 +213,7 @@ class TestCrossShardStreaming:
         fast = _record_for(_request(A), fast_time, budget=8)  # 8 < BUDGET
         db = TuningDatabase([fast])
         pool = TuningWorkerPool(
-            num_workers=2, streaming=True, admit_window=1, use_processes=False
+            num_workers=2, admit_window=1, use_processes=False
         )
         results = pool.tune(list(CROSS_SHARD_WORKLOAD), database=db)
         assert pool.stats.pre_served == 0  # budget 8 covers no request
@@ -229,7 +232,7 @@ class TestCrossShardStreaming:
 
     def test_admit_window_zero_admits_everything(self):
         pool = TuningWorkerPool(
-            num_workers=2, streaming=True, admit_window=0, use_processes=False
+            num_workers=2, admit_window=0, use_processes=False
         )
         results = pool.tune(list(CROSS_SHARD_WORKLOAD))
         # All-at-once admission: nothing is left in the backlog to be served
@@ -280,17 +283,20 @@ class TestFaultInjection:
         original_step = pool_module._ShardRunner.step
 
         def lethal_step(self):
-            # In the worker whose shard leads with problem B: die (SIGKILL —
-            # no cleanup, no goodbye) on the second scheduling round, i.e.
-            # mid-run.  The parent process (and the in-parent recovery rerun)
-            # must keep the original behaviour.
+            # In the worker whose first non-empty backlog leads with problem
+            # B: die (SIGKILL — no cleanup, no goodbye) on its second
+            # scheduling round, i.e. mid-run.  Submits reach a worker over a
+            # queue, so its first rounds may see an empty backlog.  The
+            # parent process (and the in-parent recovery rerun) must keep
+            # the original behaviour.
             if os.getpid() != parent_pid:
-                if not hasattr(self, "_doomed"):
-                    self._doomed = bool(self.pending) and self.pending[0][1].params == B
+                if not hasattr(self, "_doomed") and self.pending:
+                    self._doomed = self.pending[0][1].params == B
                     self._rounds = 0
-                self._rounds += 1
-                if self._doomed and self._rounds >= 2:
-                    os.kill(os.getpid(), signal.SIGKILL)
+                if getattr(self, "_doomed", False):
+                    self._rounds += 1
+                    if self._rounds >= 2:
+                        os.kill(os.getpid(), signal.SIGKILL)
             return original_step(self)
 
         monkeypatch.setattr(pool_module._ShardRunner, "step", lethal_step)
@@ -369,57 +375,64 @@ class TestFaultInjection:
     def test_parent_ingest_counts_poison_and_survives(self):
         pool = TuningWorkerPool(num_workers=2, use_processes=False)
         exchange = TuningDatabase()
-        pool._ingest_record({"v": 1, "record": "junk"}, 0, exchange, None)
-        pool._ingest_record("not even a dict", 1, exchange, None)
+        pool.start(database=exchange)
+        assert not pool._handle_serve_message(("record", 0, {"v": 1, "record": "junk"}))
+        assert not pool._handle_serve_message(("record", 1, "not even a dict"))
         assert pool.stats.poisoned_envelopes == 2
         assert pool.stats.records_streamed == 0
         assert len(exchange) == 0
         # A valid envelope still flows after the poison.
         request = _request(A)
         good = RecordEnvelope(record=_record_for(request, 1e-3)).to_wire()
-        pool._ingest_record(good, 0, exchange, None)
+        assert pool._handle_serve_message(("record", 0, good))
         assert pool.stats.records_streamed == 1
         assert pool.stats.records_applied == 1
         assert len(exchange) == 1
+        pool.stop()
 
     @pytest.mark.parametrize(
         "message",
         [
             "not a tuple",
-            ("done",),  # wrong arity
-            ("done", "zero", {}),  # non-int shard index
-            ("done", True, {}),  # bool masquerading as an index
-            ("done", 7, {"results": []}),  # index out of range
+            ("done_one",),  # wrong arity
+            ("done_one", "zero", 0, ("ok", None)),  # non-int shard index
+            ("done_one", True, 0, ("ok", None)),  # bool masquerading as an index
+            ("done_one", 7, 0, ("ok", None)),  # index out of range
+            ("done_one", 0, "zero", ("ok", None)),  # non-int ticket
+            ("done_one", 0, True, ("ok", None)),  # bool masquerading as a ticket
             ("record", 0, "junk"),  # poisoned envelope payload
+            ("record", 0, {}, "extra"),  # wrong arity for its tag
             ("shrug", 0, {}),  # unknown tag
         ],
     )
     def test_corrupted_results_queue_messages_are_dropped(self, message):
         pool = TuningWorkerPool(num_workers=2, use_processes=False)
-        outputs: dict = {}
-        failures: dict = {}
-        shards = [[_request(A)], [_request(B)]]
-        pool._handle_message(message, outputs, failures, TuningDatabase(), None, shards)
+        pool.start()
+        future = pool.submit(_request(A))
+        assert not pool._handle_serve_message(message)
         assert pool.stats.poisoned_envelopes == 1
-        assert outputs == {} and failures == {}
+        assert not future.done()  # the open ticket is untouched
+        pool.terminate()
 
     def test_malformed_completion_report_degrades_to_failure(self):
-        # A "done" whose payload fails validation must not crash the parent
-        # later (KeyError on payload["results"]); the shard is marked failed
-        # and re-runs in the parent like a dead worker.
+        # A completion report that fails validation must not crash the
+        # parent; its ticket's future fails with a typed error instead.
         pool = TuningWorkerPool(num_workers=2, use_processes=False)
-        outputs: dict = {}
-        failures: dict = {}
-        shards = [[_request(A)], [_request(B)]]
-        for bad_payload in ({}, {"results": "oops"}, {"results": [1, 2, 3]}):
-            pool._handle_message(
-                ("done", 0, bad_payload), outputs, {}, TuningDatabase(), None, shards
-            )
-        pool._handle_message(
-            ("done", 1, {"results": "oops"}), outputs, failures, TuningDatabase(), None, shards
-        )
-        assert outputs == {}
-        assert failures == {1: "malformed completion report"}
+        pool.start()
+        futures = [pool.submit(_request(A, seed=seed)) for seed in (1, 2, 3, 4)]
+        bad_outcomes = (None, ("ok", "not a result"), ("err", "not a dict"), ("ok",))
+        for ticket, outcome in zip(sorted(pool._serve_tickets), bad_outcomes):
+            assert pool._handle_serve_message(("done_one", 0, ticket, outcome))
+        for future in futures:
+            with pytest.raises(RequestFailed, match="malformed completion report"):
+                future.result(timeout=0)
+        assert pool.stats.poisoned_envelopes == 4
+        # A late report for an already-answered ticket is discarded.
+        assert not pool._handle_serve_message(("done_one", 0, 0, ("ok", None)))
+        # A goodbye from a shard with no worker process is dropped, not folded.
+        assert not pool._handle_serve_message(("bye", 1, {"records": "junk"}))
+        assert pool.stats.poisoned_envelopes == 5
+        pool.terminate()
 
     def test_drain_skips_corrupted_pipe_frames(self):
         # A sender killed mid-put leaves frames that raise on deserialize;
@@ -871,3 +884,82 @@ class TestServingMode:
         pool.stop()
         assert pool.stats.worker_failures == 1
         assert len(db) == 2  # both problems landed despite the kill
+
+    def test_workers_obey_sigterm_and_exit_when_orphaned(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("forked-worker signal handling needs fork")
+        # The parent installs its own SIGTERM handler before forking, as
+        # serve_forever does; workers must not keep running on its copy.
+        script = (
+            "import signal, time\n"
+            "from repro.service import TuningWorkerPool\n"
+            "signal.signal(signal.SIGTERM, lambda signum, frame: None)\n"
+            "pool = TuningWorkerPool(num_workers=2, start_method='fork',"
+            " use_processes=True)\n"
+            "pool.start()\n"
+            "print(*(p.pid for p in pool._serve_workers.values()), flush=True)\n"
+            "while True:\n"
+            "    pool.step()\n"
+            "    time.sleep(0.05)\n"
+        )
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        workers = []
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2
+
+            def sigterm_ends_worker():
+                # Re-sent each poll: a worker still running the inherited
+                # handler just after the fork swallows the signal.
+                try:
+                    os.kill(workers[0], signal.SIGTERM)
+                except ProcessLookupError:
+                    return True
+                return not _running(workers[0])
+
+            assert _wait_until(sigterm_ends_worker), "a SIGTERMed worker kept running"
+            parent.kill()
+            parent.wait(timeout=10)
+            assert _wait_until(lambda: not _running(workers[1])), (
+                "a worker outlived its SIGKILLed parent"
+            )
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+            for pid in filter(_running, workers):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+
+def _wait_until(predicate, timeout=10.0, interval=0.05):
+    for _ in range(int(timeout / interval)):
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    if os.path.exists("/proc/self/stat"):
+        try:
+            with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            return False
+        return state != "Z"
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
