@@ -16,13 +16,17 @@ protocol rather than a hard-wired JSON file:
   ``TuningDatabase`` format), retained as the compatibility reference.
   Durability is explicit: :meth:`~JsonMapStore.snapshot` rewrites the
   entire map atomically, O(db) per call.
-* :class:`LogStore` — an append-only JSON-lines record log.  Every
-  *effective* append (an insert, a faster record, or a budget upgrade)
-  writes one line, so a durable put is O(1) amortised; a dead-record
-  ratio threshold triggers compaction (fsync'd snapshot of the live set,
-  then an atomic log reset); recovery folds the snapshot and replays the
-  log tail, tolerating exactly one truncated trailing line (a crash
-  mid-append).
+* :class:`AppendLog` — the one durable append-only JSON-lines log: an
+  atomically installed format-1 header, one flushed (optionally fsync'd)
+  all-or-nothing line per append, an fsync'd snapshot followed by a log
+  reset, and recovery that folds the snapshot, replays the tail and
+  truncates exactly one torn trailing line.  :class:`LogStore` and the
+  daemon's request journal are folds over it.
+* :class:`LogStore` — the append-only record log: a keep-better fold over
+  an :class:`AppendLog` of kind ``log``.  Every *effective* append (an
+  insert, a faster record, or a budget upgrade) writes one line, so a
+  durable put is O(1) amortised; a dead-record ratio threshold triggers
+  compaction (the live set becomes the snapshot).
 
 All backends resolve collisions through the same keep-better fold
 (:func:`resolve_record`), so swapping backends never changes a tuning
@@ -32,12 +36,13 @@ record *set*, not of arrival order or storage layout.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import tempfile
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import IO, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ...conv.tensor import ConvParams, Layout
 from ...gpusim.spec import GPUSpec
@@ -47,6 +52,7 @@ from .session import TrialRecord, TuningResult
 
 __all__ = [
     "FORMAT_VERSION",
+    "AppendLog",
     "JsonMapStore",
     "LogStore",
     "RecordStore",
@@ -269,8 +275,9 @@ def resolve_record(
 
 
 # -- shared on-disk helpers --------------------------------------------- #
-def _atomic_write_json(path: str, payload: dict, fsync: bool = False) -> str:
-    """Write ``payload`` to ``path`` via temp file + ``os.replace``.
+def _atomic_write(path: str, write: Callable[[IO[str]], object], fsync: bool = False) -> str:
+    """Write a file at ``path`` through ``write(fh)``, via temp file +
+    ``os.replace``.
 
     Readers never observe a half-written file and a crash mid-write leaves
     any previous file intact; ``fsync=True`` additionally forces the bytes
@@ -284,19 +291,25 @@ def _atomic_write_json(path: str, payload: dict, fsync: bool = False) -> str:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+            write(fh)
             if fsync:
                 fh.flush()
                 os.fsync(fh.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         # The half-written temp file must not survive a failed write.
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_path)
-        except OSError:
-            pass
         raise
     return path
+
+
+def _atomic_write_json(path: str, payload: dict, fsync: bool = False) -> str:
+    """Atomically write ``payload`` as one indented JSON document (see
+    :func:`_atomic_write`)."""
+    return _atomic_write(
+        path, lambda fh: json.dump(payload, fh, indent=1, sort_keys=True), fsync
+    )
 
 
 def _check_format(payload: object, path: Union[str, os.PathLike], kind: str) -> dict:
@@ -335,6 +348,202 @@ def _check_format(payload: object, path: Union[str, os.PathLike], kind: str) -> 
             )
         )
     return payload
+
+
+class AppendLog:
+    """One durable append-only JSON-lines log with snapshot compaction.
+
+    The file work behind :class:`LogStore` and the daemon's request
+    journal, each of which is a fold over it.  On disk, ``path`` holds an
+    atomically installed header line ``{"format": 1, "kind": <kind>, ...}``
+    followed by one JSON object per line, and ``path + ".snap"`` holds the
+    compaction snapshot (kind ``<kind>-snapshot``).
+
+    * **Appends** write one line, flushed always and fsync'd when
+      ``fsync_appends`` is set.  A failed append is cut back off the file,
+      so a line is on disk whole or not at all; if the cut fails too, the
+      log closes (fail-stop) and appends raise until :meth:`recover`.
+    * **Snapshots** install the owner's payload as an fsync'd ``.snap`` by
+      atomic replace, then reset the log to a bare header.
+    * **Recovery** folds the snapshot, then replays the tail.  Exactly one
+      undecodable *trailing* line is tolerated — the signature of a crash
+      mid-append — and truncated away; an undecodable line anywhere else
+      is corruption and raises.
+
+    :attr:`lines` counts the log lines since the last snapshot (each
+    owner's compaction trigger).  Takes no lock: each owner calls it under
+    its own.
+    """
+
+    def __init__(
+        self, path: Union[str, os.PathLike], kind: str, fsync_appends: bool = False
+    ) -> None:
+        self.path = os.fspath(path)
+        self.snapshot_path = self.path + ".snap"
+        self.kind = kind
+        self._fsync_appends = bool(fsync_appends)
+        self._file: Optional[IO[str]] = None
+        self.lines = 0
+
+    @property
+    def closed(self) -> bool:
+        return self._file is None
+
+    def _open_file(self) -> IO[str]:
+        if self._file is None:
+            raise TuningDatabaseError(
+                f"{self.kind} {self.path!r} is closed; recover() reopens it"
+            )
+        return self._file
+
+    def append(self, entry: Dict[str, object]) -> None:
+        """Write ``entry`` as one line, all or nothing; it reaches the OS
+        (and, with ``fsync_appends``, the disk) before this returns."""
+        fh = self._open_file()
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        end = fh.tell()
+        try:
+            fh.write(line)
+            fh.flush()
+            if self._fsync_appends:
+                os.fsync(fh.fileno())
+        except BaseException:
+            self._file = None
+            with contextlib.suppress(OSError):
+                fh.close()  # releases the handle even when its flush fails
+            with contextlib.suppress(OSError):
+                os.truncate(self.path, end)
+                self._file = open(self.path, "a", encoding="utf-8")
+            raise
+        self.lines += 1
+
+    def snapshot(
+        self, payload: Dict[str, object], header: Optional[Dict[str, object]] = None
+    ) -> None:
+        """Install ``payload`` as the snapshot, then reset the log to a bare
+        header carrying ``header``'s fields.
+
+        Crash windows (snapshot fold + log replay must still equal the
+        pre-crash state):
+
+        * the snapshot write fails, or the machine dies before its
+          ``os.replace`` lands -> old snapshot + full old log survive.
+        * death between snapshot replace and log reset -> new snapshot +
+          old log, whose replay only over-delivers: both owners' folds are
+          idempotent.
+        * the log reset fails in process -> the ``finally`` below reopens
+          the *old* log; later appends extend it, replay only over-delivers.
+        """
+        fh = self._open_file()
+        body = {"format": FORMAT_VERSION, "kind": f"{self.kind}-snapshot", **payload}
+        _atomic_write_json(self.snapshot_path, body, fsync=True)
+        self._file = None
+        fh.close()
+        try:
+            self._install_header(header or {})
+        finally:
+            self._file = open(self.path, "a", encoding="utf-8")
+        self.lines = 0
+
+    def _install_header(self, fields: Dict[str, object]) -> Dict[str, object]:
+        """Atomically install a header-only log, so a half-written header
+        can never exist on disk."""
+        header = {"format": FORMAT_VERSION, "kind": self.kind, **fields}
+        line = json.dumps(header, sort_keys=True) + "\n"
+        _atomic_write(self.path, lambda fh: fh.write(line), fsync=True)
+        return header
+
+    def recover(
+        self,
+        fold_snapshot: Callable[[Dict[str, object]], None],
+        fold_line: Callable[[Dict[str, object]], None],
+        fresh_header: Callable[[], Dict[str, object]] = dict,
+    ) -> Dict[str, object]:
+        """Fold the snapshot, replay the log tail, and reopen for appends;
+        returns the log's header.
+
+        ``fold_snapshot(payload)`` and ``fold_line(entry)`` fold a decoded
+        object into the owner's state.  A :class:`TuningDatabaseError` from
+        a fold aborts recovery; any other exception marks the line torn if
+        it is the last, corrupt otherwise.  A missing or zero-byte log gets
+        a fresh header with the fields of ``fresh_header()``.
+        """
+        self.close()
+        self.lines = 0
+        if os.path.exists(self.snapshot_path):
+            self._fold_snapshot(fold_snapshot)
+        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
+            header = self._replay(fold_line)
+        else:
+            header = self._install_header(fresh_header())
+        self._file = open(self.path, "a", encoding="utf-8")
+        return header
+
+    def _fold_snapshot(self, fold: Callable[[Dict[str, object]], None]) -> None:
+        name = self.snapshot_path
+        with open(name, "r", encoding="utf-8") as fh:
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise TuningDatabaseError(
+                    f"{name!r} is not a valid {self.kind} snapshot (it is written "
+                    f"atomically, so this is corruption, not a crash): {exc}"
+                ) from exc
+        payload = _check_format(payload, name, kind=f"{self.kind}-snapshot")
+        try:
+            fold(payload)
+        except TuningDatabaseError:
+            raise
+        except Exception as exc:
+            raise TuningDatabaseError(
+                f"{name!r} holds malformed {self.kind} snapshot entries: {exc}"
+            ) from exc
+
+    def _replay(self, fold: Callable[[Dict[str, object]], None]) -> Dict[str, object]:
+        name = self.path
+        with open(name, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        try:
+            header = json.loads(lines[0])
+        except ValueError as exc:
+            raise TuningDatabaseError(
+                f"{name!r} has an undecodable {self.kind} header (the header is "
+                f"installed atomically, so this is not a crash artifact): {exc}"
+            ) from exc
+        _check_format(header, name, kind=self.kind)
+        for index, line in enumerate(lines[1:], start=2):
+            try:
+                entry = json.loads(line)
+                if not isinstance(entry, dict):
+                    # A truncated line can decode to a bare JSON scalar.
+                    raise ValueError(f"line holds {type(entry).__name__}, expected object")
+                fold(entry)
+                self.lines += 1
+            except TuningDatabaseError:
+                raise
+            except Exception as exc:
+                if index < len(lines):
+                    raise TuningDatabaseError(
+                        f"{name!r} line {index} is undecodable but not the last "
+                        f"line; the {self.kind} is corrupt, not merely truncated: {exc}"
+                    ) from exc
+                # The torn tail: the append in flight when the process died.
+                # Only it is lost; truncating it keeps later appends off the
+                # partial line (which would tear *them* too).
+                os.truncate(name, sum(len(kept.encode("utf-8")) for kept in lines[:-1]))
+                return header
+        if not lines[-1].endswith("\n"):
+            # The crash cut only the final newline: the line decoded, but
+            # the next append would land on it and tear both.
+            with open(name, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+        return header
+
+    def close(self) -> None:
+        """Release the append handle (idempotent); :meth:`recover` reopens."""
+        fh, self._file = self._file, None
+        if fh is not None:
+            fh.close()
 
 
 def write_map_file(
@@ -494,24 +703,13 @@ class RecordStore:
         re-applying a record the store already holds never re-broadcasts
         it and never grows the on-disk log.
         """
-        key = record.key()
-        cond = record.conditions()
         with self._lock:
             self._m_appends.inc()
-            bucket = self._hot.get(key)
-            existing = bucket.get(cond) if bucket else None
-            winner = resolve_record(record, existing)
-            if winner is existing:
-                return existing, False
-            # Copy-on-write publish: lock-free serve() readers see the old
-            # bucket until the single dict store below lands the new one.
-            new_bucket = dict(bucket) if bucket else {}
-            new_bucket[cond] = winner
-            self._hot[key] = new_bucket
-            if existing is None:
-                self._live += 1
+            winner, slot = self._publish_locked(record)
+            if slot is None:
+                return winner, False
             self._revision += 1
-            self._change_log.append((key, cond))
+            self._change_log.append(slot)
             if len(self._change_log) >= 2 * _CHANGE_LOG_CAP:
                 # Amortised O(1) compaction keeps a daemon-lifetime change
                 # log bounded; stale checkpoints fall back to safe
@@ -586,25 +784,26 @@ class RecordStore:
         self._log_base = 0
         self._change_log = []
 
-    def _fold_recovered(self, record: TuningRecord) -> bool:
-        """(lock held) Keep-better fold used during recovery.
-
-        Identical survivor logic to :meth:`append`, but bumps no revision
-        and logs nothing: recovery reconstructs state, it does not create
-        changes to replicate."""
+    def _publish_locked(self, record: TuningRecord) -> Tuple[TuningRecord, Optional[Tuple]]:
+        """(lock held) Keep-better fold of ``record`` into its bucket;
+        returns the survivor and the changed ``(key, conditions)`` slot, or
+        None when nothing changed.  Recovery folds through it too, bumping
+        no revision: it reconstructs state, it creates no changes."""
         key = record.key()
         cond = record.conditions()
         bucket = self._hot.get(key)
         existing = bucket.get(cond) if bucket else None
         winner = resolve_record(record, existing)
         if winner is existing:
-            return False
+            return existing, None
+        # Copy-on-write publish: lock-free serve() readers see the old
+        # bucket until the single dict store below lands the new one.
         new_bucket = dict(bucket) if bucket else {}
         new_bucket[cond] = winner
         self._hot[key] = new_bucket
         if existing is None:
             self._live += 1
-        return True
+        return winner, (key, cond)
 
     def _finish_recovery(self, revision: int) -> int:
         """(lock held) Seal a recovery fold: pin the revision and reset the
@@ -666,34 +865,35 @@ class JsonMapStore(RecordStore):
         with self._lock:
             self._reset_memory()
             for record in records:
-                self._fold_recovered(record)
+                self._publish_locked(record)
             return self._finish_recovery(self._live)
 
 
 class LogStore(RecordStore):
-    """Append-only JSON-lines backend with compaction and crash recovery.
+    """Append-only record log: a keep-better fold over an :class:`AppendLog`.
 
-    On disk: ``path`` is the log — a header line
-    ``{"format": 1, "kind": "log", "snapshot_revision": R}`` followed by
-    one JSON line per effective append ``{"rev": n, "record": {...}}``
-    (the surviving *winner* is logged, so replay needs no budget-merge
-    reconstruction) — and ``path + ".snap"`` is the compaction snapshot
-    (``kind: "log-snapshot"``, fsync'd, atomically replaced).
+    On disk (kind ``log``): the header line
+    ``{"format": 1, "kind": "log", "snapshot_revision": R}`` is followed by
+    one line per effective append ``{"rev": n, "record": {...}}`` (the
+    surviving *winner* is logged, so replay needs no budget-merge
+    reconstruction); the ``log-snapshot`` holds the live ``records`` and
+    their ``revision``.
 
-    * **Appends** are O(1): one serialized line, flushed always and
-      fsync'd when ``fsync_appends`` is set (snapshots always fsync).
+    * **Appends** are O(1): one line per effective append, flushed always
+      and fsync'd when ``fsync_appends`` is set (snapshots always fsync).
+      The hot tier publishes before the line is written: a put is not an
+      acknowledgement, so a put whose line fails to write stays served
+      from memory until the next recovery.
     * **Compaction** triggers when the log holds at least
       ``compact_min_entries`` entries and the dead-record ratio
       ``dead / (dead + live)`` reaches ``compact_dead_ratio``: the live
-      set is snapshotted, then the log atomically reset to a bare header.
+      set becomes the snapshot and the log is reset to a bare header.
       The rewrite costs O(live) but needs >= live dead entries to trigger,
       so durable appends stay O(1) amortised.
     * **Recovery** folds the snapshot, then replays the log tail in order
       through the same keep-better fold (idempotent, so replaying entries
-      the snapshot already covers is safe).  Exactly one undecodable
-      *trailing* line is tolerated — a crash mid-append truncates the
-      final line and loses only that put; an undecodable line anywhere
-      else is corruption and raises.
+      the snapshot already covers is safe); a crash mid-append loses only
+      that put (see :class:`AppendLog`).
     """
 
     kind = "log"
@@ -712,25 +912,19 @@ class LogStore(RecordStore):
             raise ValueError(
                 f"compact_dead_ratio must be in (0, 1], got {compact_dead_ratio}"
             )
-        self.snapshot_path = self.path + ".snap"
+        self._log = AppendLog(self.path, "log", fsync_appends=fsync_appends)
+        self.snapshot_path = self._log.snapshot_path
         self._compact_dead_ratio = float(compact_dead_ratio)
         self._compact_min_entries = int(compact_min_entries)
-        self._fsync_appends = bool(fsync_appends)
-        self._log_file = None
-        self._closed = False
-        #: log-tail accounting since the last compaction: total entries,
-        #: entries superseded by a later entry to the same slot (dead), and
-        #: the slots already present in the tail (to classify new appends).
-        self._entries = 0
-        self._dead = 0
+        #: the slots the log tail holds lines for since the last compaction;
+        #: every other tail line is dead (see :meth:`_dead_locked`).
         self._logged_slots: set = set()
         self._m_log_appends = NULL_COUNTER
         self._m_compactions = NULL_COUNTER
         self._m_compaction_records = NULL_COUNTER
         self._m_log_entries = NULL_GAUGE
         self._m_dead = NULL_GAUGE
-        with self._lock:
-            self._recover_locked()
+        self.recover()
         for record in records:
             self.append(record)
 
@@ -747,37 +941,28 @@ class LogStore(RecordStore):
             self._m_compaction_records = metrics.counter("compaction_records")
             self._m_log_entries = metrics.gauge("log_entries")
             self._m_dead = metrics.gauge("dead_entries")
-            self._m_log_entries.set(self._entries)
-            self._m_dead.set(self._dead)
+            self._m_log_entries.set(self._log.lines)
+            self._m_dead.set(self._dead_locked())
 
     # -- durability ------------------------------------------------------ #
     def _persist_effective(self, winner: TuningRecord) -> None:
         """(lock held) Append one effective record to the log; compact when
         the dead ratio crosses the threshold."""
-        if self._log_file is None:
-            raise TuningDatabaseError(
-                f"log store {self.path!r} is closed; no further appends"
-            )
-        line = json.dumps(
-            {"rev": self._revision, "record": winner.to_dict()}, sort_keys=True
-        )
-        self._log_file.write(line + "\n")
-        self._log_file.flush()
-        if self._fsync_appends:
-            os.fsync(self._log_file.fileno())
-        slot = (winner.key(), winner.conditions())
-        self._entries += 1
-        if slot in self._logged_slots:
-            self._dead += 1
-        else:
-            self._logged_slots.add(slot)
+        self._log.append({"rev": self._revision, "record": winner.to_dict()})
+        self._logged_slots.add((winner.key(), winner.conditions()))
+        dead = self._dead_locked()
         self._m_log_appends.inc()
-        self._m_log_entries.set(self._entries)
-        self._m_dead.set(self._dead)
-        if self._entries >= self._compact_min_entries and (
-            self._dead >= self._compact_dead_ratio * (self._dead + self._live)
+        self._m_log_entries.set(self._log.lines)
+        self._m_dead.set(dead)
+        if self._log.lines >= self._compact_min_entries and (
+            dead >= self._compact_dead_ratio * (dead + self._live)
         ):
             self._compact_locked()
+
+    def _dead_locked(self) -> int:
+        """(lock held) Tail lines superseded by a later line for the same
+        slot: each tail line either logs a new slot or is dead."""
+        return self._log.lines - len(self._logged_slots)
 
     def snapshot(self) -> Optional[str]:
         """Compact now: fsync'd snapshot of the live set + log reset.
@@ -786,189 +971,67 @@ class LogStore(RecordStore):
         can snapshot between traffic bursts so restart replays only a
         short tail."""
         with self._lock:
-            if self._log_file is None:
-                raise TuningDatabaseError(
-                    f"log store {self.path!r} is closed; cannot snapshot"
-                )
             self._compact_locked()
             return self.snapshot_path
 
     def _compact_locked(self) -> None:
-        """(lock held) Snapshot the live set, then reset the log.
-
-        Crash-window analysis (the recovery invariant is: snapshot fold +
-        log replay == pre-crash effective set):
-
-        * snapshot write fails or the machine dies before its
-          ``os.replace`` lands -> old snapshot + full old log survive;
-          nothing was reset, nothing lost.
-        * death between snapshot replace and log reset -> new snapshot +
-          old log; replaying the old log over the snapshot is pure
-          over-delivery (idempotent keep-better), still exact.
-        * log reset fails -> the handle is reopened on the *old* log in
-          the ``finally`` below and tail accounting is left untouched, so
-          later appends keep extending the old log; same over-delivery
-          story as above.
-        """
+        """(lock held) Snapshot the live set, then reset the log (crash
+        windows: :meth:`AppendLog.snapshot`)."""
         records = self.scan()
-        payload = {
-            "format": FORMAT_VERSION,
-            "kind": "log-snapshot",
-            "revision": self._revision,
-            "records": [r.to_dict() for r in records],
-        }
-        _atomic_write_json(self.snapshot_path, payload, fsync=True)
-        self._log_file.close()
-        self._log_file = None
-        try:
-            self._write_fresh_log(self._revision)
-        finally:
-            self._log_file = open(self.path, "a", encoding="utf-8")
-        self._entries = 0
-        self._dead = 0
+        self._log.snapshot(
+            {"revision": self._revision, "records": [r.to_dict() for r in records]},
+            header={"snapshot_revision": self._revision},
+        )
         self._logged_slots = set()
         self._m_compactions.inc()
         self._m_compaction_records.inc(len(records))
         self._m_log_entries.set(0)
         self._m_dead.set(0)
 
-    def _write_fresh_log(self, snapshot_revision: int) -> None:
-        """(lock held) Atomically install a header-only log file, so a
-        half-written header can never exist on disk."""
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                header = {
-                    "format": FORMAT_VERSION,
-                    "kind": "log",
-                    "snapshot_revision": snapshot_revision,
-                }
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
     # -- recovery -------------------------------------------------------- #
     def recover(self) -> int:
-        """Rebuild memory from snapshot + log tail (see class docstring)."""
+        """Rebuild memory from snapshot + log tail (see class docstring);
+        ``self._revision`` tracks the highest revision seen until
+        :meth:`_finish_recovery` pins it."""
         with self._lock:
-            return self._recover_locked()
+            self._reset_memory()
+            self._logged_slots = set()
+            header = self._log.recover(
+                self._fold_snapshot_locked,
+                self._fold_line_locked,
+                fresh_header=lambda: {"snapshot_revision": self._revision},
+            )
+            self._m_log_entries.set(self._log.lines)
+            self._m_dead.set(self._dead_locked())
+            return self._finish_recovery(
+                max(self._revision, int(header.get("snapshot_revision", 0)))
+            )
 
-    def _recover_locked(self) -> int:
-        """(lock held) The recovery fold shared by ``__init__`` and
-        :meth:`recover`."""
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
-        self._reset_memory()
-        self._entries = 0
-        self._dead = 0
-        self._logged_slots = set()
-        revision = 0
-        if os.path.exists(self.snapshot_path):
-            revision = self._fold_snapshot_locked()
-        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-            revision = max(revision, self._replay_log_locked())
-        else:
-            # Missing (or zero-byte, i.e. never-written) log: install a
-            # fresh header so the file is well-formed from byte one.
-            self._write_fresh_log(revision)
-        self._log_file = open(self.path, "a", encoding="utf-8")
-        self._closed = False
-        self._m_log_entries.set(self._entries)
-        self._m_dead.set(self._dead)
-        return self._finish_recovery(revision)
+    def _fold_snapshot_locked(self, payload: Dict[str, object]) -> None:
+        """(lock held) Fold the snapshot's live records and its revision."""
+        for d in payload.get("records", []):
+            self._publish_locked(TuningRecord.from_dict(d))
+        self._revision = int(payload.get("revision", 0))
 
-    def _fold_snapshot_locked(self) -> int:
-        """(lock held) Fold the compaction snapshot; returns its revision."""
-        name = self.snapshot_path
-        with open(name, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise TuningDatabaseError(
-                    f"{name!r} is not a valid log snapshot (it is written "
-                    f"atomically, so this is corruption, not a crash): {exc}"
-                ) from exc
-        payload = _check_format(payload, name, kind="log-snapshot")
-        try:
-            for d in payload.get("records", []):
-                self._fold_recovered(TuningRecord.from_dict(d))
-        except Exception as exc:
-            raise TuningDatabaseError(
-                f"{name!r} holds malformed tuning records: {exc}"
-            ) from exc
-        return int(payload.get("revision", 0))
-
-    def _replay_log_locked(self) -> int:
-        """(lock held) Replay the log tail; returns the highest revision
-        seen.  Tolerates exactly one undecodable trailing line (the
-        mid-append crash signature), truncating it away so the next append
-        starts on a clean line; anything else raises."""
-        name = self.path
-        with open(name, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        try:
-            header = json.loads(lines[0])
-        except ValueError as exc:
-            raise TuningDatabaseError(
-                f"{name!r} has an undecodable log header (the header is "
-                f"installed atomically, so this is not a crash artifact): {exc}"
-            ) from exc
-        _check_format(header, name, kind="log")
-        revision = int(header.get("snapshot_revision", 0))
-        for index, line in enumerate(lines[1:], start=2):
-            try:
-                entry = json.loads(line)
-                record = TuningRecord.from_dict(entry["record"])
-                rev = int(entry.get("rev", 0))
-            except Exception as exc:
-                if index == len(lines):
-                    # Truncated trailing line: the put that was in flight
-                    # when the process died.  Only that put is lost — drop
-                    # the partial line from the file so later appends do not
-                    # concatenate onto it (which would tear *them* too).
-                    keep = sum(len(kept.encode("utf-8")) for kept in lines[:-1])
-                    os.truncate(name, keep)
-                    break
-                raise TuningDatabaseError(
-                    f"{name!r} line {index} is undecodable but not the last "
-                    f"line; the log is corrupt, not merely truncated: {exc}"
-                ) from exc
-            slot = (record.key(), record.conditions())
-            self._entries += 1
-            if slot in self._logged_slots:
-                self._dead += 1
-            else:
-                self._logged_slots.add(slot)
-            self._fold_recovered(record)
-            revision = max(revision, rev)
-        return revision
+    def _fold_line_locked(self, entry: Dict[str, object]) -> None:
+        """(lock held) Replay one log line through the keep-better fold."""
+        record = TuningRecord.from_dict(entry["record"])
+        rev = int(entry.get("rev", 0))
+        self._publish_locked(record)
+        self._logged_slots.add((record.key(), record.conditions()))
+        self._revision = max(self._revision, rev)
 
     def close(self) -> None:
         with self._lock:
-            if self._log_file is not None:
-                self._log_file.close()
-                self._log_file = None
-            self._closed = True
+            self._log.close()
 
     def describe(self) -> Dict[str, object]:
         info = super().describe()
         with self._lock:
             info.update(
                 snapshot_path=self.snapshot_path,
-                log_entries=self._entries,
-                dead_entries=self._dead,
-                closed=self._closed,
+                log_entries=self._log.lines,
+                dead_entries=self._dead_locked(),
+                closed=self._log.closed,
             )
         return info

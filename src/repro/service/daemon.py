@@ -611,27 +611,26 @@ class TuningDaemon:
         The journal write is the serving handoff: once ``done(result)`` /
         ``failed(error)`` is on disk the in-memory future is dropped and
         every later (or post-restart) ``result`` op is answered straight
-        from the journal."""
+        from the journal.  A write that raises keeps the future, so the
+        answer is never dropped before it is journaled."""
         settled = [rid for rid, future in self._futures.items() if future.done()]
         now = self._clock.now()
         for rid in settled:
-            future = self._futures.pop(rid)
+            try:
+                result = self._futures[rid].result(timeout=0)
+            except Exception as exc:
+                err = exc if isinstance(exc, RequestError) else RequestFailed(str(exc))
+                self.journal.fail(rid, err.to_wire())
+                self._c_failed.inc()
+            else:
+                self.journal.complete(rid, result_to_wire(result))
+                self._c_completed.inc()
+            del self._futures[rid]
             self._requests.pop(rid, None)
             self._expiry.pop(rid, None)
             accepted_at = self._accepted_at.pop(rid, None)
             if accepted_at is not None:
                 self._h_latency.observe(now - accepted_at)
-            try:
-                result = future.result(timeout=0)
-            except RequestError as err:
-                self.journal.fail(rid, err.to_wire())
-                self._c_failed.inc()
-            except Exception as exc:
-                self.journal.fail(rid, RequestFailed(str(exc)).to_wire())
-                self._c_failed.inc()
-            else:
-                self.journal.complete(rid, result_to_wire(result))
-                self._c_completed.inc()
 
     # -- lifecycle ------------------------------------------------------- #
     def drain(self) -> Dict[str, object]:

@@ -28,7 +28,9 @@ CLI (what ``make daemonize-smoke`` drives)::
 
 The wrapper adds no fault-model machinery of its own: a SIGKILLed wrapper
 is exactly a SIGKILLed daemon, recovered by the journal on the next start
-(the stale pidfile is detected and replaced).
+(the stale pidfile is detected and replaced).  A failed journal write
+stops serving with exit status 1 and no drain: restart the daemon (systemd
+``Restart=on-failure``) and its recovery resumes from the journal.
 
 Send SIGTERM to the daemon's pid only.  Pool workers keep the default
 SIGTERM action, so a SIGTERM to the whole process group or cgroup (``kill
@@ -131,7 +133,8 @@ def serve_forever(
     shutdown order — server stops accepting, daemon drains (in-flight
     work finishes, pool workers stop, journal snapshots), handles close,
     pidfile removed — so a SIGTERM'd wrapper leaves nothing behind but a
-    compact journal.  Returns the process exit code.
+    compact journal.  Returns the process exit code: 0 after a drain, 1
+    when a failed journal write stopped serving first.
     """
     # Accept pathlib.Path callers: AF_UNIX bind and the journal/pidfile io
     # below all want plain strings.
@@ -198,9 +201,17 @@ def serve_forever(
         # runs its Python handler only when the main thread next executes
         # bytecode, which an untimed wait would never let it do.
         while not terminated.wait(timeout=0.5):
-            pass
-        print("SIGTERM: draining...", flush=True)
+            if server.fault is not None or daemon.journal.closed:
+                break
         server.stop()
+        if server.fault is not None or daemon.journal.closed:
+            # A failed journal write: memory may be ahead of the journal, so
+            # skip the drain; the restart recovers from the journal.
+            daemon.close()
+            cause = server.fault or "a failed write closed the journal"
+            print(f"stopped without draining: {cause}", file=sys.stderr, flush=True)
+            return 1
+        print("SIGTERM: draining...", flush=True)
         summary = daemon.drain()
         daemon.close()
         print(f"drained cleanly: {summary}", flush=True)

@@ -202,6 +202,8 @@ class DaemonSocketServer:
         self._stop = threading.Event()
         self._listener: Optional[socket.socket] = None
         self._threads = []
+        #: the exception that ended the pump thread; the server stops with it.
+        self.fault: Optional[Exception] = None
 
     def start(self) -> "DaemonSocketServer":
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -298,10 +300,17 @@ class DaemonSocketServer:
                         return
 
     def _pump_loop(self) -> None:
-        while not self._stop.is_set():
-            if not self.daemon.tick():
-                # Pacing between scheduling rounds, not a timing source.
-                time.sleep(self._idle_sleep)
+        try:
+            while not self._stop.is_set():
+                if not self.daemon.tick():
+                    # Pacing between scheduling rounds, not a timing source.
+                    time.sleep(self._idle_sleep)
+        except Exception as exc:
+            # A round raised (a failed journal write): stop serving work
+            # that no pump would finish.
+            self.fault = exc
+            self._stop.set()
+            raise
 
 
 # -- client -------------------------------------------------------------- #

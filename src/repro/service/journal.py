@@ -7,21 +7,12 @@ transition (``accepted -> running -> done(result) / failed(error)``) is one
 appended JSON line, so a SIGKILLed daemon reconstructs exactly which
 promises it made — and which results it already computed — on restart.
 
-The on-disk shape deliberately reuses the proven
-:class:`~repro.core.autotune.store.LogStore` idioms:
-
-* ``path`` is an append-only JSON-lines log: an atomically-installed header
-  line ``{"format": 1, "kind": "journal", "snapshot_seq": S}`` followed by
-  one event per line, flushed per append (fsync'd when ``fsync_appends``).
-* ``path + ".snap"`` is the compaction snapshot (``kind:
-  "journal-snapshot"``, fsync'd, atomically replaced): the folded per-request
-  state map, written by :meth:`RequestJournal.snapshot` (a drain hook) or
-  automatically once the log tail reaches ``snapshot_min_entries`` lines.
-* Recovery folds the snapshot, then replays the log tail through the same
-  monotonic fold, tolerating exactly one undecodable *trailing* line (the
-  mid-append crash signature, truncated away); an undecodable line anywhere
-  else is corruption and raises
-  :class:`~repro.core.autotune.store.TuningDatabaseError`.
+On disk the journal is an :class:`~repro.core.autotune.store.AppendLog`
+of kind ``journal`` — one event per line after the header — whose
+``journal-snapshot`` holds the folded per-request state map, written by
+:meth:`RequestJournal.snapshot` (a drain hook) or automatically once the
+log tail reaches ``snapshot_min_entries`` lines.  The log owns flushing,
+fsync, the crash windows and the torn-tail rule.
 
 The fold is **monotonic and idempotent**: ``accepted < running < terminal``,
 the first terminal event wins, and duplicate or stale events are no-ops —
@@ -40,22 +31,20 @@ idempotency key: a digest of the request's canonical wire form *minus* the
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
 import math
 import os
-import tempfile
 import threading
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..core.autotune.config import Configuration
 from ..core.autotune.session import TrialRecord, TuningResult
 from ..core.autotune.store import (
-    FORMAT_VERSION,
+    AppendLog,
     TuningDatabaseError,
-    _atomic_write_json,
-    _check_format,
     _params_from_dict,
     _params_to_dict,
 )
@@ -241,13 +230,12 @@ class JournalEntry:
 class RequestJournal:
     """Append-only request-lifecycle journal with snapshot compaction.
 
-    Thread-safe; every mutation happens under ``self._lock``.  Appends are
-    flushed per line (fsync'd when ``fsync_appends``), so the durability
-    unit against process death (SIGKILL) is one event line; snapshots are
-    always fsync'd before their atomic replace, so compaction can never
-    trade a recoverable log for an unrecoverable snapshot.  See the module
-    docstring for the on-disk shape and the crash-window analysis inherited
-    from ``LogStore._compact_locked``.
+    Thread-safe; every mutation happens under ``self._lock``.  The
+    durability unit against process death (SIGKILL) is one event line.  An
+    event's entry is stored only after its line is written, so no retry is
+    ever acknowledged off an entry that is not on disk: a failed write
+    leaves state and file as they were, or the journal :attr:`closed`
+    (see :class:`~repro.core.autotune.store.AppendLog`).
     """
 
     def __init__(
@@ -257,72 +245,63 @@ class RequestJournal:
         fsync_appends: bool = False,
         snapshot_min_entries: int = 4096,
     ) -> None:
-        self.path = os.fspath(path)
-        self.snapshot_path = self.path + ".snap"
-        self._fsync_appends = bool(fsync_appends)
+        self._log = AppendLog(path, "journal", fsync_appends=fsync_appends)
+        self.path = self._log.path
+        self.snapshot_path = self._log.snapshot_path
         self._snapshot_min_entries = int(snapshot_min_entries)
         self._entries: Dict[str, JournalEntry] = {}
-        self._log_file = None
-        self._lines = 0  # event lines in the log tail since the last snapshot
         self._recoveries = 0
         self._lock = threading.RLock()
-        with self._lock:
-            self._recover_locked()
+        self.recover()
 
     # -- state machine --------------------------------------------------- #
-    def _apply_locked(self, event: Dict[str, object]) -> bool:
-        """(lock held) Monotonic fold of one event into the state map.
+    def _next_locked(self, event: Dict[str, object]) -> Optional[JournalEntry]:
+        """(lock held) The entry ``event`` leaves behind, or None when the
+        event changes nothing; changes no state itself.
 
-        Returns True when the event changed state.  Stale or duplicate
-        events are no-ops — never errors — because recovery replays a tail
-        the snapshot may already cover, and a retried client may resubmit a
-        request the journal already holds.
+        Stale or duplicate events are no-ops — never errors — because
+        recovery replays a tail the snapshot may already cover, and a
+        retried client may resubmit a request the journal already holds.
         """
         kind = event.get("event")
         rid = str(event.get("rid", ""))
-        if kind == "accepted":
-            if rid in self._entries:
-                return False
-            self._entries[rid] = JournalEntry(rid=rid, request=dict(event["request"]))
-            return True
         entry = self._entries.get(rid)
+        if kind == "accepted":
+            if entry is not None:
+                return None
+            return JournalEntry(rid=rid, request=dict(event["request"]))
         if entry is None or entry.terminal:
-            return False
+            return None
+        # A non-terminal entry holds no result or error to carry over.
         if kind == "running":
-            if _ORDER["running"] <= _ORDER[entry.status]:
-                return False
-            entry.status = "running"
-            return True
+            if entry.status == "running":
+                return None
+            return JournalEntry(rid, entry.request, "running")
         if kind == "done":
-            entry.status = "done"
-            entry.result = dict(event["result"])
-            return True
+            return JournalEntry(rid, entry.request, "done", result=dict(event["result"]))
         if kind == "failed":
-            entry.status = "failed"
-            entry.error = dict(event["error"])
-            return True
+            return JournalEntry(rid, entry.request, "failed", error=dict(event["error"]))
         raise TuningDatabaseError(
             f"{self.path!r}: unknown journal event kind {kind!r}"
         )
 
     def _append_locked(self, event: Dict[str, object]) -> bool:
-        """(lock held) Fold an event and, when effective, write its line.
+        """(lock held) Write an effective event's line, then store its entry.
 
         The line hits the OS (and, with ``fsync_appends``, the disk) before
-        this returns — the caller may acknowledge the event as durable.
+        the entry is stored and this returns — the caller may acknowledge
+        the event as durable.  A transition of an unknown rid is a daemon
+        bug, not a replayable event, and raises.
         """
-        if self._log_file is None:
-            raise TuningDatabaseError(
-                f"request journal {self.path!r} is closed; no further events"
-            )
-        if not self._apply_locked(event):
+        rid = event["rid"]
+        if event["event"] != "accepted" and rid not in self._entries:
+            raise TuningDatabaseError(f"request journal {self.path!r} holds no entry {rid!r}")
+        entry = self._next_locked(event)
+        if entry is None:
             return False
-        self._log_file.write(json.dumps(event, sort_keys=True) + "\n")
-        self._log_file.flush()
-        if self._fsync_appends:
-            os.fsync(self._log_file.fileno())
-        self._lines += 1
-        if self._lines >= self._snapshot_min_entries:
+        self._log.append(event)
+        self._entries[entry.rid] = entry
+        if self._log.lines >= self._snapshot_min_entries:
             self._snapshot_locked()
         return True
 
@@ -339,33 +318,24 @@ class RequestJournal:
 
     def mark_running(self, rid: str) -> bool:
         with self._lock:
-            self._require_locked(rid)
             return self._append_locked({"event": "running", "rid": rid})
 
     def complete(self, rid: str, result_wire: Dict[str, object]) -> bool:
         """Record the request's result; re-served bit-identically forever after."""
         with self._lock:
-            self._require_locked(rid)
-            return self._append_locked(
-                {"event": "done", "rid": rid, "result": result_wire}
-            )
+            return self._append_locked({"event": "done", "rid": rid, "result": result_wire})
 
     def fail(self, rid: str, error_wire: Dict[str, object]) -> bool:
         with self._lock:
-            self._require_locked(rid)
-            return self._append_locked(
-                {"event": "failed", "rid": rid, "error": error_wire}
-            )
-
-    def _require_locked(self, rid: str) -> None:
-        """(lock held) Transitions require an accepted entry; an unknown rid
-        is a daemon bug, not a replayable event, and raises."""
-        if rid not in self._entries:
-            raise TuningDatabaseError(
-                f"request journal {self.path!r} holds no entry {rid!r}"
-            )
+            return self._append_locked({"event": "failed", "rid": rid, "error": error_wire})
 
     # -- reads ----------------------------------------------------------- #
+    @property
+    def closed(self) -> bool:
+        """True after :meth:`close` or a failed write the log could not undo."""
+        with self._lock:
+            return self._log.closed
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -381,30 +351,18 @@ class RequestJournal:
         with self._lock:
             return {rid: dataclasses.replace(e) for rid, e in self._entries.items()}
 
-    def in_flight(self) -> List[JournalEntry]:
-        """Entries whose promise is not yet settled (accepted/running) —
-        exactly the requests a restarted daemon must resubmit."""
-        with self._lock:
-            return [
-                dataclasses.replace(e)
-                for e in self._entries.values()
-                if not e.terminal
-            ]
-
     def describe(self) -> Dict[str, object]:
         with self._lock:
-            by_status: Dict[str, int] = {}
-            for entry in self._entries.values():
-                by_status[entry.status] = by_status.get(entry.status, 0) + 1
+            by_status = collections.Counter(e.status for e in self._entries.values())
             return {
                 "kind": "RequestJournal",
                 "path": self.path,
                 "snapshot_path": self.snapshot_path,
                 "entries": len(self._entries),
-                "log_lines": self._lines,
+                "log_lines": self._log.lines,
                 "recoveries": self._recoveries,
-                "by_status": by_status,
-                "closed": self._log_file is None,
+                "by_status": dict(by_status),
+                "closed": self._log.closed,
             }
 
     # -- durability ------------------------------------------------------ #
@@ -414,56 +372,12 @@ class RequestJournal:
         The drain hook — a journal snapshotted at drain time replays zero
         tail lines on the next start."""
         with self._lock:
-            if self._log_file is None:
-                raise TuningDatabaseError(
-                    f"request journal {self.path!r} is closed; cannot snapshot"
-                )
             self._snapshot_locked()
             return self.snapshot_path
 
     def _snapshot_locked(self) -> None:
-        """(lock held) Snapshot the folded state, then reset the log.
-
-        Same crash-window story as ``LogStore._compact_locked``: a death
-        before the snapshot's atomic replace leaves old snapshot + full old
-        log; between replace and reset leaves new snapshot + old log, whose
-        replay is pure over-delivery (the fold is idempotent); a failed
-        reset reopens the old log and keeps appending to it."""
-        payload = {
-            "format": FORMAT_VERSION,
-            "kind": "journal-snapshot",
-            "entries": [e.to_dict() for e in self._entries.values()],
-        }
-        _atomic_write_json(self.snapshot_path, payload, fsync=True)
-        self._log_file.close()
-        self._log_file = None
-        try:
-            self._write_fresh_log_locked()
-        finally:
-            self._log_file = open(self.path, "a", encoding="utf-8")
-        self._lines = 0
-
-    def _write_fresh_log_locked(self) -> None:
-        """(lock held) Atomically install a header-only log file, so a
-        half-written header can never exist on disk."""
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                header = {"format": FORMAT_VERSION, "kind": "journal"}
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        """(lock held) Snapshot the folded state, then reset the log."""
+        self._log.snapshot({"entries": [e.to_dict() for e in self._entries.values()]})
 
     # -- recovery -------------------------------------------------------- #
     def recover(self) -> int:
@@ -471,98 +385,24 @@ class RequestJournal:
         number of entries recovered.  Idempotent: recovering twice yields
         the same state map (replay twice == replay once)."""
         with self._lock:
-            return self._recover_locked()
+            self._entries = {}
+            self._log.recover(self._fold_snapshot_locked, self._fold_event_locked)
+            self._recoveries += 1
+            return len(self._entries)
 
-    def _recover_locked(self) -> int:
-        """(lock held) The recovery fold shared by ``__init__`` and
-        :meth:`recover`."""
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
-        self._entries = {}
-        self._lines = 0
-        if os.path.exists(self.snapshot_path):
-            self._fold_snapshot_locked()
-        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-            self._replay_log_locked()
-        else:
-            # Missing (or zero-byte, i.e. never-written) log: install a
-            # fresh header so the file is well-formed from byte one.
-            self._write_fresh_log_locked()
-        self._log_file = open(self.path, "a", encoding="utf-8")
-        self._recoveries += 1
-        return len(self._entries)
+    def _fold_snapshot_locked(self, payload: Dict[str, object]) -> None:
+        """(lock held) Fold the snapshot's entries.  First fold wins on
+        terminal states — the same monotonic story as event replay, so
+        snapshot + over-delivered tail converge on the same map."""
+        for d in payload.get("entries", []):
+            entry = JournalEntry.from_dict(d)
+            self._entries.setdefault(entry.rid, entry)
 
-    def _fold_snapshot_locked(self) -> None:
-        """(lock held) Fold the compaction snapshot's folded entries."""
-        name = self.snapshot_path
-        with open(name, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise TuningDatabaseError(
-                    f"{name!r} is not a valid journal snapshot (it is written "
-                    f"atomically, so this is corruption, not a crash): {exc}"
-                ) from exc
-        payload = _check_format(payload, name, kind="journal-snapshot")
-        try:
-            for d in payload.get("entries", []):
-                entry = JournalEntry.from_dict(d)
-                # First fold wins on terminal states — identical monotonic
-                # story to event replay, so snapshot + over-delivered tail
-                # converge on the same map.
-                if entry.rid not in self._entries:
-                    self._entries[entry.rid] = entry
-        except TuningDatabaseError:
-            raise
-        except Exception as exc:
-            raise TuningDatabaseError(
-                f"{name!r} holds malformed journal entries: {exc}"
-            ) from exc
-
-    def _replay_log_locked(self) -> None:
-        """(lock held) Replay the log tail through the monotonic fold.
-
-        Tolerates exactly one undecodable trailing line (the mid-append
-        crash signature), truncating it away so the next append starts on a
-        clean line; anything else raises."""
-        name = self.path
-        with open(name, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        try:
-            header = json.loads(lines[0])
-        except ValueError as exc:
-            raise TuningDatabaseError(
-                f"{name!r} has an undecodable journal header (the header is "
-                f"installed atomically, so this is not a crash artifact): {exc}"
-            ) from exc
-        _check_format(header, name, kind="journal")
-        for index, line in enumerate(lines[1:], start=2):
-            try:
-                event = json.loads(line)
-                if not isinstance(event, dict):
-                    # Eligible for torn-tail tolerance below: a truncated
-                    # line can decode to a bare JSON scalar.
-                    raise ValueError(
-                        f"journal event is {type(event).__name__}, expected object"
-                    )
-                self._apply_locked(event)
-            except TuningDatabaseError:
-                raise
-            except Exception as exc:
-                if index == len(lines):
-                    # Truncated trailing line: the event that was in flight
-                    # when the process died.  Only that event is lost — drop
-                    # the partial line so later appends do not concatenate
-                    # onto it (which would tear *them* too).
-                    keep = sum(len(kept.encode("utf-8")) for kept in lines[:-1])
-                    os.truncate(name, keep)
-                    break
-                raise TuningDatabaseError(
-                    f"{name!r} line {index} is undecodable but not the last "
-                    f"line; the journal is corrupt, not merely truncated: {exc}"
-                ) from exc
-            self._lines += 1
+    def _fold_event_locked(self, event: Dict[str, object]) -> None:
+        """(lock held) Replay one event line through the monotonic fold."""
+        entry = self._next_locked(event)
+        if entry is not None:
+            self._entries[entry.rid] = entry
 
     def close(self) -> None:
         """Release the log handle without snapshotting (idempotent).
@@ -571,6 +411,4 @@ class RequestJournal:
         closed-then-reopened journal and a SIGKILLed-then-reopened journal
         recover identically, which is what the crash tests rely on."""
         with self._lock:
-            if self._log_file is not None:
-                self._log_file.close()
-                self._log_file = None
+            self._log.close()

@@ -24,7 +24,9 @@ from repro.service import (
     DaemonClient,
     PidfileError,
     SocketTransport,
+    TuningDaemon,
     TuningRequest,
+    result_from_wire,
     serve_forever,
 )
 from repro.service.daemonize import _check_pidfile
@@ -126,6 +128,52 @@ class TestServeForever:
         # The second drain rewrote the file without losing the first record.
         record = TuningDatabase.open(database_path).lookup(SMALL, V100, "direct")
         assert record is not None and record.time_seconds == tuned.best_time
+
+    def test_closed_journal_stops_serving_with_exit_1(self, tmp_path, monkeypatch):
+        # A journal write that fails and cannot be cut back off the file
+        # closes the journal: serving stops without a drain, the exit code
+        # asks for a restart, and the restart serves what was acknowledged.
+        journal = str(tmp_path / "daemon.journal")
+        daemons = []
+
+        def factory():
+            daemons.append(TuningDaemon(journal, fsync_journal=True))
+            return daemons[-1]
+
+        def fails(*args):
+            raise OSError("Read-only file system")
+
+        with _Wrapper(tmp_path, _daemon_factory=factory) as wrapper:
+            client = DaemonClient(SocketTransport(wrapper.socket))
+            rid = client.submit(_request())
+            answer = client.result(rid)
+            monkeypatch.setattr(os, "fsync", fails)
+            monkeypatch.setattr(os, "truncate", fails)
+            with pytest.raises(OSError):
+                daemons[0].submit(_request(seed=1))
+            monkeypatch.undo()
+            assert _wait_for(lambda: wrapper.exit_code is not None)
+        assert wrapper.exit_code == 1
+        assert not os.path.exists(wrapper.pidfile)
+        served = result_from_wire(TuningDaemon(journal).result(rid))
+        assert _trajectory(served) == _trajectory(answer)
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_failed_scheduling_round_stops_serving_with_exit_1(self, tmp_path):
+        daemons = []
+
+        def factory():
+            daemons.append(TuningDaemon(str(tmp_path / "daemon.journal")))
+            return daemons[-1]
+
+        def tick():
+            raise OSError("No space left on device")
+
+        with _Wrapper(tmp_path, _daemon_factory=factory) as wrapper:
+            daemons[0].tick = tick
+            assert _wait_for(lambda: wrapper.exit_code is not None)
+        assert wrapper.exit_code == 1
+        assert not os.path.exists(wrapper.socket)
 
     def test_live_pidfile_refuses_start(self, tmp_path):
         with _Wrapper(tmp_path, backend="service") as wrapper:

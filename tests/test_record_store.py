@@ -1,12 +1,12 @@
 """Tests for the RecordStore backend protocol behind TuningDatabase.
 
 Covers the backend contract (append/scan/changes_since/snapshot/recover)
-for both backends, the LogStore's append-only durability + compaction +
-crash recovery (fault-injection property tests in the style of the
-interrupted-save harness in ``test_tuning_database.py``), the format-1
-header versioning, the deprecation shims, structured ``describe()``, and
-the acceptance property that swapping backends changes no tuning
-trajectory for the service or the streaming pool.
+for both backends, the LogStore's append-only durability + compaction (its
+crash recovery is in ``test_append_log.py``, shared with the request
+journal), the format-1 header versioning, the deprecation shims,
+structured ``describe()``, and the acceptance property that swapping
+backends changes no tuning trajectory for the service or the streaming
+pool.
 """
 
 import dataclasses
@@ -279,159 +279,6 @@ class TestLogStoreDurability:
         db.close()
 
 
-class TestLogStoreCrashRecovery:
-    """Fault-injection property tests (satellite: kill mid-append,
-    mid-compaction, and between snapshot write and log reset; the recovered
-    store must equal the pre-crash effective record set)."""
-
-    def test_truncated_tail_line_loses_only_the_inflight_put(self, tmp_path):
-        # Property: cutting the log anywhere inside its final line recovers
-        # exactly the record set *before* the interrupted append.
-        path = tmp_path / "db.log"
-        store = LogStore(path)
-        for record in _records(6):
-            store.append(record)
-        store.close()
-        full = path.read_bytes()
-        last_line_start = full.rstrip(b"\n").rfind(b"\n") + 1
-        reference = LogStore(tmp_path / "ref.log")
-        for record in _records(5):
-            reference.append(record)
-        expected_minus_last = _canonical(reference)
-        reference.close()
-        # Every cut strictly inside the final record line (cutting only the
-        # trailing newline leaves the line complete, so it still replays).
-        for cut in range(last_line_start, len(full) - 1):
-            path.write_bytes(full[:cut])
-            recovered = LogStore(path)
-            assert _canonical(recovered) == expected_minus_last, f"cut at {cut}"
-            recovered.close()
-            path.write_bytes(full)
-
-    def test_kill_mid_append_then_continue(self, tmp_path):
-        # After a truncated-append recovery the store keeps working: new
-        # appends land after the tolerated partial line is gone.
-        path = tmp_path / "db.log"
-        store = LogStore(path)
-        for record in _records(3):
-            store.append(record)
-        store.close()
-        with open(path, "ab") as fh:
-            fh.write(b'{"rev": 99, "record": {"par')  # torn final write
-        recovered = LogStore(path)
-        assert len(recovered) == 3
-        recovered.append(_record(params=SMALL))
-        recovered.close()
-        final = LogStore(path)
-        assert len(final) == 4
-        final.close()
-
-    def test_corrupt_middle_line_raises(self, tmp_path):
-        path = tmp_path / "db.log"
-        store = LogStore(path)
-        for record in _records(3):
-            store.append(record)
-        store.close()
-        lines = path.read_text().splitlines(keepends=True)
-        lines[2] = '{"rev": torn\n'  # not the last line -> corruption
-        path.write_text("".join(lines))
-        with pytest.raises(TuningDatabaseError, match="not merely truncated"):
-            LogStore(path)
-
-    def test_crash_during_snapshot_write_preserves_everything(
-        self, tmp_path, monkeypatch
-    ):
-        # Simulated crash: the snapshot dump dies halfway through writing
-        # (same harness as TestAtomicSave in test_tuning_database.py).
-        path = tmp_path / "db.log"
-        store = LogStore(path)
-        for record in _records(6):
-            store.append(record)
-        before = _canonical(store)
-
-        def exploding_dump(payload, fh, **kwargs):
-            fh.write('{"format": 1, "kind": "log-snapshot", "records": [tor')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(json, "dump", exploding_dump)
-        with pytest.raises(OSError):
-            store.snapshot()
-        monkeypatch.undo()
-        # No snapshot was installed, no temp litter, the log is intact, and
-        # the store both keeps serving and recovers to the pre-crash set.
-        assert not os.path.exists(store.snapshot_path)
-        assert sorted(os.listdir(tmp_path)) == ["db.log"]
-        assert _canonical(store) == before
-        store.close()
-        recovered = LogStore(path)
-        assert _canonical(recovered) == before
-        recovered.close()
-
-    def test_crash_between_snapshot_and_log_reset(self, tmp_path, monkeypatch):
-        # The narrow window: the new snapshot landed but the log was never
-        # reset.  Replaying the stale log over the snapshot is pure
-        # over-delivery, so recovery is still exact.
-        path = tmp_path / "db.log"
-        store = LogStore(path)
-        for record in _records(6):
-            store.append(record)
-        before = _canonical(store)
-        real_replace = os.replace
-
-        def replace_snapshot_only(src, dst):
-            if os.fspath(dst).endswith(".snap"):
-                return real_replace(src, dst)
-            raise OSError("power cut before log reset")
-
-        monkeypatch.setattr(os, "replace", replace_snapshot_only)
-        with pytest.raises(OSError):
-            store.snapshot()
-        monkeypatch.undo()
-        assert os.path.exists(store.snapshot_path)  # new snapshot landed
-        store.close()
-        recovered = LogStore(path)
-        assert _canonical(recovered) == before
-        # The store remains fully usable after the interrupted compaction.
-        recovered.append(_record(params=SMALL))
-        assert len(recovered) == 7
-        recovered.close()
-
-    def test_crashed_compaction_keeps_appends_on_old_log(self, tmp_path, monkeypatch):
-        # When the log reset fails *in process* (no kill), the handle is
-        # reopened on the old log and later appends keep extending it — no
-        # write lands between a closed handle and a fresh one.
-        path = tmp_path / "db.log"
-        store = LogStore(path)
-        for record in _records(6):
-            store.append(record)
-        real_replace = os.replace
-
-        def replace_snapshot_only(src, dst):
-            if os.fspath(dst).endswith(".snap"):
-                return real_replace(src, dst)
-            raise OSError("transient")
-
-        monkeypatch.setattr(os, "replace", replace_snapshot_only)
-        with pytest.raises(OSError):
-            store.snapshot()
-        monkeypatch.undo()
-        store.append(_record(params=SMALL))
-        before = _canonical(store)
-        store.close()
-        recovered = LogStore(path)
-        assert _canonical(recovered) == before
-        recovered.close()
-
-    def test_zero_byte_log_recovers_empty(self, tmp_path):
-        path = tmp_path / "db.log"
-        path.write_bytes(b"")
-        store = LogStore(path)
-        assert len(store) == 0
-        store.append(_record())
-        store.close()
-        assert len(LogStore(path)) == 1
-
-
 class TestFormatVersioning:
     def test_map_load_names_newer_format(self, tmp_path):
         path = tmp_path / "db.json"
@@ -439,24 +286,6 @@ class TestFormatVersioning:
         path.write_text(json.dumps({"format": newer, "kind": "map", "records": []}))
         with pytest.raises(TuningDatabaseError) as excinfo:
             TuningDatabase.load(path)
-        assert f"format {newer}" in str(excinfo.value)
-
-    def test_log_header_names_newer_format(self, tmp_path):
-        path = tmp_path / "db.log"
-        newer = FORMAT_VERSION + 1
-        path.write_text(json.dumps({"format": newer, "kind": "log"}) + "\n")
-        with pytest.raises(TuningDatabaseError) as excinfo:
-            LogStore(path)
-        assert f"format {newer}" in str(excinfo.value)
-
-    def test_snapshot_names_newer_format(self, tmp_path):
-        path = tmp_path / "db.log"
-        newer = FORMAT_VERSION + 1
-        (tmp_path / "db.log.snap").write_text(
-            json.dumps({"format": newer, "kind": "log-snapshot", "records": []})
-        )
-        with pytest.raises(TuningDatabaseError) as excinfo:
-            LogStore(path)
         assert f"format {newer}" in str(excinfo.value)
 
     def test_map_files_carry_format_header(self, tmp_path):

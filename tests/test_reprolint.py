@@ -644,6 +644,68 @@ class TestClockDiscipline:
 
 
 # --------------------------------------------------------------------------- #
+class TestDurabilityOwner:
+    def test_durability_calls_caught_outside_the_store(self, tmp_path):
+        # A second log implementation in src/: every alias and from-import
+        # form of the durability calls is reported.
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/service/mylog.py": """
+                import os
+                import shutil
+                import tempfile as tf
+                from os import fsync, truncate
+
+                def write(path, fh):
+                    fd, tmp = tf.mkstemp()
+                    fsync(fh.fileno())
+                    os.replace(tmp, path)
+                    os.rename(path, path + ".old")
+                    truncate(path, 0)
+                    os.ftruncate(fh.fileno(), 0)
+                    os.fdatasync(fh.fileno())
+                    shutil.move(tmp, path)
+                    staged = tf.NamedTemporaryFile(delete=False)
+                    folder = tf.mkdtemp()
+                """
+            },
+        )
+        assert codes(result) == ["REPRO801"] * 10
+        assert lines(result, "REPRO801") == list(range(7, 17))
+
+    def test_store_module_tests_and_plain_io_pass(self, tmp_path):
+        # The store module is the owner; tests inject faults through these
+        # calls; ordinary file I/O in src/ is not a durability call.
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/core/autotune/store.py": """
+                import os
+
+                def install(tmp, path):
+                    os.replace(tmp, path)
+                """,
+                "tests/test_x.py": """
+                import os
+
+                def tear(path):
+                    os.truncate(path, 3)
+                """,
+                "src/repro/service/pidfile.py": """
+                import os
+
+                def write(path):
+                    with open(path, "w") as fh:
+                        fh.write(str(os.getpid()))
+                    os.unlink(path)
+                """,
+            },
+        )
+        assert result.ok
+
+
+# --------------------------------------------------------------------------- #
 class TestSuppressions:
     BAD = """
     import random
@@ -838,7 +900,15 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert reprolint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REPRO101", "REPRO201", "REPRO301", "REPRO401", "REPRO501", "REPRO601"):
+        for code in (
+            "REPRO101",
+            "REPRO201",
+            "REPRO301",
+            "REPRO401",
+            "REPRO501",
+            "REPRO601",
+            "REPRO801",
+        ):
             assert code in out
 
 

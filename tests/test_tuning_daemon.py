@@ -4,8 +4,9 @@ Everything here runs under :class:`FakeTransport` + ``FakeClock`` — zero
 real sockets, zero real time — so the crash, overload and timeout
 scenarios are exactly reproducible:
 
-* the journal's durability contract (torn trailing line tolerated,
-  corruption rejected, snapshot compaction, replay-twice == replay-once),
+* the journal's lifecycle fold (snapshot compaction, replay-twice ==
+  replay-once; its torn-tail and crash-window cases are in
+  ``test_append_log.py``, shared with the record store),
 * crash recovery (SIGKILL mid-request and mid-drain: done results
   re-serve bit-identically with **zero** re-measurement, in-flight
   requests replay idempotently through the keep-better database),
@@ -29,6 +30,7 @@ import time
 import pytest
 
 from repro.conv import ConvParams
+from repro.core.autotune import LogStore, TuningDatabase
 from repro.core.autotune.store import TuningDatabaseError
 from repro.gpusim import V100
 from repro.obs import FakeClock, MonotonicClock, Observability
@@ -86,6 +88,26 @@ def _sa_request(seed=0, budget=50, deadline=None):
 def _trials(result):
     """Bit-comparable view of a result's trial list."""
     return [(t.index, t.config.as_dict(), t.time_seconds, t.gflops) for t in result.trials]
+
+
+def _fail_next_fsync(monkeypatch, cut_back):
+    """Make the next ``os.fsync`` fail once; unless ``cut_back``, also make
+    every ``os.truncate`` fail, so the log cannot cut the line back off."""
+    real_fsync = os.fsync
+    failures = []
+
+    def fsync_fails_once(fd):
+        if not failures:
+            failures.append(fd)
+            raise OSError("No space left on device")
+        return real_fsync(fd)
+
+    def truncate_fails(path, length):
+        raise OSError("Read-only file system")
+
+    monkeypatch.setattr(os, "fsync", fsync_fails_once)
+    if not cut_back:
+        monkeypatch.setattr(os, "truncate", truncate_fails)
 
 
 class _WarpingClock(FakeClock):
@@ -155,35 +177,6 @@ class TestRequestJournal:
         with pytest.raises(TuningDatabaseError):
             journal.mark_running("ghost")
 
-    def test_torn_trailing_line_is_tolerated_and_truncated(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.accept("r1", {})
-        journal.accept("r2", {})
-        journal.close()
-        path = journal.path
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"event": "done", "rid": "r2", "res')  # mid-append SIGKILL
-        recovered = self._journal(tmp_path)
-        assert recovered.get("r2").status == "accepted"  # torn event lost
-        assert len(recovered) == 2
-        # The partial line is truncated away so later appends stay clean.
-        recovered.complete("r2", {"tuner": "x"})
-        recovered.close()
-        again = self._journal(tmp_path)
-        assert again.get("r2").status == "done"
-
-    def test_corrupt_middle_line_raises(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.accept("r1", {})
-        journal.close()
-        with open(journal.path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        lines.insert(1, "NOT JSON\n")
-        with open(journal.path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        with pytest.raises(TuningDatabaseError):
-            self._journal(tmp_path)
-
     def test_snapshot_compacts_and_recovers(self, tmp_path):
         journal = self._journal(tmp_path)
         for i in range(10):
@@ -217,22 +210,6 @@ class TestRequestJournal:
         journal.recover()
         twice = {rid: e.to_dict() for rid, e in journal.states().items()}
         assert once == twice
-
-    def test_snapshot_plus_overdelivered_tail_converges(self, tmp_path):
-        # Crash between snapshot install and log reset leaves new snapshot +
-        # old log; replaying that over-delivered tail must be harmless.
-        journal = self._journal(tmp_path)
-        journal.accept("r1", {})
-        journal.complete("r1", {"tuner": "x"})
-        with open(journal.path, "r", encoding="utf-8") as fh:
-            old_log = fh.read()
-        journal.snapshot()
-        journal.close()
-        with open(journal.path, "w", encoding="utf-8") as fh:
-            fh.write(old_log)  # the un-reset pre-snapshot log
-        recovered = self._journal(tmp_path)
-        assert recovered.get("r1").status == "done"
-        assert len(recovered) == 1
 
     def test_closed_journal_refuses_events(self, tmp_path):
         journal = self._journal(tmp_path)
@@ -522,6 +499,80 @@ class TestCrashRecovery:
         restarted = TuningDaemon(tmp_path / "j.log")
         assert restarted.journal.get(rid).status == "done"
         assert len(restarted.journal) == 1  # the torn accept never happened
+
+    @pytest.mark.parametrize("cut_back", [True, False], ids=["cut-back", "fail-stop"])
+    def test_failed_journal_write_is_never_acknowledged(
+        self, tmp_path, monkeypatch, cut_back
+    ):
+        # A journal write that fails (disk full, I/O error) must not leave a
+        # promise behind in memory: the retry would be acknowledged off an
+        # entry that may not be on disk, and lost at the next restart.
+        daemon = TuningDaemon(tmp_path / "j.log", fsync_journal=True)
+        acknowledged = [daemon.submit(_request(seed=0, budget=8))]
+        daemon.run_until_idle()
+        _fail_next_fsync(monkeypatch, cut_back)
+        request = _request(seed=1, budget=8)
+        with pytest.raises(OSError):
+            daemon.submit(request)
+        monkeypatch.undo()
+        assert daemon.journal.get(request_id(request)) is None
+        # The journal stays open when the failed line was cut back off the
+        # file; otherwise it is closed and refuses the retry.
+        assert daemon.describe()["journal"]["closed"] is not cut_back
+        try:
+            acknowledged.append(daemon.submit(request))  # the client's retry
+        except TuningDatabaseError:
+            assert not cut_back
+        else:
+            assert cut_back
+        daemon.run_until_idle()
+        for rid in acknowledged:
+            assert daemon.status(rid)["state"] == "done"
+        daemon.kill()
+        restarted = TuningDaemon(tmp_path / "j.log")
+        for rid in acknowledged:
+            assert restarted.status(rid)["state"] == "done"
+
+    def test_failed_completion_write_keeps_the_answer(self, tmp_path, monkeypatch):
+        # The settled future is dropped only once its done line is written,
+        # so a failed write leaves the answer for the next round to journal.
+        daemon = TuningDaemon(tmp_path / "j.log", fsync_journal=True)
+        rid = daemon.submit(_request(budget=8))
+        _fail_next_fsync(monkeypatch, cut_back=True)
+        with pytest.raises(OSError):
+            while daemon.tick():
+                pass
+        monkeypatch.undo()
+        assert daemon.status(rid)["state"] == "running"
+        assert daemon.queue_depth == 1
+        daemon.run_until_idle()
+        assert daemon.status(rid)["state"] == "done"
+        answer = daemon.result(rid)
+        daemon.kill()
+        assert TuningDaemon(tmp_path / "j.log").result(rid) == answer
+
+    def test_log_store_database_keeps_serving_after_a_failed_put(
+        self, tmp_path, monkeypatch
+    ):
+        # One failed durable put fails only its own run: the store cuts the
+        # line back off its file and takes the next put.
+        database = TuningDatabase(store=LogStore(tmp_path / "db.log", fsync_appends=True))
+        daemon = TuningDaemon(tmp_path / "j.log", database=database)
+        first, second = (
+            dataclasses.replace(_request(budget=8), params=SMALL.with_batch(b), pruned=True)
+            for b in (1, 2)
+        )
+        _fail_next_fsync(monkeypatch, cut_back=True)
+        rid = daemon.submit(first)
+        daemon.run_until_idle()
+        monkeypatch.undo()
+        assert daemon.status(rid)["state"] == "failed"
+        rid = daemon.submit(second)
+        daemon.run_until_idle()
+        assert daemon.status(rid)["state"] == "done"
+        daemon.kill()
+        reopened = TuningDatabase.open(tmp_path / "db.log")
+        assert [record.params for record in reopened.records()] == [second.params]
 
     def test_restart_twice_equals_restart_once(self, tmp_path):
         daemon = TuningDaemon(tmp_path / "j.log")

@@ -7,7 +7,9 @@ Rule ID map (one family per module):
 * ``REPRO301``/``REPRO302`` — :mod:`.frozen` (frozen-dataclass mutation)
 * ``REPRO401``/``REPRO402`` — :mod:`.sessions` (session purity)
 * ``REPRO501`` — :mod:`.batching` (batched-path enforcement)
-* ``REPRO601``/``REPRO602`` — :mod:`.determinism` (nondeterminism ban)
+* ``REPRO601``/``REPRO602``/``REPRO701`` — :mod:`.determinism`
+  (nondeterminism ban, clock discipline)
+* ``REPRO801`` — :mod:`.durability` (one owner for file-level durability)
 """
 
-from . import batching, determinism, frozen, locking, rng, sessions  # noqa: F401
+from . import batching, determinism, durability, frozen, locking, rng, sessions  # noqa: F401
