@@ -26,8 +26,9 @@ stress:
 	$(PYTHON) -m pytest -m slow -q
 
 # Full daemonised-wrapper lifecycle against a real process: double-fork
-# start, a tuning submit over the unix socket via DaemonClient, SIGTERM,
-# clean drain and pidfile removal (runs in the non-blocking stress CI job).
+# start on a pool backend with two real worker processes, a tuning submit
+# over the unix socket via DaemonClient, SIGTERM, clean drain and pidfile
+# removal (runs in the non-blocking stress CI job).
 daemonize-smoke:
 	$(PYTHON) -m pytest tests/test_daemonize.py -m slow -q
 
@@ -52,11 +53,12 @@ bench-store:
 bench-daemon:
 	$(PYTHON) -m pytest benchmarks/bench_daemon.py -q -s
 
-# Self-test of the end-to-end benchmark (benchmarks/e2e, ~35 s): the only
-# automated run of the serving pool's worker processes behind the real CLI
-# daemon (its pool_cold workload).  The harness puts each daemon socket at
-# a path relative to the working directory, and AF_UNIX allows ~100 bytes:
-# pytest's default temp root under /tmp is too deep, so use a local one.
+# Self-test of the end-to-end benchmark (benchmarks/e2e, ~35 s); its
+# pool_cold workload drives the serving pool's worker processes behind the
+# real CLI daemon, as daemonize-smoke does.  The harness puts each daemon
+# socket at a path relative to the working directory, and AF_UNIX allows
+# ~100 bytes: pytest's default temp root under /tmp is too deep, so use a
+# local one.
 bench-e2e-selftest:
 	$(PYTHON) -m pytest benchmarks/e2e -q --basetemp=.e2e-selftest
 

@@ -124,7 +124,7 @@ def run_daemon_benchmark(spec, tmp_path):
     rids = [client.submit(request) for request in requests]
     originals = [_trials(client.result(rid)) for rid in rids]
     t_tune = _CLOCK.now() - start
-    measured = daemon.service.stats.measurements
+    measured = daemon.backend.stats.measurements
     assert measured == SERVE_REQUESTS * TUNE_BUDGET
     daemon.kill()
 
@@ -137,8 +137,8 @@ def run_daemon_benchmark(spec, tmp_path):
     t_reserve = _CLOCK.now() - start
     # Hard gates: bit-identical re-serving with zero re-measurement.
     assert served == originals, "re-served results are not bit-identical"
-    assert restarted.service.stats.measurements == 0, (
-        f"restart re-measured {restarted.service.stats.measurements} configs; "
+    assert restarted.backend.stats.measurements == 0, (
+        f"restart re-measured {restarted.backend.stats.measurements} configs; "
         f"journaled results must serve with zero re-measurement"
     )
     assert restarted.stats.recovered == SERVE_REQUESTS
@@ -214,7 +214,7 @@ def run_pool_daemon_benchmark(spec, tmp_path):
     rids = [svc_client.submit(request) for request in requests]
     svc_results = [_trials(svc_client.result(rid)) for rid in rids]
     t_service = _CLOCK.now() - start
-    svc_measured = svc_daemon.service.stats.measurements
+    svc_measured = svc_daemon.backend.stats.measurements
     svc_daemon.kill()
 
     # -- gate 1: pool backend is bit-identical, measurement for measurement #

@@ -396,7 +396,7 @@ def run_observability_overhead(spec):
         obs = Observability(clock=MonotonicClock())
         service = TuningService(obs=obs)
         results = service.tune(list(requests))
-        last["service"], last["obs"] = service, obs  # deterministic per round
+        last["service"] = service  # deterministic per round
         return results
 
     t_disabled, disabled_results = _best_of(disabled)
@@ -405,7 +405,7 @@ def run_observability_overhead(spec):
         assert _trajectory(got) == _trajectory(want), (
             "observability perturbed a tuning trajectory"
         )
-    snapshot = last["service"].metrics_snapshot().merged(last["obs"].snapshot())
+    snapshot = last["service"].fleet_snapshot()
     return t_disabled, t_enabled, snapshot
 
 

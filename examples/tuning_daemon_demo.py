@@ -28,10 +28,10 @@ uses the deterministic serial shards for the same reason.
 Run with:  python examples/tuning_daemon_demo.py
 
 ``--daemonize`` appends the real-deployment act: double-fork a detached
-daemon process (``repro.service.daemonize``) serving an ``AF_UNIX``
-socket, tune through it with ``SocketTransport``, then SIGTERM it and
-watch the graceful drain remove the pidfile.  Off by default so the demo
-stays safe for sandboxed test runners.
+daemon process (``repro.service.daemonize``) with two pool worker processes
+behind an ``AF_UNIX`` socket, tune through it with ``SocketTransport``, then
+SIGTERM it and watch the graceful drain remove the pidfile.  Off by default
+so the demo stays safe for sandboxed test runners.
 """
 
 import sys
@@ -100,7 +100,7 @@ def main() -> None:
           f"({restarted.stats.replayed} replayed)")
     print(f"  re-served result bit-identical: {identical}")
     print(f"  measurements taken by the restarted daemon: "
-          f"{restarted.service.stats.measurements}")
+          f"{restarted.backend.stats.measurements}")
     restarted.drain()
     restarted.close()
 
@@ -159,7 +159,7 @@ def daemonized_act(workdir: Path) -> None:
         socket_path,
         pidfile,
         workdir / "daemon.out",
-        backend="pool-serial",
+        backend="pool",
         workers=2,
     )
     client = DaemonClient(SocketTransport(str(socket_path)))

@@ -23,6 +23,8 @@ batches:
   (parent folds each completed run's record into the shared database
   immediately and pushes it down every other shard's sync channel), with a
   deterministic serial fallback; a batch ``tune()`` is one serving session.
+  It serves through the same ``submit`` / ``step`` / ``cancel`` / ``stop``
+  contract as :class:`TuningService`, so either backs the daemon.
 * :class:`TuningDaemon` / :class:`DaemonClient` — the always-on deployment
   shape: every accepted request is journaled durably (:class:`RequestJournal`)
   *before* acknowledgement, admission control answers overload with a typed

@@ -15,18 +15,20 @@ server needs:
 * **Crash recovery** — on construction the daemon folds the journal:
   terminal entries are re-served straight from their journaled payloads
   (bit-identical results, **zero re-measurement**); in-flight entries are
-  resubmitted to the service, which the shared keep-better
+  resubmitted to the backend, which the shared keep-better
   :class:`~repro.core.autotune.database.TuningDatabase` makes idempotent —
   a replayed run converges on the same final database records.
 * **Admission control** — a bounded in-flight queue plus an optional
   token-bucket rate limit; overload answers a typed ``RETRY_AFTER``
   rejection immediately instead of queueing unboundedly, so a submit never
-  hangs.  Requests whose ``deadline`` has already passed are rejected up
-  front (``DEADLINE_EXPIRED``), never admitted and timed out later.
+  hangs.  Requests whose ``deadline`` has already passed on the daemon's
+  clock are rejected up front (``DEADLINE_EXPIRED``), never admitted and
+  timed out later; a replayed request past its deadline fails the same way.
 * **Per-request timeouts** — an expired request's run is cancelled cleanly
-  through :meth:`TuningService.cancel` and journaled ``failed(TIMEOUT)``.
-* **Graceful drain** — stop admissions, finish in-flight work, snapshot the
-  journal and flush the database, so the next start replays a short tail.
+  through the backend and journaled ``failed(TIMEOUT)``.
+* **Graceful drain** — stop admissions, finish in-flight work, stop the
+  backend, snapshot the journal and flush the database, so the next start
+  replays a short tail.
 
 The daemon is transport-agnostic: :meth:`handle` serves decoded wire ops
 and :meth:`tick` advances scheduling, so the same object runs under the
@@ -35,18 +37,17 @@ socket server or the deterministic in-process ``FakeTransport`` (see
 :class:`~repro.obs.Clock` — ``FakeClock`` in tests, ``MonotonicClock`` at
 real edges — never from wall-clock reads.
 
-**Backend selection contract**: the journal fault model is identical under
-either backend — accepted-before-ack, terminal entries re-serve
-bit-identically with zero re-measurement, in-flight entries resubmit
-idempotently on restart — because the journal sits *above* the backend and
-both backends answer a submit with the same
-:class:`~repro.service.futures.TuningFuture` surface.  The pool backend adds
-the PR 5 worker fault model underneath: a SIGKILLed *worker* degrades to an
-in-parent shard runner (durable shard logs salvaged, streamed records never
-re-tuned) while the daemon itself stays up and keeps serving.  Every backend
-crossing is counted in the ``daemon.backend.*`` metrics (``submits`` /
-``steps`` / ``cancels``), folded with the backend's own fleet telemetry in
-:meth:`TuningDaemon.fleet_snapshot`.
+**Backend contract**: both backends serve the same calls — ``submit``,
+``step``, ``cancel``, ``fleet_snapshot``, ``describe``, ``stop`` (finish
+submitted work) and ``terminate`` (fail it) — so the daemon resolves its
+backend once, at construction, and then drives it without knowing which one
+it is.  The journal fault model is therefore identical under either:
+accepted-before-ack, terminal entries re-serve bit-identically with zero
+re-measurement, in-flight entries resubmit idempotently on restart.  The
+pool adds its worker fault model underneath: a SIGKILLed *worker* degrades
+to an in-parent shard runner while the daemon stays up.  Every backend call
+is counted in ``daemon.backend.*`` (``submits`` / ``steps`` / ``cancels``),
+folded with the backend's telemetry in :meth:`TuningDaemon.fleet_snapshot`.
 
 Telemetry follows the service's split: the counters behind
 :attr:`TuningDaemon.stats` live on an always-on private registry
@@ -157,6 +158,7 @@ class TuningDaemon:
     mode over the daemon's shared database; a ready-made
     ``TuningWorkerPool`` instance is adopted as-is (the daemon starts and
     owns its serving session — configure workers/durability on the pool).
+    Either way it becomes :attr:`backend`.
     """
 
     def __init__(
@@ -181,24 +183,20 @@ class TuningDaemon:
             raise ValueError("rate_limit must be >= 0 and burst >= 1")
         self.obs = obs if obs is not None else NULL_OBS
         self.database = database if database is not None else TuningDatabase()
-        self.service: Optional[TuningService] = None
-        self.pool: Optional[TuningWorkerPool] = None
+        if backend == "pool":
+            backend = TuningWorkerPool(policy=policy, obs=self.obs)
         if isinstance(backend, TuningWorkerPool):
-            self.pool = backend
-        elif backend == "pool":
-            self.pool = TuningWorkerPool(policy=policy, obs=self.obs)
+            backend.start(database=self.database)
+            self.backend_kind = "pool"
         elif backend == "service":
-            self.service = TuningService(
-                database=self.database, policy=policy, obs=self.obs
-            )
+            backend = TuningService(database=self.database, policy=policy, obs=self.obs)
+            self.backend_kind = "service"
         else:
             raise ValueError(
                 f"backend must be 'service', 'pool' or a TuningWorkerPool, "
                 f"got {backend!r}"
             )
-        self.backend_kind = "pool" if self.pool is not None else "service"
-        if self.pool is not None:
-            self.pool.start(database=self.database)
+        self.backend: Union[TuningService, TuningWorkerPool] = backend
         self.journal = RequestJournal(
             journal_path,
             fsync_appends=fsync_journal,
@@ -266,62 +264,20 @@ class TuningDaemon:
     def fleet_snapshot(self) -> MetricsSnapshot:
         """One merged snapshot of the whole serving stack: the daemon's
         always-on counters (including ``daemon.backend.*``) folded with the
-        backend's fleet telemetry — :meth:`TuningWorkerPool.fleet_snapshot`
-        for the pool backend (which already carries every shard's metrics
-        and the shared ``obs`` registry), or the service's registry plus the
-        ``obs`` extras for the in-process backend."""
+        backend's :meth:`fleet_snapshot`, which already carries the shared
+        ``obs`` registry — so each instrument is counted once."""
         snapshot = self._metrics.snapshot()
         with self._lock:
-            if self.pool is not None:
-                # The pool snapshot already merges self.obs — merging it
-                # again here would double-count every shared instrument.
-                return snapshot.merged(self.pool.fleet_snapshot())
-            return snapshot.merged(self.service.metrics_snapshot()).merged(
-                self.obs.snapshot()
+            return snapshot.merged(self.backend.fleet_snapshot())
+
+    def _check_deadline(self, request: TuningRequest, now: float) -> None:
+        """Raise :class:`DeadlineExpired` when ``request``'s deadline passed
+        before ``now`` on the daemon's clock: at submit and at replay."""
+        if request.deadline is not None and request.deadline < now:
+            raise DeadlineExpired(
+                f"deadline {request.deadline} already passed at submit "
+                f"(now {now}); rejected up front, not admitted"
             )
-
-    # -- backend bridge -------------------------------------------------- #
-    def _backend_submit(self, request: TuningRequest) -> TuningFuture:
-        """(lock held) One submit through whichever backend is configured.
-
-        The pool's serving-mode :meth:`~TuningWorkerPool.submit` does not
-        re-check deadlines (the daemon owns admission), so the recovery
-        replay path gets the same up-front ``DEADLINE_EXPIRED`` the service
-        backend raises natively."""
-        self._c_b_submits.inc()
-        if self.pool is not None:
-            now = self._clock.now()
-            if request.deadline is not None and request.deadline < now:
-                raise DeadlineExpired(
-                    f"deadline {request.deadline} already passed at submit "
-                    f"(now {now}); rejected up front, not admitted"
-                )
-            return self.pool.submit(request)
-        return self.service.submit(request)
-
-    def _backend_step(self) -> bool:
-        """(lock held) Advance the backend one scheduling round."""
-        self._c_b_steps.inc()
-        if self.pool is not None:
-            return self.pool.step()
-        return self.service.step()
-
-    def _backend_cancel(
-        self, rid: str, request: TuningRequest, exc: BaseException
-    ) -> bool:
-        """(lock held) Cancel ``rid``'s run without stranding coalesced
-        twins: the service backend detaches only this daemon's future
-        (``future=``), the pool backend fails every parent future for the
-        request — under the daemon those are one and the same, because
-        identical requests share a rid and never re-enter the backend."""
-        cancelled = (
-            self.pool.cancel(request, exc)
-            if self.pool is not None
-            else self.service.cancel(request, exc, future=self._futures.get(rid))
-        )
-        if cancelled:
-            self._c_b_cancels.inc()
-        return cancelled
 
     @property
     def queue_depth(self) -> int:
@@ -359,7 +315,9 @@ class TuningDaemon:
                 continue
             self.journal.mark_running(entry.rid)
             try:
-                future = self._backend_submit(request)
+                self._check_deadline(request, self._clock.now())
+                self._c_b_submits.inc()
+                future = self.backend.submit(request)
             except RequestError as err:
                 self.journal.fail(entry.rid, err.to_wire())
                 self._c_failed.inc()
@@ -488,12 +446,11 @@ class TuningDaemon:
                 self._c_rejected_draining.inc()
                 raise DaemonDraining("daemon is draining; submit elsewhere")
             now = self._clock.now()
-            if request.deadline is not None and request.deadline < now:
+            try:
+                self._check_deadline(request, now)
+            except DeadlineExpired:
                 self._c_rejected_deadline.inc()
-                raise DeadlineExpired(
-                    f"deadline {request.deadline} already passed at submit "
-                    f"(now {now}); rejected up front, not admitted"
-                )
+                raise
             if len(self._futures) >= self.max_active:
                 self._c_rejected_overload.inc()
                 raise Overloaded(
@@ -510,7 +467,8 @@ class TuningDaemon:
             # configured) before the submit is acknowledged.
             self.journal.accept(rid, request_to_wire(request))
             try:
-                future = self._backend_submit(request)
+                self._c_b_submits.inc()
+                future = self.backend.submit(request)
             except RequestError as err:
                 self.journal.fail(rid, err.to_wire())
                 self._c_failed.inc()
@@ -573,7 +531,8 @@ class TuningDaemon:
         while in-flight work remains."""
         with self._lock:
             self._expire_timeouts_locked()
-            progressed = self._backend_step()
+            self._c_b_steps.inc()
+            progressed = self.backend.step()
             self._finalize_done_locked()
             self._g_queue_depth.set(len(self._futures))
             return progressed or bool(self._futures)
@@ -593,7 +552,8 @@ class TuningDaemon:
         Cancellation answers the future with :class:`RequestTimeout`;
         :meth:`_finalize_done_locked` then journals ``failed(TIMEOUT)``.
         The daemon is the run's only submitter (identical requests share a
-        rid and never re-submit), so cancelling it strands nobody else."""
+        rid, which enters the backend once), so cancelling the whole run
+        strands nobody else."""
         now = self._clock.now()
         expired = [rid for rid, at in self._expiry.items() if at <= now]
         for rid in expired:
@@ -602,7 +562,8 @@ class TuningDaemon:
             if future is None or future.done():
                 continue
             timeout_err = RequestTimeout(f"request {rid} timed out at {now}")
-            if self._backend_cancel(rid, self._requests[rid], timeout_err):
+            if self.backend.cancel(self._requests[rid], timeout_err):
+                self._c_b_cancels.inc()
                 self._c_timeouts.inc()
 
     def _finalize_done_locked(self) -> None:
@@ -635,15 +596,14 @@ class TuningDaemon:
     # -- lifecycle ------------------------------------------------------- #
     def drain(self) -> Dict[str, object]:
         """Graceful drain: stop admissions, finish in-flight work, stop the
-        pool backend's serving fleet (workers drain, compact and report),
-        snapshot the journal, flush the database.  Returns a summary; the
-        daemon keeps serving ``status``/``result`` ops afterwards."""
+        backend (a pool's workers drain, compact and report), snapshot the
+        journal, flush the database.  Returns a summary; the daemon keeps
+        serving ``status``/``result`` ops afterwards."""
         with self._lock:
             self._draining = True
         ticks = self.run_until_idle()
         with self._lock:
-            if self.pool is not None:
-                self.pool.stop()
+            self.backend.stop()
             self.journal.snapshot()
             if self.database.path is not None:
                 self.database.save()
@@ -662,12 +622,11 @@ class TuningDaemon:
         self.close()
 
     def close(self) -> None:
-        """Release file handles without draining (idempotent).  The pool
-        backend is terminated SIGKILL-style — no worker drain, no shard
-        compaction — so a killed and a closed daemon recover identically."""
+        """Release file handles without draining (idempotent).  The backend
+        is terminated SIGKILL-style — no worker drain, no shard compaction
+        — so a killed and a closed daemon recover identically."""
         with self._lock:
-            if self.pool is not None:
-                self.pool.terminate()
+            self.backend.terminate()
             self.journal.close()
             self.database.close()
 
@@ -688,11 +647,7 @@ class TuningDaemon:
                 "stats": dataclasses.asdict(self.stats),
                 "journal": self.journal.describe(),
                 "backend": self.backend_kind,
-                **(
-                    {"pool": self.pool.describe()}
-                    if self.pool is not None
-                    else {"service": self.service.describe()}
-                ),
+                self.backend_kind: self.backend.describe(),
             }
 
 

@@ -20,11 +20,12 @@ Two entry points:
   original caller returns immediately (the launching process, e.g. the
   CLI, exits 0 once the intermediate child has been reaped).
 
-CLI (what ``make daemonize-smoke`` drives)::
+CLI (``make daemonize-smoke`` drives it with ``--backend pool --workers 2``,
+so real pool worker processes run behind the detached daemon)::
 
     python -m repro.service.daemonize --journal /run/tuned.journal \\
         --socket /run/tuned.sock --pidfile /run/tuned.pid \\
-        --log /var/log/tuned.log [--backend pool] [--workers 4]
+        --log /var/log/tuned.log [--backend {service,pool}] [--workers N]
 
 The wrapper adds no fault-model machinery of its own: a SIGKILLed wrapper
 is exactly a SIGKILLed daemon, recovered by the journal on the next start
@@ -172,15 +173,11 @@ def serve_forever(
                     if os.path.exists(database_path)
                     else TuningDatabase(path=database_path)
                 )
-            if backend == "pool-serial":
-                resolved = _serial_pool(workers, obs=obs)
-            elif backend == "pool" and workers:
-                resolved = TuningWorkerPool(num_workers=workers, obs=obs)
-            else:
-                resolved = backend
+            if backend == "pool":
+                backend = TuningWorkerPool(num_workers=workers, obs=obs)
             daemon = TuningDaemon(
                 journal,
-                backend=resolved,
+                backend=backend,
                 database=database,
                 obs=obs,
                 clock=obs.clock,
@@ -221,16 +218,6 @@ def serve_forever(
             signal.signal(signum, handler)
         _remove_quietly(pidfile)
         _remove_quietly(socket_path)
-
-
-def _serial_pool(workers: int, obs=None):
-    """A deterministic in-process pool backend (used by tests/smoke runs
-    where worker processes are unavailable or unwanted)."""
-    from .pool import TuningWorkerPool
-
-    return TuningWorkerPool(
-        num_workers=max(1, workers), use_processes=False, obs=obs
-    )
 
 
 def daemonize(
@@ -283,12 +270,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pidfile", required=True, help="pidfile path")
     parser.add_argument("--log", help="log file (required unless --foreground)")
     parser.add_argument(
-        "--backend",
-        default="service",
-        choices=["service", "pool", "pool-serial"],
-        help="tuning backend (pool-serial = in-process shards, deterministic)",
+        "--backend", default="service", choices=["service", "pool"], help="tuning backend"
     )
-    parser.add_argument("--workers", type=int, default=0, help="pool worker count")
+    parser.add_argument(
+        "--workers", type=int, default=0, help="pool worker count (0 = one per CPU, up to 4)"
+    )
     parser.add_argument("--database", default=None, help="persistent database path")
     parser.add_argument("--max-active", type=int, default=64)
     parser.add_argument("--rate-limit", type=float, default=0.0)

@@ -25,18 +25,23 @@ stable hash of the request's idempotency digest instead
 coalesce there, across submits and restarts; Python's per-process salted
 ``hash()`` could guarantee neither.
 
-The workers **stream**: every time a run completes, the worker captures the
-records that changed its database
-(:meth:`~repro.core.autotune.database.TuningDatabase.changes_since`) and
-ships them to the parent over a results queue as serializable
-:class:`~repro.core.autotune.database.RecordEnvelope` payloads.  The parent
-folds each arriving record into the shared database immediately (monotonic
-keep-better ``apply``) and pushes the winners down every *other* shard's
-sync queue; workers drain their sync queue between scheduling rounds
-(:meth:`~repro.service.scheduler.TuningService.inject_records`), so their
+The shards **stream**.  A shard advances one :meth:`_ShardRunner.round` at
+a time: inject the records other shards sent, run one scheduling round, and
+report every record that changed its database
+(:meth:`~repro.core.autotune.database.TuningDatabase.changes_since`, as a
+serializable :class:`~repro.core.autotune.database.RecordEnvelope`) and
+every settled ticket as results-queue messages.  A worker process puts them
+on its queue; the parent hands an in-parent runner's (serial mode,
+failover) to the same handler, so every shard behaves alike: a pool future
+is flagged ``from_database`` only when the parent pre-served it, and a
+shard failure that is not a typed
+:class:`~repro.service.errors.RequestError` arrives as
+:class:`~repro.service.errors.RequestFailed`.  The parent folds each
+arriving record into the shared database immediately (monotonic keep-better
+``apply``) and pushes the winners down every *other* shard's sync queue, so
 submit-time database serving sees cross-shard bests mid-workload: a problem
 shard A already solved is never re-tuned by shard B's not-yet-admitted
-requests.  Workers admit their backlog incrementally (``admit_window`` runs
+requests.  Shards admit their backlog incrementally (``admit_window`` runs
 at a time) precisely so that later requests still *are* "new submits" when a
 cross-shard record lands.
 
@@ -54,16 +59,17 @@ Invariants the streaming layer preserves:
   holds it.
 
 Fault tolerance: a worker that dies (killed, crashed) is detected by the
-parent, which degrades gracefully — its durable shard log is salvaged, and
-its unresolved tickets (and any later submits routed to it) re-run in an
-in-parent runner against the shared database, so records the worker
-streamed or persisted before dying are served, not re-tuned; the failure is
-counted in :attr:`TuningWorkerPool.stats` and the pool — and whatever
-daemon sits above it — keeps serving.  Malformed messages and sync payloads
-("poisoned envelopes") are dropped and counted, never applied.  When no
-worker processes can be created at all — restricted sandboxes, missing
-semaphores — every shard runs in-process, interleaved deterministically one
-scheduling round each, with the same streaming semantics and results.
+parent, which degrades gracefully — its durable shard log is salvaged into
+the shared database, and its unresolved tickets (and any later submits
+routed to it) re-run in an in-parent runner whose private database starts
+as a copy of the shared one, so records the worker streamed or persisted
+before dying are served, not re-tuned; the failure is counted in
+:attr:`TuningWorkerPool.stats` and the pool — and whatever daemon sits
+above it — keeps serving.  Malformed messages and sync payloads ("poisoned
+envelopes") are dropped and counted, never applied.  When no worker
+processes can be created at all — restricted sandboxes, missing semaphores
+— every shard runs in-process, interleaved deterministically one round
+each, with the same streaming semantics and results.
 """
 
 from __future__ import annotations
@@ -219,7 +225,7 @@ def _drain(q) -> List[object]:
 
 
 class _ShardRunner:
-    """Drive one shard's service incrementally: sync -> admit -> step.
+    """Drive one shard's service incrementally, one :meth:`round` at a time.
 
     The runner owns the shard's private :class:`TuningService` and feeds it
     the shard's backlog at most ``admit_window`` active runs at a time
@@ -229,7 +235,7 @@ class _ShardRunner:
     time with zero measurements.
 
     ``take_new_records`` returns the records stored since the last call
-    using the database's revision counter; :meth:`sync` advances the same
+    using the database's revision counter; :meth:`round` advances the same
     checkpoint past the records it injects, so a shard never echoes back
     what it just received.
     """
@@ -260,12 +266,6 @@ class _ShardRunner:
     def enqueue(self, ticket: int, request: TuningRequest) -> None:
         """Append one request to the backlog under the caller's ``ticket``."""
         self.pending.append((ticket, request))
-
-    def sync(self, records: Sequence[TuningRecord]) -> int:
-        """Inject cross-shard records; returns how many improved the shard."""
-        applied = self.service.inject_records(records) if records else []
-        self._checkpoint = self.service.database.revision
-        return len(applied)
 
     def step(self) -> bool:
         """Admit backlog into the window and run one scheduling round.
@@ -311,6 +311,48 @@ class _ShardRunner:
         self._checkpoint = self.service.database.revision
         return new
 
+    def round(
+        self, shard: int, incoming: Sequence[TuningRecord]
+    ) -> Tuple[bool, List[tuple]]:
+        """One shard round: inject ``incoming``, :meth:`step`, report.
+
+        Returns ``(progressed, messages)``: ``progressed`` is what
+        :meth:`step` returned, and ``messages`` are in the results-queue wire
+        shapes — ``("record", shard, envelope_wire)`` for every newly stored
+        record, then ``("done_one", shard, ticket, outcome)`` for every
+        settled ticket, where ``outcome`` is ``("ok", result)`` or ``("err",
+        error_wire)``.  Typed errors travel as their wire dicts so the
+        parent re-raises the same class; any other failure becomes
+        :class:`~repro.service.errors.RequestFailed`.
+        """
+        if incoming:
+            self.service.inject_records(incoming)
+        self._checkpoint = self.service.database.revision
+        progressed = self.step()
+        revision = self.service.database.revision
+        messages: List[tuple] = [
+            (
+                "record",
+                shard,
+                RecordEnvelope(record=record, origin=shard, revision=revision).to_wire(),
+            )
+            for record in self.take_new_records()
+        ]
+        for ticket, future in list(self.futures.items()):
+            if not future.done():
+                continue
+            del self.futures[ticket]
+            try:
+                result = future.result(timeout=0)
+            except RequestError as err:
+                outcome = ("err", err.to_wire())
+            except Exception as exc:
+                outcome = ("err", RequestFailed(str(exc)).to_wire())
+            else:
+                outcome = ("ok", result)
+            messages.append(("done_one", shard, ticket, outcome))
+        return progressed, messages
+
     def drain_store(self) -> None:
         """Retire the shard's database: flush durable state, then close.
 
@@ -349,17 +391,13 @@ def _serve_shard(
     share comes with the start arguments as ``backlog`` ``(ticket,
     request)`` pairs (empty when serving), so the first round packs a full
     window; later requests arrive over ``submit_queue`` as ``("submit",
-    ticket, request)`` messages.  Between scheduling rounds the worker
-    drains its sync queue (dropping poisoned envelopes), ships every newly
-    stored record to the parent as ``("record", shard, envelope_wire)``, and
-    reports every settled ticket individually as ``("done_one", shard,
-    ticket, outcome)`` where ``outcome`` is ``("ok", result)`` or ``("err",
-    error_wire)`` — typed errors travel as their wire dicts so the parent
-    re-raises the same class.  A ``("stop",)`` sentinel finishes in-flight
-    work, ships a final ``("bye", ...)`` report (stats, a metrics-snapshot
-    wire dict, full-database safety net) and exits gracefully; any crash
-    becomes an ``("error", ...)`` message and the parent fails the shard
-    over.
+    ticket, request)`` messages.  Each loop drains the sync queue (dropping
+    poisoned envelopes), runs one :meth:`_ShardRunner.round` and puts its
+    messages on ``results_queue``.  A ``("stop",)`` sentinel finishes
+    in-flight work, ships a final ``("bye", ...)`` report (stats, a
+    metrics-snapshot wire dict, full-database safety net) and exits
+    gracefully; any crash becomes an ``("error", ...)`` message and the
+    parent fails the shard over.
 
     :class:`~repro.obs.Observability` holds locks and ring buffers and is
     deliberately not picklable, so the parent sends only ``obs_enabled`` and
@@ -417,28 +455,9 @@ def _serve_shard(
                     poisoned += 1
                 else:
                     incoming.append(envelope.record)
-            runner.sync(incoming)
-            progressed = runner.step()
-            for record in runner.take_new_records():
-                envelope = RecordEnvelope(
-                    record=record,
-                    origin=shard_index,
-                    revision=runner.service.database.revision,
-                )
-                results_queue.put(("record", shard_index, envelope.to_wire()))
-            for ticket, future in list(runner.futures.items()):
-                if not future.done():
-                    continue
-                del runner.futures[ticket]
-                try:
-                    result = future.result(timeout=0)
-                except RequestError as err:
-                    outcome = ("err", err.to_wire())
-                except Exception as exc:
-                    outcome = ("err", RequestFailed(str(exc)).to_wire())
-                else:
-                    outcome = ("ok", result)
-                results_queue.put(("done_one", shard_index, ticket, outcome))
+            progressed, messages = runner.round(shard_index, incoming)
+            for message in messages:
+                results_queue.put(message)
             if stopping and not progressed:
                 break
             if not progressed and not submits:
@@ -450,9 +469,7 @@ def _serve_shard(
                 shard_index,
                 {
                     "stats": runner.service.stats,
-                    "metrics": runner.service.metrics_snapshot()
-                    .merged(obs.snapshot())
-                    .to_wire(),
+                    "metrics": runner.service.fleet_snapshot().to_wire(),
                     "records": [r.to_dict() for r in runner.service.database.records()],
                     "poisoned": poisoned,
                 },
@@ -473,8 +490,10 @@ class TuningWorkerPool:
     """Shard tuning workloads across processes, streaming records between them.
 
     One execution path (see the module docstring): a serving session —
-    :meth:`start`, :meth:`submit`, :meth:`step`, :meth:`stop` — with the
-    batch :meth:`tune` run as one such session over a known workload.
+    :meth:`start`, then the serving contract :class:`TuningService` shares
+    (:meth:`submit`, :meth:`step`, :meth:`cancel`, :meth:`fleet_snapshot`,
+    :meth:`describe`, :meth:`stop`, :meth:`terminate`) — with the batch
+    :meth:`tune` run as one such session over a known workload.
 
     ``admit_window`` bounds how many runs each shard keeps active at once
     (``<= 0`` = admit the whole backlog up front).  Smaller windows trade a
@@ -510,8 +529,6 @@ class TuningWorkerPool:
     def __init__(
         self,
         num_workers: int = 0,
-        start_method: Optional[str] = None,
-        allow_serial_fallback: bool = True,
         policy: "Optional[object]" = None,
         admit_window: int = 4,
         use_processes: Optional[bool] = None,
@@ -521,8 +538,6 @@ class TuningWorkerPool:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0 (0 = one per CPU, capped)")
         self.num_workers = num_workers or min(4, os.cpu_count() or 1)
-        self.start_method = start_method
-        self.allow_serial_fallback = allow_serial_fallback
         #: scheduling policy every worker's in-process service runs with
         #: (instance or registry name; normalised here so bad names fail fast).
         self.policy = make_policy(policy)
@@ -688,8 +703,6 @@ class TuningWorkerPool:
         return len(applied)
 
     def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
         methods = multiprocessing.get_all_start_methods()
         return multiprocessing.get_context("fork" if "fork" in methods else None)
 
@@ -806,7 +819,7 @@ class TuningWorkerPool:
                 self._start_serving_processes(backlogs)
                 started = True
             except (OSError, PermissionError, ImportError):
-                if not self.allow_serial_fallback or self.use_processes is True:
+                if self.use_processes is True:
                     self._finish_serving()
                     raise
         if not started:
@@ -942,31 +955,18 @@ class TuningWorkerPool:
         return progressed or bool(self._serve_futures)
 
     def _step_runners(self) -> bool:
-        """Advance every in-parent runner one scheduling round: sync its
-        inbox, step it, broadcast its new records and settle its finished
-        tickets.  True when any runner progressed or a ticket settled."""
+        """Run one :meth:`_ShardRunner.round` of every in-parent runner and
+        handle its messages as a worker's.  True when any runner progressed
+        or a message settled a ticket or advanced the exchange."""
         progressed = False
         for shard in sorted(self._serve_runners):
-            runner = self._serve_runners[shard]
-            inbox = self._serve_inboxes[shard]
+            inbox, self._serve_inboxes[shard] = self._serve_inboxes[shard], []
             if inbox:
-                self._serve_inboxes[shard] = []
                 self._o_sync_depth.set(len(inbox))
-            runner.sync(inbox)
-            if runner.step():
-                progressed = True
-            shares_exchange = runner.service.database is self._serve_exchange
-            for record in runner.take_new_records():
-                self._c_records_streamed.inc()
-                self._o_envelopes.inc()
-                self._serve_broadcast(
-                    record, origin=shard, already_applied=shares_exchange
-                )
-            for ticket, service_future in list(runner.futures.items()):
-                if service_future.done():
-                    del runner.futures[ticket]
-                    if self._settle_serving(ticket, service_future=service_future):
-                        progressed = True
+            ran, messages = self._serve_runners[shard].round(shard, inbox)
+            for message in messages:
+                ran = self._handle_serve_message(message) or ran
+            progressed = progressed or ran
         return progressed
 
     def _handle_serve_message(self, message: object) -> bool:
@@ -1001,7 +1001,7 @@ class TuningWorkerPool:
             if not isinstance(ticket, int) or isinstance(ticket, bool):
                 self._c_poisoned.inc()
                 return False
-            return self._settle_serving(ticket, outcome=message[3])
+            return self._settle_serving(ticket, message[3])
         if tag == "bye" and len(message) == 3:
             return self._retire_serving_worker(shard, message[2])
         if tag == "error" and len(message) == 3:
@@ -1010,29 +1010,21 @@ class TuningWorkerPool:
         self._c_poisoned.inc()
         return False
 
-    def _serve_broadcast(
-        self, record: TuningRecord, origin: int, already_applied: bool = False
-    ) -> None:
+    def _serve_broadcast(self, record: TuningRecord, origin: int) -> None:
         """Fold one shard's record into the exchange and, when it improved
         it, forward the surviving record to every other shard.
 
         Forward what ``apply()`` kept, not the incoming record: on a
         collision (e.g. with a faster caller-database record) the
-        exchange's surviving record is the servable best.
-        ``already_applied`` marks records from failed-over runners whose
-        database *is* the exchange (their stores are already folded); the
-        broadcast still runs so other shards serve from them.  Forwarding
-        to in-parent runners goes through their inboxes — the next
-        :meth:`_ShardRunner.sync` injects and advances the checkpoint, so
+        exchange's surviving record is the servable best.  Forwarding to
+        in-parent runners goes through their inboxes — the next
+        :meth:`_ShardRunner.round` injects and advances the checkpoint, so
         nothing echoes.
         """
-        if already_applied:
-            winner = record
-        else:
-            applied = self._serve_exchange.apply([record])
-            if not applied:
-                return
-            winner = applied[0]
+        applied = self._serve_exchange.apply([record])
+        if not applied:
+            return
+        winner = applied[0]
         self._c_records_applied.inc()
         wire = None
         for j, sync_queue in self._serve_sync_queues.items():
@@ -1050,26 +1042,14 @@ class TuningWorkerPool:
             if j != origin:
                 inbox.append(winner)
 
-    def _settle_serving(
-        self, ticket: int, outcome: object = None, service_future=None
-    ) -> bool:
-        """Answer one ticket's parent future from a worker report
-        (``outcome``) or an in-parent service future.  Late reports for
-        cancelled or already-failed-over tickets are discarded."""
+    def _settle_serving(self, ticket: int, outcome: object) -> bool:
+        """Answer one ticket's parent future from its shard's ``done_one``
+        ``outcome``.  Late reports for cancelled or already-failed-over
+        tickets are discarded."""
         future = self._serve_futures.pop(ticket, None)
         self._serve_tickets.pop(ticket, None)
         if future is None or future.done():
             return False
-        if service_future is not None:
-            try:
-                result = service_future.result(timeout=0)
-            except BaseException as exc:
-                future._set_exception(exc)
-            else:
-                future.from_database = service_future.from_database
-                future.coalesced = service_future.coalesced
-                future._set_result(result)
-            return True
         if isinstance(outcome, tuple) and len(outcome) == 2:
             kind, payload = outcome
             if kind == "ok" and isinstance(payload, TuningResult):
@@ -1126,9 +1106,10 @@ class TuningWorkerPool:
     def _failover_serving_shard(self, shard: int) -> None:
         """A worker died: salvage its durable log into the exchange, then
         hand its unresolved tickets (and any future submits routed to it)
-        to an in-parent runner against the exchange.  Records the worker
-        streamed or persisted before dying are served, not re-tuned; the
-        pool (and the daemon above) keeps serving throughout."""
+        to an in-parent runner whose private database starts as a copy of
+        the exchange.  Records the worker streamed or persisted before
+        dying are served, not re-tuned; the pool (and the daemon above)
+        keeps serving throughout."""
         if shard in self._serve_runners:
             return
         process = self._serve_workers.pop(shard, None)
@@ -1139,10 +1120,12 @@ class TuningWorkerPool:
         self._c_worker_failures.inc()
         self._o_workers_failed.inc()
         self._recover_shard_store(shard, self._serve_exchange)
+        database = TuningDatabase()
+        database.apply(self._serve_exchange)
         runner = _ShardRunner(
             policy=self.policy,
             admit_window=self.admit_window,
-            database=self._serve_exchange,
+            database=database,
             obs=self.obs,
         )
         for ticket in sorted(
@@ -1238,9 +1221,8 @@ class TuningWorkerPool:
         while self._step_runners():
             pass
         for runner in self._serve_runners.values():
-            if runner.service.database is not self._serve_exchange:
-                self._serve_exchange.apply(runner.service.database)
-                runner.drain_store()
+            self._serve_exchange.apply(runner.service.database)
+            runner.drain_store()
             self._absorb(runner.service.stats)
             # In-parent runners share self.obs, so their extras are already
             # in the parent registry — only the per-service accounting needs
@@ -1269,8 +1251,6 @@ class TuningWorkerPool:
         for process in self._serve_workers.values():
             process.join(timeout=1.0)
         for runner in self._serve_runners.values():
-            if runner.service.database is self._serve_exchange:
-                continue  # shared exchange outlives the pool (daemon owns it)
             try:
                 runner.service.database.close()
             except Exception:  # pragma: no cover - defensive

@@ -143,7 +143,10 @@ class TuningService:
     Thread-safe: ``submit`` may be called from any thread, concurrently with
     a driver thread running :meth:`drain`.  Scheduling rounds serialise with
     submissions under one lock, so a request submitted mid-round joins the
-    next round.
+    next round.  :meth:`submit`, :meth:`step`, :meth:`cancel`,
+    :meth:`fleet_snapshot`, :meth:`describe`, :meth:`stop` and
+    :meth:`terminate` are the serving contract the daemon drives, shared
+    with :class:`~repro.service.pool.TuningWorkerPool`.
 
     ``policy`` picks which active runs propose each round (see
     :mod:`repro.service.policy`); pass an instance or a registry name
@@ -233,10 +236,15 @@ class TuningService:
         """Point-in-time snapshot of the service's accounting registry.
 
         The ``service.*``-named half of the telemetry; the observability
-        extras live on ``self.obs`` and are snapshotted separately (a worker
-        shard ships both merged — see ``TuningWorkerPool``).
+        extras live on ``self.obs``, and :meth:`fleet_snapshot` merges both.
         """
         return self._metrics.snapshot()
+
+    def fleet_snapshot(self) -> MetricsSnapshot:
+        """The service's accounting merged with its ``obs`` extras."""
+        snapshot = self._metrics.snapshot()
+        with self._lock:
+            return snapshot.merged(self.obs.snapshot())
 
     @property
     def num_active(self) -> int:
@@ -424,9 +432,8 @@ class TuningService:
         waiters remain — their deadlines have not expired just because one
         submitter's did, so the run keeps going for them.  The run is failed
         outright only when the cancelling future is its last surviving
-        waiter.  The daemon's per-request timeouts pass their future here;
-        the daemon is its run's only submitter (identical requests share a
-        rid), so for it the two shapes coincide.
+        waiter.  The daemon's per-request timeouts cancel the whole run: a
+        rid enters the backend once, so its run has that one waiter.
 
         Returns False when nothing was cancelled: no matching active run,
         or ``future`` was given but is already answered or detached.
@@ -466,6 +473,17 @@ class TuningService:
         """Run scheduling rounds until every submitted request is answered."""
         while self.step():
             pass
+
+    def stop(self) -> None:
+        """Graceful stop: finish every submitted request, as :meth:`drain`."""
+        self.drain()
+
+    def terminate(self) -> None:
+        """Abrupt stop: fail every active run's futures with
+        :class:`~repro.service.errors.RequestCancelled`."""
+        with self._lock:
+            for run in list(self._active):
+                self._fail(run, RequestCancelled("service terminated"))
 
     def tune(self, requests: Sequence[TuningRequest]) -> List[TuningResult]:
         """Convenience: submit a workload, drain it, return results in order."""

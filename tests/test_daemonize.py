@@ -3,8 +3,9 @@
 The fast tests drive :func:`repro.service.daemonize.serve_forever` in a
 thread with an injected ``stop_event`` (no forking, no signals); the
 ``slow``-marked smoke test runs the real CLI — double-fork/setsid
-detachment, a submit over the unix socket, SIGTERM, clean drain and
-pidfile removal — exactly what ``make daemonize-smoke`` gates.
+detachment, two pool worker processes, a submit over the unix socket,
+SIGTERM, clean drain and pidfile removal — exactly what ``make
+daemonize-smoke`` gates.
 """
 
 import multiprocessing
@@ -26,6 +27,7 @@ from repro.service import (
     SocketTransport,
     TuningDaemon,
     TuningRequest,
+    TuningWorkerPool,
     result_from_wire,
     serve_forever,
 )
@@ -96,7 +98,11 @@ class _Wrapper:
 
 class TestServeForever:
     def test_lifecycle_pool_backend(self, tmp_path, capsys):
-        with _Wrapper(tmp_path, backend="pool-serial", workers=2) as wrapper:
+        def factory():
+            pool = TuningWorkerPool(num_workers=2, use_processes=False)
+            return TuningDaemon(str(tmp_path / "daemon.journal"), backend=pool)
+
+        with _Wrapper(tmp_path, _daemon_factory=factory) as wrapper:
             assert os.path.exists(wrapper.pidfile)
             with open(wrapper.pidfile) as handle:
                 assert int(handle.read().strip()) == os.getpid()
@@ -290,9 +296,10 @@ class TestServeForever:
 class TestDaemonizeSmoke:
     def test_daemonize_cli_sigterm_drains_cleanly(self, tmp_path):
         """The `make daemonize-smoke` scenario, end to end: launch the CLI
-        (double-fork detach), tune over the socket, SIGTERM the pid from
-        the pidfile, and assert a clean drain — pidfile and socket gone,
-        the drain summary in the log."""
+        (double-fork detach) on a pool backend with two worker processes,
+        tune over the socket, SIGTERM the pid from the pidfile, and assert
+        a clean drain — pidfile and socket gone, the drain summary in the
+        log."""
         journal = str(tmp_path / "d.journal")
         sock = str(tmp_path / "d.sock")
         pidfile = str(tmp_path / "d.pid")
@@ -311,7 +318,7 @@ class TestDaemonizeSmoke:
                 "--log",
                 log,
                 "--backend",
-                "pool-serial",
+                "pool",
                 "--workers",
                 "2",
             ],

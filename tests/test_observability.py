@@ -347,10 +347,7 @@ class TestFleetTelemetry:
         )
         serial_results = serial.tune(list(requests))
 
-        procs = TuningWorkerPool(
-            num_workers=2, use_processes=True,
-            allow_serial_fallback=True, obs=Observability(),
-        )
+        procs = TuningWorkerPool(num_workers=2, use_processes=True, obs=Observability())
         try:
             proc_results = procs.tune(list(requests))
         except (OSError, PermissionError, ImportError):

@@ -29,6 +29,7 @@ import pytest
 
 from repro.conv import ConvParams
 from repro.core.autotune import (
+    Measurer,
     RecordEnvelope,
     TuningDatabase,
     TuningDatabaseError,
@@ -302,9 +303,7 @@ class TestFaultInjection:
         monkeypatch.setattr(pool_module._ShardRunner, "step", lethal_step)
         workload = [_request(A, seed=1), _request(B, seed=1), _request(C, seed=1)]
         db = TuningDatabase()
-        pool = TuningWorkerPool(
-            num_workers=2, start_method="fork", use_processes=True
-        )
+        pool = TuningWorkerPool(num_workers=2, use_processes=True)
         results = pool.tune(workload, database=db)
 
         assert pool.used_processes
@@ -333,7 +332,7 @@ class TestFaultInjection:
             lambda self: {"v": 1, "origin": "??", "revision": None, "record": 13},
         )
         db = TuningDatabase()
-        pool = TuningWorkerPool(num_workers=2, start_method="fork", use_processes=True)
+        pool = TuningWorkerPool(num_workers=2, use_processes=True)
         results = pool.tune(list(CROSS_SHARD_WORKLOAD), database=db)
         assert pool.stats.poisoned_envelopes > 0
         assert pool.stats.records_streamed == 0
@@ -831,6 +830,22 @@ class TestServingMode:
         )
         pool.stop()
 
+    def test_plain_shard_failure_arrives_as_request_failed(self, monkeypatch):
+        # An in-parent shard reports through the worker's wire shapes, so a
+        # failure that is not a typed RequestError reaches the pool future
+        # as RequestFailed, exactly as it would from a worker process.
+        def fails(self, configs):
+            raise ValueError("lowering broke")
+
+        monkeypatch.setattr(Measurer, "prepare_batch", fails)
+        pool = TuningWorkerPool(num_workers=1, use_processes=False)
+        pool.start()
+        future = pool.submit(_request(A, seed=1))
+        _pump(pool)
+        with pytest.raises(RequestFailed, match="lowering broke"):
+            future.result(timeout=0)
+        pool.stop()
+
     def test_terminate_fails_futures_and_pool_restarts(self):
         pool = TuningWorkerPool(num_workers=1, use_processes=False)
         pool.start()
@@ -851,9 +866,7 @@ class TestServingMode:
         _pump(serial_pool)
         serial_pool.stop()
 
-        proc_pool = TuningWorkerPool(
-            num_workers=2, start_method="fork", use_processes=True
-        )
+        proc_pool = TuningWorkerPool(num_workers=2, use_processes=True)
         proc_pool.start()
         assert proc_pool.used_processes
         procs = [proc_pool.submit(r) for r in requests]
@@ -866,9 +879,7 @@ class TestServingMode:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("worker-kill fault injection needs fork")
         db = TuningDatabase()
-        pool = TuningWorkerPool(
-            num_workers=2, start_method="fork", use_processes=True
-        )
+        pool = TuningWorkerPool(num_workers=2, use_processes=True)
         pool.start(database=db)
         futures = [
             pool.submit(_request(A, seed=1, budget=40)),
@@ -894,8 +905,7 @@ class TestServingMode:
             "import signal, time\n"
             "from repro.service import TuningWorkerPool\n"
             "signal.signal(signal.SIGTERM, lambda signum, frame: None)\n"
-            "pool = TuningWorkerPool(num_workers=2, start_method='fork',"
-            " use_processes=True)\n"
+            "pool = TuningWorkerPool(num_workers=2, use_processes=True)\n"
             "pool.start()\n"
             "print(*(p.pid for p in pool._serve_workers.values()), flush=True)\n"
             "while True:\n"

@@ -14,7 +14,9 @@ scenarios are exactly reproducible:
   ``RETRY_AFTER`` — a submit never hangs),
 * per-request timeouts (cancelled cleanly, journaled ``failed(TIMEOUT)``),
 * the client's retry discipline (overload -> backoff -> eventual success,
-  transient transport faults, idempotent resubmit).
+  transient transport faults, idempotent resubmit),
+* the backend contract: the timeout, recovery and lifecycle cases run
+  under both the in-process service and a deterministic serial pool.
 
 The one threaded test (socket server + concurrent clients + a kill) is
 marked ``slow`` and runs in the non-blocking stress CI job.
@@ -42,6 +44,7 @@ from repro.service import (
     DeadlineExpired,
     FakeTransport,
     Overloaded,
+    RequestCancelled,
     RequestJournal,
     RequestTimeout,
     SocketTransport,
@@ -83,6 +86,18 @@ def _sa_request(seed=0, budget=50, deadline=None):
         tuner="simulated_annealing",
         deadline=deadline,
     )
+
+
+#: the daemon's backends, as the daemon resolves them by name.
+BACKENDS = ("service", "pool")
+
+
+def _backend(kind):
+    """A fresh ``kind`` backend for one daemon: the service, or a
+    deterministic two-shard serial pool.  Each restart needs its own."""
+    if kind == "service":
+        return kind
+    return TuningWorkerPool(num_workers=2, use_processes=False)
 
 
 def _trials(result):
@@ -364,20 +379,23 @@ class TestAdmission:
 
 # -- timeouts ------------------------------------------------------------- #
 class TestTimeouts:
-    def test_timeout_cancels_and_journals_failed(self, tmp_path):
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_timeout_cancels_and_journals_failed(self, tmp_path, kind):
         clock = FakeClock()
-        daemon = TuningDaemon(tmp_path / "j.log", clock=clock)
+        daemon = TuningDaemon(tmp_path / "j.log", backend=_backend(kind), clock=clock)
         rid = daemon.submit(_sa_request(budget=500), timeout=5.0)
         daemon.tick()
         clock.advance(10.0)
         daemon.tick()
         assert daemon.stats.timeouts == 1
+        assert daemon.metrics_snapshot().counters["daemon.backend.cancels"] == 1
         entry = daemon.journal.get(rid)
         assert entry.status == "failed"
         assert entry.error["code"] == "TIMEOUT"
         with pytest.raises(RequestTimeout):
             daemon.result(rid)
         assert daemon.queue_depth == 0  # the run was cancelled, not leaked
+        daemon.close()
 
     def test_default_timeout_applies_to_bare_submits(self, tmp_path):
         clock = FakeClock()
@@ -439,34 +457,57 @@ class TestTimeouts:
 
 # -- crash recovery ------------------------------------------------------- #
 class TestCrashRecovery:
-    def test_done_results_reserve_with_zero_measurements(self, tmp_path):
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_done_results_reserve_with_zero_measurements(self, tmp_path, kind):
         request = _request(budget=10)
-        daemon = TuningDaemon(tmp_path / "j.log")
+        daemon = TuningDaemon(tmp_path / "j.log", backend=_backend(kind))
         rid = daemon.submit(request)
         daemon.run_until_idle()
         reference = _trials(result_from_wire(daemon.result(rid)))
         daemon.kill()
 
-        restarted = TuningDaemon(tmp_path / "j.log")
+        restarted = TuningDaemon(tmp_path / "j.log", backend=_backend(kind))
         assert restarted.stats.recovered == 1
         assert restarted.stats.replayed == 0
         served = _trials(result_from_wire(restarted.result(rid)))
         assert served == reference  # bit-identical re-serve
-        assert restarted.service.stats.measurements == 0  # zero re-measurement
+        assert restarted.backend.stats.measurements == 0  # zero re-measurement
+        restarted.close()
 
-    def test_sigkill_mid_request_replays_to_the_same_result(self, tmp_path):
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_sigkill_mid_request_replays_to_the_same_result(self, tmp_path, kind):
         request = _sa_request(budget=20)
-        daemon = TuningDaemon(tmp_path / "j.log")
+        daemon = TuningDaemon(tmp_path / "j.log", backend=_backend(kind))
         rid = daemon.submit(request)
         daemon.tick()
         daemon.tick()  # partial progress, then SIGKILL
         daemon.kill()
 
-        restarted = TuningDaemon(tmp_path / "j.log")
+        restarted = TuningDaemon(tmp_path / "j.log", backend=_backend(kind))
         assert restarted.stats.replayed == 1
         restarted.run_until_idle()
         replayed = result_from_wire(restarted.result(rid))
         assert _trials(replayed) == _trials(request.tune_direct())
+        restarted.close()
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_replay_checks_deadlines_on_the_daemon_clock(self, tmp_path, kind):
+        # With observability off the backend's own clock always reads 0, so
+        # only the daemon's clock can tell that the deadline passed while
+        # the daemon was down.
+        first = TuningDaemon(
+            tmp_path / "j.log", backend=_backend(kind), clock=FakeClock(0.0)
+        )
+        rid = first.submit(_request(deadline=5.0))
+        first.kill()  # before any tick: the promise is in flight
+        restarted = TuningDaemon(
+            tmp_path / "j.log", backend=_backend(kind), clock=FakeClock(10.0)
+        )
+        assert restarted.stats.replayed == 0
+        assert restarted.status(rid)["error"]["code"] == "DEADLINE_EXPIRED"
+        with pytest.raises(DeadlineExpired):
+            restarted.result(rid)
+        restarted.close()
 
     def test_sigkill_mid_drain_recovers(self, tmp_path):
         daemon = TuningDaemon(tmp_path / "j.log")
@@ -684,15 +725,11 @@ class TestTelemetry:
         )
 
 
-# -- pool backend ---------------------------------------------------------- #
-def _serial_pool(workers=2):
-    return TuningWorkerPool(num_workers=workers, use_processes=False)
-
-
-class TestPoolBackend:
-    """`TuningDaemon(backend=...)`: the same journal fault model over the
-    sharded serving pool (deterministic in-process shards here; the
-    process-fleet variants live in the pool's own test file)."""
+# -- backends -------------------------------------------------------------- #
+class TestBackends:
+    """`TuningDaemon(backend=...)`: one contract, whichever backend serves
+    it (the timeout and recovery cases above run under both; the process
+    fleet's own variants live in the pool's test file)."""
 
     def test_pool_backend_is_bit_identical_to_service(self, tmp_path):
         requests = [_request(seed=seed, budget=8) for seed in range(4)]
@@ -700,10 +737,10 @@ class TestPoolBackend:
         svc_rids = [service_daemon.submit(r) for r in requests]
         service_daemon.run_until_idle()
         svc = [service_daemon.result(rid) for rid in svc_rids]
-        svc_measured = service_daemon.service.stats.measurements
+        svc_measured = service_daemon.backend.stats.measurements
         service_daemon.close()
 
-        pool = _serial_pool()
+        pool = _backend("pool")
         pool_daemon = TuningDaemon(tmp_path / "pool.log", backend=pool)
         pool_rids = [pool_daemon.submit(r) for r in requests]
         pool_daemon.run_until_idle()
@@ -714,68 +751,49 @@ class TestPoolBackend:
         pool_daemon.drain()
         pool_daemon.close()
 
-    def test_restart_reserves_with_zero_measurement(self, tmp_path):
-        first = TuningDaemon(tmp_path / "j.log", backend=_serial_pool())
-        rid = first.submit(_request(seed=5, budget=8))
-        first.run_until_idle()
-        reference = first.result(rid)
-        first.kill()
-        restarted_pool = _serial_pool()
-        restarted = TuningDaemon(tmp_path / "j.log", backend=restarted_pool)
-        assert restarted.result(rid) == reference
-        assert restarted_pool.stats.measurements == 0
-        restarted.close()
-
-    def test_inflight_resubmits_into_the_pool_on_restart(self, tmp_path):
-        first = TuningDaemon(tmp_path / "j.log", backend=_serial_pool())
-        rid = first.submit(_request(seed=6, budget=8))
-        first.kill()  # SIGKILL before any tick: the promise is in flight
-        restarted = TuningDaemon(tmp_path / "j.log", backend=_serial_pool())
-        assert restarted.stats.replayed == 1
-        restarted.run_until_idle()
-        reference = TuningDaemon(tmp_path / "ref.log")
-        ref_rid = reference.submit(_request(seed=6, budget=8))
-        reference.run_until_idle()
-        assert restarted.result(rid) == reference.result(ref_rid)
-        restarted.close()
-        reference.close()
-
-    def test_timeout_cancels_through_the_pool(self, tmp_path):
-        clock = FakeClock()
-        daemon = TuningDaemon(
-            tmp_path / "j.log", backend=_serial_pool(), clock=clock
-        )
-        rid = daemon.submit(_sa_request(budget=500), timeout=5.0)
-        daemon.tick()
-        clock.advance(10.0)
-        daemon.tick()
-        assert daemon.stats.timeouts == 1
-        assert daemon.journal.get(rid).error["code"] == "TIMEOUT"
-        assert daemon.metrics_snapshot().counters["daemon.backend.cancels"] == 1
-        daemon.close()
-
-    def test_backend_metrics_and_describe(self, tmp_path):
-        daemon = TuningDaemon(tmp_path / "j.log", backend="pool")
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_fleet_snapshot_merges_each_half_once(self, tmp_path, kind):
+        obs = Observability(enabled=True, clock=FakeClock())
+        daemon = TuningDaemon(tmp_path / "j.log", backend=kind, obs=obs)
         daemon.submit(_request(budget=6))
         daemon.run_until_idle()
-        counters = daemon.fleet_snapshot().counters
-        assert counters["daemon.backend.submits"] == 1
-        assert counters["daemon.backend.steps"] >= 1
-        assert counters["pool.requests"] == 1  # the pool's half, one snapshot
+        fleet = daemon.fleet_snapshot()
+        assert fleet.counters["daemon.backend.submits"] == 1
+        assert fleet.counters["daemon.backend.steps"] >= 1
+        assert fleet.counters[f"{kind}.requests"] == 1  # the backend's half
+        # The obs registry daemon and backend share is merged exactly once.
+        assert fleet.histograms["daemon.request_latency_seconds"].total == 1
         description = daemon.describe()
-        assert description["backend"] == "pool"
-        assert description["pool"]["serving"]
-        assert "service" not in description
-        daemon.drain()
-        assert not daemon.pool.serving  # drain stopped the fleet
+        assert description["backend"] == kind
+        assert description[kind]["kind"] == type(daemon.backend).__name__
+        assert ({"service", "pool"} - {kind}).isdisjoint(description)
         daemon.close()
 
-    def test_service_backend_describe_is_unchanged(self, tmp_path):
-        daemon = TuningDaemon(tmp_path / "j.log")
-        description = daemon.describe()
-        assert description["backend"] == "service"
-        assert description["service"]["kind"] == "TuningService"
-        daemon.close()
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_drain_stops_and_close_terminates_the_backend(
+        self, tmp_path, kind, monkeypatch
+    ):
+        drained = TuningDaemon(tmp_path / "d.log", backend=_backend(kind))
+        rid = drained.submit(_request(budget=6))
+        stop, stops = drained.backend.stop, []
+        monkeypatch.setattr(drained.backend, "stop", lambda: stops.append(stop()))
+        drained.drain()
+        assert len(stops) == 1
+        assert drained.status(rid)["state"] == "done"
+        drained.close()
+
+        closed = TuningDaemon(tmp_path / "c.log", backend=_backend(kind))
+        rid = closed.submit(_sa_request(budget=500))
+        closed.tick()
+        future = closed._futures[rid]
+        terminate, terminates = closed.backend.terminate, []
+        monkeypatch.setattr(
+            closed.backend, "terminate", lambda: terminates.append(terminate())
+        )
+        closed.close()
+        assert len(terminates) == 1
+        with pytest.raises(RequestCancelled):
+            future.result(timeout=0)  # failed, not left running
 
     def test_invalid_backend_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="backend"):

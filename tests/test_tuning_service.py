@@ -372,12 +372,6 @@ class TestWorkerPool:
         for a, b in zip(reference, results):
             assert a.best_time == b.best_time
 
-    def test_fallback_can_be_disabled(self):
-        pool = TuningWorkerPool(num_workers=2, allow_serial_fallback=False)
-        pool._context = lambda: _BrokenContext()
-        with pytest.raises(OSError):
-            pool.tune(self.WORKLOAD)
-
     def test_use_processes_true_requires_processes(self):
         pool = TuningWorkerPool(num_workers=2, use_processes=True)
         pool._context = lambda: _BrokenContext()
