@@ -15,6 +15,10 @@ the journal grows:
   be bit-identical and the restarted daemon's measurement count must be
   exactly zero (hard gate, never softened), with re-serving a large
   multiple faster than the original tuning.
+* ``socket round trip`` — a client keeps one connection to the daemon's
+  socket, so a ``ping`` over it must cost a fraction of one that connects
+  afresh (a fresh connection also starts a server thread).  This floor is
+  what notices a transport that connects once per call.
 
 Correctness gates (zero re-measurement, bit-identity, exact entry counts)
 always fail hard; wall-clock floors soften to warnings under
@@ -35,8 +39,10 @@ from repro.conv import ConvParams
 from repro.obs import MonotonicClock
 from repro.service import (
     DaemonClient,
+    DaemonSocketServer,
     FakeTransport,
     RequestJournal,
+    SocketTransport,
     TuningDaemon,
     TuningRequest,
     TuningWorkerPool,
@@ -49,6 +55,9 @@ LAYER = ConvParams.square(8, 16, 32, kernel=3, stride=1, padding=1)
 JOURNAL_ENTRIES = 10_000
 SERVE_REQUESTS = 8
 TUNE_BUDGET = 24
+#: pings per timed round, and rounds per side (the best round counts).
+SOCKET_PINGS = 500
+SOCKET_ROUNDS = 5
 
 #: benchmarks are a real timing edge (REPRO701): one monotonic clock,
 #: read only here.
@@ -312,6 +321,47 @@ def run_pool_daemon_benchmark(spec, tmp_path):
     }
 
 
+def _time_pings(path, fresh):
+    """Seconds for :data:`SOCKET_PINGS` pings over one transport, or over a
+    fresh transport (a new connection) each."""
+    transport = SocketTransport(path)
+    start = _CLOCK.now()
+    try:
+        for _ in range(SOCKET_PINGS):
+            assert DaemonClient(transport, max_attempts=1).ping()
+            if fresh:
+                transport.close()
+                transport = SocketTransport(path)
+    finally:
+        transport.close()
+    return _CLOCK.now() - start
+
+
+def run_socket_round_trip(tmp_path):
+    """Best-of-rounds ping time on one connection vs a connection per call,
+    against a live :class:`DaemonSocketServer`; the sides alternate."""
+    path = os.path.join(tmp_path, "rt.sock")
+    daemon = TuningDaemon(os.path.join(tmp_path, "rt.log"))
+    server = DaemonSocketServer(daemon, path).start()
+    try:
+        kept, fresh = [], []
+        for _ in range(SOCKET_ROUNDS):
+            kept.append(_time_pings(path, fresh=False))
+            fresh.append(_time_pings(path, fresh=True))
+    finally:
+        server.stop()
+        daemon.close()
+    kept_us = min(kept) / SOCKET_PINGS * 1e6
+    fresh_us = min(fresh) / SOCKET_PINGS * 1e6
+    return {
+        "pings": SOCKET_PINGS,
+        "rounds": SOCKET_ROUNDS,
+        "kept_connection_us_per_call": kept_us,
+        "fresh_connection_us_per_call": fresh_us,
+        "call_speedup": fresh_us / kept_us,
+    }
+
+
 @pytest.mark.benchmark(group="daemon")
 def test_daemon_recovery_and_reserve(benchmark, gpu_v100, tmp_path):
     table, stats = benchmark.pedantic(
@@ -354,3 +404,19 @@ def test_pool_backed_daemon(benchmark, gpu_v100, tmp_path):
     _soft_floor(
         "pool_reserve_speedup", stats["pool_reserve_speedup"], 3.0
     )
+
+
+@pytest.mark.benchmark(group="daemon")
+def test_socket_round_trip(benchmark, tmp_path):
+    stats = benchmark.pedantic(
+        run_socket_round_trip, args=(str(tmp_path),), rounds=1, iterations=1
+    )
+    emit(
+        f"socket ping: {stats['kept_connection_us_per_call']:.0f} us on one "
+        f"connection, {stats['fresh_connection_us_per_call']:.0f} us on a fresh "
+        f"one ({stats['call_speedup']:.1f}x)"
+    )
+    write_bench_json("daemon_socket", **stats)
+    # Floor from ten runs of 3.9-6.0x on a 2-vCPU VM (>= 20% headroom under
+    # the minimum); a transport that connects per call reads ~1x.
+    _soft_floor("call_speedup", stats["call_speedup"], 3.0)

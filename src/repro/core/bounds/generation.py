@@ -25,6 +25,7 @@ objects shared by every bound:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Set, Tuple
 
@@ -83,8 +84,9 @@ def empirical_generation(
     (the union of step inputs and previous-step outputs), which is where any
     maximising dominator can be assumed to live for the tree-structured steps
     analysed in the paper.  The search enumerates subsets and is therefore
-    only usable on tiny DAGs; ``max_candidates`` guards against accidental
-    blow-ups.
+    only usable on tiny DAGs: when it would enumerate more than
+    ``max_candidates`` subsets it raises ``ValueError`` instead, so it never
+    returns the maximum over a part of the candidates.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -105,16 +107,16 @@ def empirical_generation(
 
     best_phi = 0
     best_psi = 0
-    size = min(budget, len(frontier_list))
-    n_candidates = 0
+    size = min(budget, capacity, len(frontier_list))
+    n_candidates = sum(math.comb(len(frontier_list), sz) for sz in range(1, size + 1))
+    if n_candidates > max_candidates:
+        raise ValueError(
+            f"empirical_generation would enumerate {n_candidates} dominator "
+            f"sets, over the max_candidates limit of {max_candidates}"
+        )
     for sz in range(1, size + 1):
         for combo in _subsets_of_size(frontier_list, sz):
-            n_candidates += 1
-            if n_candidates > max_candidates:
-                return (best_phi, best_psi)
             dom = set(combo)
-            if len(dom) > capacity:
-                continue
             generated = dag.generated_by(dom)
             gen_step = generated & step_vertices
             gen_out = generated & step_outputs

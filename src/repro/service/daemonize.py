@@ -131,11 +131,12 @@ def serve_forever(
     Claims the pidfile (stale-pid detection included), builds the daemon
     with a real ``MonotonicClock`` at this deployment edge, serves the
     socket, and blocks until SIGTERM or SIGINT arrives.  Graceful
-    shutdown order — server stops accepting, daemon drains (in-flight
-    work finishes, pool workers stop, journal snapshots), handles close,
-    pidfile removed — so a SIGTERM'd wrapper leaves nothing behind but a
-    compact journal.  Returns the process exit code: 0 after a drain, 1
-    when a failed journal write stopped serving first.
+    shutdown order — server stops accepting and ends its live client
+    connections, daemon drains (in-flight work finishes, pool workers stop,
+    journal snapshots), handles close, pidfile removed — so a SIGTERM'd
+    wrapper leaves nothing behind but a compact journal.  Returns the
+    process exit code: 0 after a drain, 1 when a failed journal write
+    stopped serving first.
     """
     # Accept pathlib.Path callers: AF_UNIX bind and the journal/pidfile io
     # below all want plain strings.

@@ -10,8 +10,13 @@ client: every op gets exactly one reply line.
 Two transports speak the identical wire format:
 
 * :class:`SocketTransport` / :class:`DaemonSocketServer` — an ``AF_UNIX``
-  stream socket for real deployments; the server runs accept/connection
-  threads plus a pump thread that drives the daemon's scheduling ticks.
+  stream socket for real deployments.  A transport keeps one connection,
+  opened on its first call and reopened after a fault, so a client pays
+  for the connect and the server's connection thread once, not per op.
+  The server runs an accept thread, one thread per client connection and
+  a pump thread that drives the daemon's scheduling ticks; its
+  :meth:`~DaemonSocketServer.stop` ends the live connections, so no op is
+  served after it returns.
 * :class:`FakeTransport` — the deterministic in-process mode the fault
   model is property-tested under: ops and replies make a full
   ``json.dumps``/``loads`` round trip (so anything that would not survive
@@ -122,30 +127,60 @@ class FakeTransport:
 
 
 class SocketTransport:
-    """Client side of the ``AF_UNIX`` line protocol (one call per connect).
+    """Client side of the ``AF_UNIX`` line protocol over one connection.
 
-    Connection trouble surfaces as ``ConnectionError`` so
-    :class:`DaemonClient` retries it like any other transient fault.
+    The connection is opened on the first call and serves every later one,
+    so only the first op pays for the connect and the server's connection
+    thread.  Calls take turns under the transport's lock: threads sharing a
+    transport wait for each other's round trips, and a thread that must not
+    wait builds its own transport.
+
+    Any fault during connect, send or receive (an ``OSError``, a timeout,
+    a truncated reply) closes the connection and raises
+    ``ConnectionError``; the next call opens a fresh one.  Closing is also
+    what keeps a late reply to a timed-out op from being read as the answer
+    to the next op.  An undecodable reply line closes the connection too,
+    then raises ``ValueError``.  The transport never retries:
+    :class:`DaemonClient` owns the retry policy, and every op is safe to
+    retry (``submit`` is idempotent by rid, the rest are reads or an
+    idempotent ``drain``).
     """
 
     def __init__(self, path: str, *, timeout: float = 30.0) -> None:
         self.path = path
         self.timeout = timeout
+        self._sock: Optional[socket.socket] = None
+        self._lock = threading.Lock()
 
     def call(self, op: Dict[str, object]) -> Dict[str, object]:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            sock.settimeout(self.timeout)
+        with self._lock:
             try:
-                sock.connect(self.path)
-                sock.sendall(encode_line(op))
-                line = _read_line(sock)
-            except (OSError, socket.timeout) as exc:
+                if self._sock is None:
+                    self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                    self._sock.settimeout(self.timeout)
+                    self._sock.connect(self.path)
+                self._sock.sendall(encode_line(op))
+                line = _read_line(self._sock)
+            except OSError as exc:  # timeouts and ConnectionError included
+                self._close_locked()
                 raise ConnectionError(
                     f"tuning daemon at {self.path!r} unreachable: {exc}"
                 ) from exc
-            return decode_line(line)
-        finally:
+            try:
+                return decode_line(line)
+            except ValueError:
+                self._close_locked()
+                raise
+
+    def close(self) -> None:
+        """Close the connection (idempotent); a later call reconnects."""
+        with self._lock:
+            self._close_locked()
+
+    def _close_locked(self) -> None:
+        """(lock held) Drop the connection, if one is open."""
+        sock, self._sock = self._sock, None
+        if sock is not None:
             sock.close()
 
 
@@ -177,11 +212,17 @@ def _read_line(sock: socket.socket) -> bytes:
 class DaemonSocketServer:
     """Serve a ``TuningDaemon`` on an ``AF_UNIX`` socket.
 
-    Three kinds of threads: one accept loop, one short-lived thread per
-    connection (read op lines, write reply lines — the daemon's ``handle``
-    is thread-safe), and one pump thread running ``daemon.tick()`` so
-    tuning progresses while clients poll.  All threads are daemonic; the
-    sleep in the pump loop is pacing between ticks, not a timing source.
+    Three kinds of threads: one accept loop, one thread per client
+    connection, living as long as the connection (read op lines, write
+    reply lines — the daemon's ``handle`` is thread-safe), and one pump
+    thread running ``daemon.tick()`` so tuning progresses while clients
+    poll.  A healthy connection is never closed while the server runs: no
+    idle timeout, no cap on ops per connection.  All threads are daemonic;
+    the sleep in the pump loop is pacing between ticks, not a timing
+    source.
+
+    :meth:`stop` ends every live connection and joins every thread, so
+    once it returns no op is served and no op is still being handled.
     """
 
     def __init__(
@@ -202,6 +243,9 @@ class DaemonSocketServer:
         self._stop = threading.Event()
         self._listener: Optional[socket.socket] = None
         self._threads = []
+        #: live client connections -> the thread serving each.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._lock = threading.Lock()
         #: the exception that ended the pump thread; the server stops with it.
         self.fault: Optional[Exception] = None
 
@@ -223,9 +267,27 @@ class DaemonSocketServer:
         return self
 
     def stop(self) -> None:
+        """Stop serving (idempotent): no connection is accepted, and no op
+        is handled, once this returns.
+
+        The accept thread is joined before the live connections are shut
+        down, so every connection it accepted is among them.  Shutting a
+        connection down returns its thread from a blocked ``recv`` or
+        ``sendall``; an op already inside ``daemon.handle`` finishes, and
+        its reply is dropped with the connection.
+        """
         self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
+        if self._threads:
+            self._threads[0].join()  # the accept thread
+        with self._lock:
+            for conn in self._connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the client hung up first
+            serving = list(self._connections.values())
+        for thread in self._threads + serving:
+            thread.join()
         if self._listener is not None:
             self._listener.close()
             self._listener = None
@@ -242,6 +304,8 @@ class DaemonSocketServer:
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
             )
+            with self._lock:
+                self._connections[conn] = thread
             thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -252,10 +316,12 @@ class DaemonSocketServer:
         op line over ``max_line_bytes`` gets a BAD_REQUEST reply and a
         disconnect, and an undecodable line gets a BAD_REQUEST reply with
         the connection kept — none of these can take the thread down, so
-        the accept loop keeps serving every other connection.
+        the accept loop keeps serving every other connection.  The
+        connection leaves the registry before it is closed, so :meth:`stop`
+        never shuts down a closed socket's recycled descriptor.
         """
-        with conn:
-            buffer = b""
+        buffer = b""
+        try:
             while not self._stop.is_set():
                 try:
                     chunk = conn.recv(65536)
@@ -298,6 +364,10 @@ class DaemonSocketServer:
                         conn.sendall(encode_line(reply))
                     except OSError:
                         return
+        finally:
+            with self._lock:
+                del self._connections[conn]
+            conn.close()
 
     def _pump_loop(self) -> None:
         try:

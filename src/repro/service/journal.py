@@ -11,8 +11,10 @@ On disk the journal is an :class:`~repro.core.autotune.store.AppendLog`
 of kind ``journal`` — one event per line after the header — whose
 ``journal-snapshot`` holds the folded per-request state map, written by
 :meth:`RequestJournal.snapshot` (a drain hook) or automatically once the
-log tail reaches ``snapshot_min_entries`` lines.  The log owns flushing,
-fsync, the crash windows and the torn-tail rule.
+log tail reaches ``snapshot_min_entries`` lines.  An automatic snapshot
+that fails is counted and retried at the next append; it never fails the
+event whose line is already written.  The log owns flushing, fsync, the
+crash windows and the torn-tail rule.
 
 The fold is **monotonic and idempotent**: ``accepted < running < terminal``,
 the first terminal event wins, and duplicate or stale events are no-ops —
@@ -251,6 +253,7 @@ class RequestJournal:
         self._snapshot_min_entries = int(snapshot_min_entries)
         self._entries: Dict[str, JournalEntry] = {}
         self._recoveries = 0
+        self._snapshot_failures = 0
         self._lock = threading.RLock()
         self.recover()
 
@@ -292,6 +295,11 @@ class RequestJournal:
         the entry is stored and this returns — the caller may acknowledge
         the event as durable.  A transition of an unknown rid is a daemon
         bug, not a replayable event, and raises.
+
+        Once the line is written the event has happened, so an automatic
+        snapshot that fails after it (disk full, a failed fsync) is counted
+        and left for the next append to retry.  A failure that closed the
+        log still shows in :attr:`closed`, and the next event raises.
         """
         rid = event["rid"]
         if event["event"] != "accepted" and rid not in self._entries:
@@ -302,7 +310,10 @@ class RequestJournal:
         self._log.append(event)
         self._entries[entry.rid] = entry
         if self._log.lines >= self._snapshot_min_entries:
-            self._snapshot_locked()
+            try:
+                self._snapshot_locked()
+            except OSError:
+                self._snapshot_failures += 1
         return True
 
     # -- public recording API -------------------------------------------- #
@@ -361,6 +372,7 @@ class RequestJournal:
                 "entries": len(self._entries),
                 "log_lines": self._log.lines,
                 "recoveries": self._recoveries,
+                "snapshot_failures": self._snapshot_failures,
                 "by_status": dict(by_status),
                 "closed": self._log.closed,
             }

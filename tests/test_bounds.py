@@ -227,3 +227,13 @@ class TestEmpiricalGeneration:
         p = ConvParams.square(3, 1, 1, kernel=2, stride=1)
         dag = direct_conv_dag(p)
         assert empirical_generation(dag, step=7, budget=4, capacity=8) == (0, 0)
+
+    def test_candidate_limit_raises_instead_of_truncating(self):
+        """Hitting ``max_candidates`` must not return a partial maximum
+        (here (0, 0) instead of (3, 1)), which a φ ≤ bound check would
+        pass vacuously."""
+        p = ConvParams.square(3, 1, 1, kernel=2, stride=1)
+        dag = direct_conv_dag(p)
+        assert empirical_generation(dag, step=2, budget=4, capacity=8) == (3, 1)
+        with pytest.raises(ValueError, match="2516 .* limit of 10"):
+            empirical_generation(dag, step=2, budget=4, capacity=8, max_candidates=10)

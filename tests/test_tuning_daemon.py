@@ -18,8 +18,11 @@ scenarios are exactly reproducible:
 * the backend contract: the timeout, recovery and lifecycle cases run
   under both the in-process service and a deterministic serial pool.
 
-The one threaded test (socket server + concurrent clients + a kill) is
-marked ``slow`` and runs in the non-blocking stress CI job.
+The socket cases at the end use real ``AF_UNIX`` sockets: the server
+against misbehaving clients, and the connection lifecycle (one connection
+per client, a fresh one after any fault, ``stop()`` ends live ones).  The
+one threaded test (socket server + concurrent clients + a kill) is marked
+``slow`` and runs in the non-blocking stress CI job.
 """
 
 import dataclasses
@@ -574,6 +577,24 @@ class TestCrashRecovery:
         for rid in acknowledged:
             assert restarted.status(rid)["state"] == "done"
 
+    def test_failed_auto_snapshot_never_fails_a_written_event(
+        self, tmp_path, monkeypatch
+    ):
+        # The accept line is written before the automatic snapshot runs, so
+        # the snapshot's failure must not fail the submit: the client's
+        # retry would find the rid journaled with no run behind it.
+        daemon = TuningDaemon(tmp_path / "j.log", snapshot_min_entries=1)
+        request = _request(budget=8)
+        _fail_next_fsync(monkeypatch, cut_back=True)  # the snapshot's fsync
+        rid = daemon.submit(request)
+        monkeypatch.undo()
+        assert daemon.describe()["journal"]["snapshot_failures"] == 1
+        daemon.run_until_idle()
+        assert _trials(result_from_wire(daemon.result(rid))) == _trials(
+            request.tune_direct()
+        )
+        daemon.close()
+
     def test_failed_completion_write_keeps_the_answer(self, tmp_path, monkeypatch):
         # The settled future is dropped only once its done line is written,
         # so a failed write leaves the answer for the next round to journal.
@@ -888,8 +909,11 @@ class TestSocketServerRobustness:
         return path, daemon, server
 
     def _assert_still_serving(self, path):
-        client = DaemonClient(SocketTransport(path, timeout=5.0))
-        assert client.ping()
+        transport = SocketTransport(path, timeout=5.0)
+        try:
+            assert DaemonClient(transport).ping()
+        finally:
+            transport.close()
 
     def test_partial_line_then_disconnect(self, tmp_path):
         path, daemon, server = self._serving(tmp_path)
@@ -960,6 +984,175 @@ class TestSocketServerRobustness:
         finally:
             server.stop()
             daemon.close()
+
+
+def _count_connections(monkeypatch):
+    """Record the thread of every ``DaemonSocketServer._serve_connection``
+    entry, i.e. one per server-side connection."""
+    entered = []
+    serve = DaemonSocketServer._serve_connection
+
+    def counted(self, conn):
+        entered.append(threading.current_thread())
+        return serve(self, conn)
+
+    monkeypatch.setattr(DaemonSocketServer, "_serve_connection", counted)
+    return entered
+
+
+def _scripted_server(path, handlers):
+    """A test-local server: its ``i``-th connection is served by
+    ``handlers[i](conn)`` on a thread of its own.  Returns the threads'
+    list, which grows as connections arrive."""
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(path)
+    listener.listen(4)
+    listener.settimeout(5.0)
+    threads = []
+
+    def accept():
+        with listener:
+            for handler in handlers:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                thread = threading.Thread(target=handler, args=(conn,), daemon=True)
+                threads.append(thread)
+                thread.start()
+
+    acceptor = threading.Thread(target=accept, daemon=True)
+    threads.append(acceptor)
+    acceptor.start()
+    return threads
+
+
+def _echo(conn, *, hold=None, cut=False):
+    """Answer each op line with ``{"ok": true, "pong": true, "echo": <op
+    name>}`` until the client hangs up.  The first reply waits for the
+    ``hold`` event; with ``cut``, only its first half is sent, then the
+    connection is closed."""
+    with conn:
+        first = True
+        while True:
+            try:
+                op = frontend.decode_line(frontend._read_line(conn))
+            except OSError:
+                return  # the client hung up
+            if first and hold is not None:
+                hold.wait(timeout=5.0)
+            line = frontend.encode_line({"ok": True, "pong": True, "echo": op["op"]})
+            try:
+                if first and cut:
+                    conn.sendall(line[: len(line) // 2])
+                    return
+                conn.sendall(line)
+            except OSError:
+                return  # the client gave up on this connection
+            first = False
+
+
+class TestSocketConnections:
+    """One connection per client: a transport keeps its connection across
+    calls, drops it on any fault, and ``stop()`` ends the live ones."""
+
+    def test_one_client_opens_one_connection(self, tmp_path, monkeypatch):
+        entered = _count_connections(monkeypatch)
+        path = str(tmp_path / "d.sock")
+        daemon = TuningDaemon(tmp_path / "j.log")
+        server = DaemonSocketServer(daemon, path).start()
+        transport = SocketTransport(path, timeout=5.0)
+        try:
+            client = DaemonClient(transport, backoff=0.001)
+            for _ in range(50):
+                assert client.ping()
+            request = _request(budget=8)
+            rid = client.submit(request)
+            assert _trials(client.result(rid)) == _trials(request.tune_direct())
+        finally:
+            transport.close()
+            server.stop()
+            daemon.close()
+        assert len(entered) == 1
+
+    def test_stop_ends_live_connections(self, tmp_path, monkeypatch):
+        entered = _count_connections(monkeypatch)
+        path = str(tmp_path / "d.sock")
+        daemon = TuningDaemon(tmp_path / "j.log")
+        server = DaemonSocketServer(daemon, path).start()
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(1.0)
+        try:
+            sock.connect(path)
+            sock.sendall(frontend.encode_line({"op": "ping"}))
+            assert b'"pong"' in frontend._read_line(sock)
+            server.stop()
+            assert sock.recv(65536) == b""  # EOF, not a timeout
+        finally:
+            sock.close()
+            server.stop()
+            daemon.close()
+        assert len(entered) == 1
+        assert not any(thread.is_alive() for thread in entered)
+
+    def test_client_reconnects_to_a_restarted_daemon(self, tmp_path):
+        path = str(tmp_path / "d.sock")
+        request = _request(budget=8)
+        daemon = TuningDaemon(tmp_path / "j.log")
+        server = DaemonSocketServer(daemon, path).start()
+        transport = SocketTransport(path, timeout=5.0)
+        client = DaemonClient(transport, backoff=0.001)
+        try:
+            rid = client.submit(request)
+            server.stop()
+            daemon.kill()
+            os.unlink(path)
+            daemon = TuningDaemon(tmp_path / "j.log")
+            server = DaemonSocketServer(daemon, path).start()
+            # The old connection is dead: the first call on it fails, and
+            # the client's retry reconnects to the recovered daemon.
+            assert _trials(client.result(rid)) == _trials(request.tune_direct())
+            assert client.retries >= 1
+        finally:
+            transport.close()
+            server.stop()
+            daemon.close()
+
+    def test_timed_out_reply_is_never_read_as_the_next(self, tmp_path):
+        path = str(tmp_path / "late.sock")
+        late = threading.Event()
+        threads = _scripted_server(
+            path, [lambda conn: _echo(conn, hold=late), _echo]
+        )
+        transport = SocketTransport(path, timeout=0.2)
+        try:
+            with pytest.raises(ConnectionError):
+                transport.call({"op": "first"})
+            late.set()  # the first reply goes out after the client gave up
+            transport.timeout = 5.0  # only the first call is meant to time out
+            assert transport.call({"op": "second"})["echo"] == "second"
+        finally:
+            transport.close()
+            for thread in threads:
+                thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_truncated_reply_reconnects(self, tmp_path):
+        path = str(tmp_path / "cut.sock")
+        threads = _scripted_server(
+            path, [lambda conn: _echo(conn, cut=True), _echo]
+        )
+        transport = SocketTransport(path, timeout=5.0)
+        client = DaemonClient(transport, sleep=lambda _: None)
+        try:
+            assert client.ping()
+            assert client.retries == 1
+        finally:
+            transport.close()
+            for thread in threads:
+                thread.join(timeout=5.0)
+        assert len(threads) == 3  # the acceptor and two connections
+        assert not any(thread.is_alive() for thread in threads)
 
 
 # -- stress (non-blocking CI job) ----------------------------------------- #
