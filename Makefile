@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-cost-model bench-store bench-daemon bench-e2e-selftest compare-bench
+.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-cost-model bench-store bench-daemon bench-paper bench-e2e-selftest compare-bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -52,6 +52,22 @@ bench-store:
 
 bench-daemon:
 	$(PYTHON) -m pytest benchmarks/bench_daemon.py -q -s
+
+# The paper's figures and tables whose claim assertions hold (~20 s; they
+# assert no wall-clock time, so every failure is a claim that stopped
+# holding).  bench_fig11_tuner_convergence.py stays out: its single-seed
+# assertion (ATE within 15% of the best TVM-style tuner at seed 11) fails
+# on main, and it joins once a claim over seeds 0-19 replaces it.
+bench-paper:
+	$(PYTHON) -m pytest -q -s \
+		benchmarks/bench_fig09_dataflow_vs_cudnn.py \
+		benchmarks/bench_fig10_batched.py \
+		benchmarks/bench_fig12_end_to_end.py \
+		benchmarks/bench_fig13_architectures.py \
+		benchmarks/bench_table2_search_space.py \
+		benchmarks/bench_ablation_cost_model.py \
+		benchmarks/bench_ablation_pruning.py \
+		benchmarks/bench_theory_bounds.py
 
 # Self-test of the end-to-end benchmark (benchmarks/e2e, ~35 s); its
 # pool_cold workload drives the serving pool's worker processes behind the

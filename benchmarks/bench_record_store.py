@@ -1,10 +1,10 @@
-"""RecordStore backends — durable serving at the 1M-record daemon scale.
+"""The record store — durable serving at the 1M-record daemon scale.
 
 The tuning daemon keeps one long-lived database: every tuning run appends
 its best record, lookups are served from memory, and restarts must recover
-exactly what was stored.  This benchmark drives the two
-:class:`~repro.core.autotune.store.RecordStore` backends through that
-lifecycle at scale:
+exactly what was stored.  This benchmark drives
+:class:`~repro.core.autotune.store.LogStore` through that lifecycle at
+scale:
 
 * ``append`` — 1M effective puts into a :class:`LogStore` (50 improvement
   rounds over 20k problems, every put changes the winner).  Dead-ratio
@@ -15,13 +15,15 @@ lifecycle at scale:
   require the recovered record set to be *exactly* the pre-close effective
   set, including after a torn trailing append (the mid-append crash
   signature).
-* ``durable put`` — per-put durability: LogStore's append+flush vs the
-  whole-file rewrite a :class:`JsonMapStore` needs for the same guarantee.
-* ``serve`` — lock-free lookup latency must not depend on the backend.
+* ``durable put`` — per-put durability: the log's append+flush vs one
+  whole-file JSON map rewrite (:func:`write_map_file`) per put, which is
+  what a map file needs for the same guarantee.
+* ``serve`` — lock-free lookup latency must not depend on whether the store
+  has a log: a store without a path against the recovered log-backed one.
 
-Correctness gates (recovered-set equality, bounded log, backend-identical
-serving) always fail hard; wall-clock floors soften to warnings under
-``BENCH_SPEEDUP_SOFT=1``.
+Correctness gates (recovered-set equality, bounded log, identical serving
+with and without a log) always fail hard; wall-clock floors soften to
+warnings under ``BENCH_SPEEDUP_SOFT=1``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ import pytest
 from conftest import emit, write_bench_json, write_obs_json
 from repro.analysis import ResultTable, render_table
 from repro.conv import ConvParams
-from repro.core.autotune import JsonMapStore, LogStore, SearchSpace
-from repro.core.autotune.store import TuningRecord
+from repro.core.autotune import LogStore, SearchSpace
+from repro.core.autotune.store import TuningRecord, write_map_file
 from repro.obs import MetricsRegistry, MonotonicClock
 
 LAYER = ConvParams.square(13, 64, 96, kernel=3, stride=1, padding=1)
@@ -138,21 +140,19 @@ def run_record_store_benchmark(spec, tmp_path):
     after_crash = LogStore(log_path)
     assert _canonical(after_crash) == expected, "torn tail corrupted recovery"
 
-    # -- serve: lock-free lookups must not depend on the backend --------- #
-    map_store = JsonMapStore()
-    for record in after_crash.scan():
-        map_store.append(record)
+    # -- serve: lock-free lookups must not depend on the log -------------- #
+    memory_store = LogStore(records=after_crash.scan())
     keys = [record.key() for record in base[:: LIVE_KEYS // 1000 or 1]]
     timings = {}
-    for name, backend in (("map", map_store), ("log", after_crash)):
+    for name, store_under_test in (("memory", memory_store), ("log", after_crash)):
         start = _CLOCK.now()
         for i in range(SERVE_LOOKUPS):
-            backend.serve(keys[i % len(keys)])
+            store_under_test.serve(keys[i % len(keys)])
         timings[name] = _CLOCK.now() - start
-    serve_map_vs_log = timings["map"] / timings["log"]
+    serve_memory_vs_log = timings["memory"] / timings["log"]
     sample = random.Random(1).sample(base, 32)
-    for record in sample:  # hard gate: identical answers from both backends
-        assert map_store.serve(record.key()) == after_crash.serve(record.key())
+    for record in sample:  # hard gate: identical answers with and without a log
+        assert memory_store.serve(record.key()) == after_crash.serve(record.key())
     after_crash.close()
 
     # -- durable puts: append+flush vs whole-file rewrite ---------------- #
@@ -163,16 +163,18 @@ def run_record_store_benchmark(spec, tmp_path):
         log2.append(record)
     t_log_durable = _CLOCK.now() - start
     log2.close()
-    map2 = JsonMapStore(path=os.path.join(tmp_path, "durable.json"))
+    map_path = os.path.join(tmp_path, "durable.json")
+    map_records = LogStore()
     start = _CLOCK.now()
     for record in durable:
-        map2.append(record)
-        map2.snapshot()  # the map file's only durability story
+        map_records.append(record)
+        # A map file's only durability story: rewrite all of it.
+        write_map_file(map_path, map_records.scan())
     t_map_durable = _CLOCK.now() - start
     durable_put_speedup = t_map_durable / t_log_durable
 
     table = ResultTable(
-        f"RecordStore backends ({spec.name}, {TOTAL_APPENDS:,} appends over "
+        f"Record store ({spec.name}, {TOTAL_APPENDS:,} appends over "
         f"{LIVE_KEYS:,} live keys)",
         columns=["phase", "seconds", "per_second"],
     )
@@ -204,9 +206,9 @@ def run_record_store_benchmark(spec, tmp_path):
             "recovery_per_second": recovery_per_second,
             "durable_put_speedup": durable_put_speedup,
             "serve_lookups": SERVE_LOOKUPS,
-            "serve_map_seconds": timings["map"],
+            "serve_memory_seconds": timings["memory"],
             "serve_log_seconds": timings["log"],
-            "serve_map_vs_log": serve_map_vs_log,
+            "serve_memory_vs_log": serve_memory_vs_log,
         },
         registry.snapshot(),
     )
@@ -224,7 +226,7 @@ def test_record_store_scale(benchmark, gpu_v100, tmp_path):
         f"{stats['compactions']} compactions), "
         f"recovery: {stats['recovery_per_second']:,.0f} records/s, "
         f"durable put speedup: {stats['durable_put_speedup']:.0f}x, "
-        f"serve map/log: {stats['serve_map_vs_log']:.2f}"
+        f"serve memory/log: {stats['serve_memory_vs_log']:.2f}"
     )
     write_bench_json("record_store", gpu=gpu_v100.name, **stats)
     write_obs_json(
@@ -234,11 +236,11 @@ def test_record_store_scale(benchmark, gpu_v100, tmp_path):
         total_appends=TOTAL_APPENDS,
     )
     # Wall-clock floors (soft under BENCH_SPEEDUP_SOFT=1); the recovered-set
-    # equality, log-bound and backend-identity asserts above always gate.
+    # equality, log-bound and identical-serving asserts above always gate.
     _soft_floor("append_per_second", stats["append_per_second"], 10_000)
     _soft_floor(
         "append_amortized_ratio", stats["append_amortized_ratio"], 0.5
     )
     _soft_floor("recovery_per_second", stats["recovery_per_second"], 2_000)
     _soft_floor("durable_put_speedup", stats["durable_put_speedup"], 10.0)
-    _soft_floor("serve_map_vs_log", stats["serve_map_vs_log"], 0.6)
+    _soft_floor("serve_memory_vs_log", stats["serve_memory_vs_log"], 0.6)

@@ -8,6 +8,9 @@ curves and the cuDNN reference.
 ATE results persist in the default on-disk tuning database
 (``~/.cache/repro-tuning.json``, override with ``$REPRO_TUNING_DB``): run the
 example twice and the second ATE "search" is a zero-measurement cache hit.
+The file holds an append-only record log (each record is on disk as soon as
+it is tuned; the closing ``save()`` compacts it), and a JSON map that an
+older build left there is converted to a log on first open.
 
 Run with:  python examples/tune_conv_layer.py
 """

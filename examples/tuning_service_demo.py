@@ -6,7 +6,9 @@ tuned configurations for the conv layers of a small model zoo.  The
 :class:`~repro.service.TuningService`
 
 * answers repeat layers from the shared tuning database (the default on-disk
-  one: ``~/.cache/repro-tuning.json``, override with ``$REPRO_TUNING_DB``),
+  one: ``~/.cache/repro-tuning.json``, override with ``$REPRO_TUNING_DB``; the
+  file holds an append-only record log, and a JSON map an older build left
+  there is converted on first open),
 * coalesces identical in-flight requests so N clients asking for the same
   layer trigger exactly one search, and
 * packs the measurement batches of the layers that do need tuning into

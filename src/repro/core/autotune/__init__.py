@@ -26,7 +26,7 @@ from .database import (
     TuningRecord,
     default_database_path,
 )
-from .store import JsonMapStore, LogStore, RecordStore
+from .store import LogStore
 from .baselines import (
     BaselineSession,
     BaselineTuner,
@@ -50,9 +50,7 @@ __all__ = [
     "TuningDatabaseError",
     "TuningRecord",
     "default_database_path",
-    "JsonMapStore",
     "LogStore",
-    "RecordStore",
     "FEATURE_NAMES",
     "FeatureCache",
     "feature_matrix",

@@ -9,14 +9,15 @@ recorded once and every later tuning request for the same triple — in the
 same process or after a persistence round trip — is answered from the
 database instead of re-running the search.
 
-The database itself is a thin coordination façade: all state lives in a
-pluggable :class:`~repro.core.autotune.store.RecordStore` backend (see
-``store.py``) — :class:`~repro.core.autotune.store.JsonMapStore` for the
-whole-file JSON map (the compatibility reference) or
-:class:`~repro.core.autotune.store.LogStore` for the append-only log with
-compaction and crash recovery that daemon-scale serving needs.  The façade
-adds the request-level semantics: budget/conditions-aware :meth:`lookup`,
-hit/miss accounting, and the :meth:`put` / :meth:`apply` write path.
+The database itself is a thin coordination façade: all state lives in one
+:class:`~repro.core.autotune.store.LogStore` (see ``store.py``), in memory
+when the database has no path, and otherwise in an append-only log at the
+path, with compaction and crash recovery, so every put is on disk as soon
+as it is made.  A whole-file JSON map is only an import and export format
+(:meth:`load`, ``save(path)``); a map found at the database's own path is
+converted to a log in place.  The façade adds the request-level semantics:
+budget/conditions-aware :meth:`lookup`, hit/miss accounting, and the
+:meth:`put` / :meth:`apply` write path.
 
 The :class:`~repro.core.autotune.engine.AutoTuningEngine` consults an attached
 database at the start of :meth:`~repro.core.autotune.engine.AutoTuningEngine.tune`
@@ -27,8 +28,8 @@ layers of all models it times.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import json
 import math
 import os
 from typing import Dict, Iterable, List, Optional, Union
@@ -37,10 +38,7 @@ from ...conv.tensor import ConvParams
 from ...gpusim.spec import GPUSpec
 from ...obs.metrics import NULL_COUNTER, NULL_GAUGE, Counter
 from .store import (
-    FORMAT_VERSION as _FORMAT_VERSION,
-    JsonMapStore,
     LogStore,
-    RecordStore,
     TuningDatabaseError,
     TuningRecord,
     _gpu_name,
@@ -136,37 +134,33 @@ class RecordEnvelope:
 
 
 class TuningDatabase:
-    """Keep-better record map over a pluggable :class:`RecordStore` backend.
+    """Keep-better record map over one :class:`LogStore`.
 
     ``hits``/``misses`` count :meth:`lookup` outcomes so callers (tests, the
     model runner) can verify that repeated layers reuse tuning work instead
     of re-measuring.
 
     The façade holds no state of its own beyond the hit/miss counters: the
-    record map, revision counter and change log live in the backend, whose
+    record map, revision counter and change log live in the store, whose
     internal lock makes every write safe to share between a
     :class:`~repro.service.TuningService` driver thread and submitting
     threads.  Reads (:meth:`lookup`, :meth:`contains`) go through the
-    backend's lock-free read-copy hot tier, so serving never contends with
+    store's lock-free read-copy hot tier, so serving never contends with
     writers.  :meth:`apply` is the single documented write path for record
     batches; :meth:`put` is its one-record primitive.
+
+    Without a ``path`` the records live in memory only.  With one, the
+    database opens the record log there (creating it when missing, and
+    converting a JSON map in place), and every effective put is appended
+    to it.
     """
 
     def __init__(
         self,
         records: Iterable[TuningRecord] = (),
         path: Optional[Union[str, os.PathLike]] = None,
-        store: Optional[RecordStore] = None,
     ) -> None:
-        if store is not None and path is not None:
-            raise ValueError("pass either a store or a path, not both")
-        #: the persistence/serving backend; defaults to the whole-file JSON
-        #: map for compatibility with every existing call site.
-        self._store = store if store is not None else JsonMapStore(path=path)
-        #: where :meth:`save` persists when called without a path (the
-        #: backend's location; assignable for the legacy load()/default()
-        #: contract).
-        self.path = self._store.path
+        self._store = LogStore(path)
         self._hits = Counter("db.serve_hits")
         self._misses = Counter("db.serve_misses")
         # Telemetry mirrors (null no-ops until attach_metrics binds real
@@ -181,9 +175,14 @@ class TuningDatabase:
             self.put(record)
 
     @property
-    def store(self) -> RecordStore:
-        """The backend this façade coordinates (read-only)."""
+    def store(self) -> LogStore:
+        """The record store this façade coordinates (read-only)."""
         return self._store
+
+    @property
+    def path(self) -> Optional[str]:
+        """The record log's path (None for an in-memory database); read-only."""
+        return self._store.path
 
     @property
     def hits(self) -> int:
@@ -199,8 +198,8 @@ class TuningDatabase:
         Records ``puts_total`` vs ``puts_effective`` (keep-better inserts
         that actually changed a slot), ``serve_hits``/``serve_misses``
         (lookup outcomes) and the ``revision`` growth gauge, and wires the
-        backend under the nested ``store`` scope (``db.store.*``: appends,
-        compactions, recoveries — see :meth:`RecordStore.attach_metrics`).
+        store under the nested ``store`` scope (``db.store.*``: appends,
+        compactions, recoveries — see :meth:`LogStore.attach_metrics`).
         Observability never alters database state: instruments are written
         on the same code paths that already mutate the map, nothing more.
         """
@@ -216,90 +215,42 @@ class TuningDatabase:
     def default(cls) -> "TuningDatabase":
         """Open the default on-disk database (see :func:`default_database_path`).
 
-        Loads the file when it exists, otherwise starts empty; either way the
-        returned database remembers the location, so a bare :meth:`save`
-        persists back to it.
+        Opens the record log there, creating it when the file is missing
+        and converting a JSON map (what earlier builds saved) in place; the
+        returned database appends every effective put to it.
 
         Error handling depends on who chose the location.  When
         ``$REPRO_TUNING_DB`` names the path, the caller asked for *that*
-        database — an unreadable, truncated or unwritable file raises
-        :class:`TuningDatabaseError` instead of silently starting empty (the
-        old behaviour quietly discarded the user's records and then
-        overwrote the file on the next save).  The implicit cache-directory
-        default stays lenient: a corrupt cache entry is treated as empty and
-        the next save rewrites it atomically.
+        database — a file that does not open (unreadable, truncated, not
+        writable, or under a path that cannot hold it) raises
+        :class:`TuningDatabaseError` and is left byte-identical, instead of
+        tuning silently restarting from an empty database.  The implicit
+        cache-directory default stays lenient: a cache file that does not
+        open is replaced by an empty log.
         """
         path = default_database_path()
         # reprolint: disable=REPRO602 - same config-time read as default_database_path
         explicit = bool(os.environ.get(DATABASE_ENV_VAR))
-        if os.path.exists(path):
-            try:
-                db = cls.open(path)
-                db.path = path
-            except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-                if explicit:
-                    raise TuningDatabaseError(
-                        f"${DATABASE_ENV_VAR} points at {path!r} but it cannot be "
-                        f"loaded ({exc}); fix or remove the file rather than "
-                        "letting tuning silently restart from an empty database"
-                    ) from exc
-                # Implicit cache path: unreadable, bad version, or
-                # structurally invalid payload all start empty.
-                return cls(path=path)
-            if explicit and not os.access(path, os.W_OK):
-                raise TuningDatabaseError(
-                    f"${DATABASE_ENV_VAR} points at {path!r} which is not "
-                    "writable; tuning results could never be persisted back"
-                )
-            return db
-        if explicit:
-            # The file does not exist yet: probe the nearest existing
-            # ancestor (save() creates the missing directories under it).
-            # An unwritable or non-directory ancestor means the database
-            # could never be saved — fail now, not after a full tuning run.
-            probe = os.path.dirname(os.path.abspath(path))
-            while not os.path.exists(probe):
-                parent = os.path.dirname(probe)
-                if parent == probe:  # pragma: no cover - filesystem root
-                    break
-                probe = parent
-            if not os.path.isdir(probe) or not os.access(probe, os.W_OK):
-                raise TuningDatabaseError(
-                    f"${DATABASE_ENV_VAR} points at {path!r} but "
-                    f"{probe!r} is not a writable directory; the database "
-                    "could never be saved"
-                )
-        return cls(path=path)
-
-    @classmethod
-    def open(cls, path: Union[str, os.PathLike]) -> "TuningDatabase":
-        """Open an on-disk database of either backend format.
-
-        Sniffs the file: an append-only log (first line is a
-        ``kind: "log"`` header, or a ``.snap`` sibling exists) opens as a
-        recovered :class:`LogStore`; anything else goes through the
-        whole-file map reader (:meth:`load`).  Use this at edges that
-        accept a user-supplied path; use the constructors directly when
-        the backend is known.
-        """
-        name = os.fspath(path)
-        if cls._sniff_log(name):
-            return cls(store=LogStore(name))
-        return cls.load(name)
-
-    @staticmethod
-    def _sniff_log(name: str) -> bool:
-        if os.path.exists(name + ".snap"):
-            return True
-        if not os.path.exists(name):
-            return False
+        if explicit and os.path.isfile(path) and not os.access(path, os.W_OK):
+            # Checked before opening: converting a map replaces the file.
+            raise TuningDatabaseError(
+                f"${DATABASE_ENV_VAR} points at {path!r} which is not "
+                "writable; tuning results could never be persisted back"
+            )
         try:
-            with open(name, "r", encoding="utf-8") as fh:
-                first = fh.readline()
-            header = json.loads(first)
-        except (OSError, ValueError):
-            return False
-        return isinstance(header, dict) and header.get("kind") == "log"
+            return cls(path=path)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            if explicit:
+                raise TuningDatabaseError(
+                    f"${DATABASE_ENV_VAR} points at {path!r} but it cannot be "
+                    f"opened ({exc}); fix or remove the file rather than "
+                    "letting tuning silently restart from an empty database"
+                ) from exc
+        # Nobody named the implicit cache file: start it over as an empty log.
+        for stale in (path, path + ".snap"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(stale)
+        return cls(path=path)
 
     # -- core map ------------------------------------------------------- #
     def __len__(self) -> int:
@@ -394,7 +345,7 @@ class TuningDatabase:
           conditions serve any caller; a caller with unknown conditions is
           served the fastest record on file.
 
-        Runs entirely on the backend's lock-free read-copy hot tier, so a
+        Runs entirely on the store's lock-free read-copy hot tier, so a
         million lookups a second never stall behind a writer."""
         bucket = self._store.serve((_params_key(params), _gpu_name(spec), algorithm))
         if noise is None:
@@ -424,40 +375,39 @@ class TuningDatabase:
 
     # -- persistence ---------------------------------------------------- #
     def save(self, path: Optional[Union[str, os.PathLike]] = None) -> str:
-        """Persist durably; returns the path written.
+        """Persist; returns the path written.
 
-        Without a path, asks the backend for a full snapshot at its own
-        location (atomic whole-file rewrite for :class:`JsonMapStore`,
-        fsync'd snapshot + log reset for :class:`LogStore`).  With an
-        explicit ``path``, exports the live record set as a portable
-        whole-file JSON map regardless of backend — the interchange format
-        every build can read.
+        Without a ``path`` (or with the database's own), compacts the
+        record log (an fsync'd snapshot of the live set, then a log reset)
+        and returns the database's path; a database without a path raises
+        :class:`ValueError`.  With another ``path``, exports the live
+        records as a portable whole-file JSON map, the interchange format
+        every build can read and :meth:`load` imports.  A map written over
+        the database's own log would lose every later put when reopened.
         """
-        if path is None:
-            target = self._store.snapshot()
-            if target is None:
-                if self.path is None:
-                    raise ValueError(
-                        "no path given and the database has no default path"
-                    )
-                return write_map_file(self.path, self.records())
-            return target
-        return write_map_file(path, self.records())
+        own = path is None or (
+            self.path is not None
+            and os.path.exists(path)
+            and os.path.samefile(path, self.path)
+        )
+        if not own:
+            return write_map_file(path, self.records())
+        if self._store.snapshot() is None:
+            raise ValueError("no path given and the database has no path of its own")
+        return self.path
 
     @classmethod
     def load(cls, path: Union[str, os.PathLike]) -> "TuningDatabase":
-        """Load a saved whole-file JSON map; ``OSError`` for I/O trouble,
+        """Import a whole-file JSON map (the ``save(path)`` export) into a
+        database without a path; ``OSError`` for I/O trouble,
         :class:`TuningDatabaseError` for truncated/corrupt/incompatible
         content — including a file written by a newer store format, which
-        is rejected naming that format version.  See :meth:`open` for
-        format sniffing that also accepts append-only logs."""
-        db = cls(read_map_file(path))
-        db.path = os.fspath(path)
-        db._store.path = db.path
-        return db
+        is rejected naming that format version.  ``TuningDatabase(path=...)``
+        opens a file to keep writing to it instead."""
+        return cls(read_map_file(path))
 
     def close(self) -> None:
-        """Release backend resources (log file handles); idempotent."""
+        """Release the record log's file handle; idempotent."""
         self._store.close()
 
     # -- introspection --------------------------------------------------- #

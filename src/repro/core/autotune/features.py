@@ -24,7 +24,7 @@ Two equivalent paths produce the features:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -265,40 +265,26 @@ class FeatureCache:
     dataset only pays for its *new* rows.  ``matrix`` stacks the cached rows
     exactly like :func:`feature_matrix`, hence bit-identical features.
 
-    ``max_entries`` bounds the cache for long-lived service runs (which would
-    otherwise accumulate one row per distinct configuration forever): when
-    the cap is exceeded the oldest-inserted rows are evicted FIFO.  Eviction
-    only ever forces a recomputation — rows are pure functions of the
-    configuration — so capped caches stay bit-identical to unbounded ones
-    (the default).  ``hits`` / ``misses`` / ``evictions`` count cache traffic
-    for service telemetry.
+    A cache lives for one tuning run (the engine that owns it is built per
+    run), so it holds one row per distinct configuration the run has seen.
+    ``hits`` / ``misses`` count cache traffic for service telemetry.
     """
 
-    def __init__(
-        self,
-        params: ConvParams,
-        spec: GPUSpec,
-        max_entries: Optional[int] = None,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None for unbounded)")
+    def __init__(self, params: ConvParams, spec: GPUSpec) -> None:
         self.params = params
         self.spec = spec
-        self.max_entries = max_entries
         self._rows: Dict[Tuple, np.ndarray] = {}
         # Per-cache traffic counters live on a private metrics registry (the
-        # counters are thread-safe and snapshot-able); ``hits``/``misses``/
-        # ``evictions`` stay available as read-only views.  attach_metrics
-        # binds additional fleet mirrors (null no-ops until then) so service
-        # runs aggregate cache traffic across engines without disturbing the
+        # counters are thread-safe and snapshot-able); ``hits``/``misses``
+        # stay available as read-only views.  attach_metrics binds
+        # additional fleet mirrors (null no-ops until then) so service runs
+        # aggregate cache traffic across engines without disturbing the
         # exact per-cache counts the tests assert on.
         self._metrics = MetricsRegistry()
         self._c_hits = self._metrics.counter("feature_cache.hits")
         self._c_misses = self._metrics.counter("feature_cache.misses")
-        self._c_evictions = self._metrics.counter("feature_cache.evictions")
         self._m_hits = NULL_COUNTER
         self._m_misses = NULL_COUNTER
-        self._m_evictions = NULL_COUNTER
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -311,23 +297,10 @@ class FeatureCache:
     def misses(self) -> int:
         return self._c_misses.value
 
-    @property
-    def evictions(self) -> int:
-        return self._c_evictions.value
-
     def attach_metrics(self, metrics) -> None:
         """Mirror cache traffic into a shared metrics scope (see ``repro.obs``)."""
         self._m_hits = metrics.counter("hits")
         self._m_misses = metrics.counter("misses")
-        self._m_evictions = metrics.counter("evictions")
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "entries": len(self._rows),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
     def vector(self, config: Configuration) -> np.ndarray:
         key = config.key()
@@ -336,11 +309,6 @@ class FeatureCache:
             self._c_misses.inc()
             self._m_misses.inc()
             row = feature_vector(config, self.params, self.spec)
-            if self.max_entries is not None and len(self._rows) >= self.max_entries:
-                # FIFO eviction: dicts preserve insertion order.
-                self._rows.pop(next(iter(self._rows)))
-                self._c_evictions.inc()
-                self._m_evictions.inc()
             self._rows[key] = row
         else:
             self._c_hits.inc()

@@ -30,6 +30,7 @@ identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, runtime_checkable
 
@@ -93,18 +94,28 @@ class TuningResult:
         return self.best_trial.gflops
 
     def best_gflops_curve(self) -> List[float]:
-        """Best-so-far GFLOP/s after each measurement (Figure 11's y-axis)."""
+        """Best-so-far throughput after each measurement (Figure 11's y-axis).
+
+        Ranked by time, as :attr:`best_trial` is, in direct-equivalent
+        GFLOP/s: ``params.flops / t / 1e9`` for the fastest valid time ``t``
+        so far (0 before the first valid trial).  The curve never decreases
+        and ends at ``params.flops / best_time / 1e9``, which is
+        :attr:`best_gflops` for direct convolution.  Winograd curves are in
+        these units too: a Winograd trial's own GFLOP/s counts FLOPs that
+        depend on its tile size, so a slower trial can show more of them.
+        """
         curve: List[float] = []
-        best = 0.0
+        best = math.inf
         for t in self.trials:
             if t.valid:
-                best = max(best, t.gflops)
-            curve.append(best)
+                best = min(best, t.time_seconds)
+            curve.append(self.params.flops / best / 1e9 if best < math.inf else 0.0)
         return curve
 
     def measurements_to_reach(self, fraction: float = 0.99) -> int:
         """Number of measurements needed to reach ``fraction`` of the final
-        best GFLOP/s (a convergence-speed summary used by the benchmarks)."""
+        point of :meth:`best_gflops_curve` (a convergence-speed summary used
+        by the benchmarks)."""
         if not (0.0 < fraction <= 1.0):
             raise ValueError("fraction must be in (0, 1]")
         curve = self.best_gflops_curve()

@@ -1,37 +1,34 @@
-"""Pluggable record-store backends behind :class:`TuningDatabase`.
+"""The record store behind :class:`TuningDatabase`, and its file formats.
 
 The tuning database is the system of record for every configuration the
-tuner has ever found (ROADMAP north star: heavy traffic from millions of
-users), so its persistence and serving surface is a formal backend
-protocol rather than a hard-wired JSON file:
+tuner has found, so its persistence and serving surface lives here, behind
+one class:
 
-* :class:`RecordStore` — the backend contract.  A store owns the
-  in-memory keep-better map, the revision counter and change log (the
-  replication primitive the streaming worker pool syncs on), and a
-  **read-copy hot tier**: bucket dicts are copy-on-write and published
-  into a top-level dict under the store lock, so :meth:`RecordStore.serve`
-  reads without taking the lock and million-record serving never contends
-  with writers.
-* :class:`JsonMapStore` — the whole-file JSON map (the original
-  ``TuningDatabase`` format), retained as the compatibility reference.
-  Durability is explicit: :meth:`~JsonMapStore.snapshot` rewrites the
-  entire map atomically, O(db) per call.
+* :class:`LogStore` — the one record store.  It owns the keep-better
+  record map, the revision counter and change log (the replication
+  primitive the streaming worker pool syncs on), and a **read-copy hot
+  tier**: bucket dicts are copy-on-write and published into a top-level
+  dict under the store lock, so :meth:`LogStore.serve` reads without
+  taking the lock and million-record serving never contends with writers.
+  Without a path it keeps its records in memory only; with one, every
+  *effective* append (an insert, a faster record, or a budget upgrade)
+  writes one line to an append-only log, so a durable put is O(1)
+  amortised, and a dead-record ratio threshold triggers compaction (the
+  live set becomes the snapshot).  A JSON map found at the path is
+  converted to a log in place.
 * :class:`AppendLog` — the one durable append-only JSON-lines log: an
   atomically installed format-1 header, one flushed (optionally fsync'd)
   all-or-nothing line per append, an fsync'd snapshot followed by a log
   reset, and recovery that folds the snapshot, replays the tail and
   truncates exactly one torn trailing line.  :class:`LogStore` and the
   daemon's request journal are folds over it.
-* :class:`LogStore` — the append-only record log: a keep-better fold over
-  an :class:`AppendLog` of kind ``log``.  Every *effective* append (an
-  insert, a faster record, or a budget upgrade) writes one line, so a
-  durable put is O(1) amortised; a dead-record ratio threshold triggers
-  compaction (the live set becomes the snapshot).
+* :func:`write_map_file` / :func:`read_map_file` — the whole-file JSON map,
+  the portable export and import format (and what older builds saved).
 
-All backends resolve collisions through the same keep-better fold
-(:func:`resolve_record`), so swapping backends never changes a tuning
-trajectory: the surviving record set is a deterministic function of the
-record *set*, not of arrival order or storage layout.
+Every collision goes through the same keep-better fold
+(:func:`resolve_record`), so the surviving record set is a deterministic
+function of the record *set*, not of arrival order or storage layout, and
+whether a store has a path changes no tuning trajectory.
 """
 
 from __future__ import annotations
@@ -53,9 +50,7 @@ from .session import TrialRecord, TuningResult
 __all__ = [
     "FORMAT_VERSION",
     "AppendLog",
-    "JsonMapStore",
     "LogStore",
-    "RecordStore",
     "TuningDatabaseError",
     "TuningRecord",
     "read_map_file",
@@ -63,8 +58,8 @@ __all__ = [
     "write_map_file",
 ]
 
-#: on-disk format version stamped into every file either backend writes
-#: (map files, log headers, log snapshots).  Readers reject a *newer*
+#: on-disk format version stamped into every file the store writes (map
+#: exports, log headers, log snapshots).  Readers reject a *newer*
 #: format loudly, naming the version — a file from a future build must
 #: never be silently misread or clobbered.
 FORMAT_VERSION = 1
@@ -342,7 +337,7 @@ def _check_format(payload: object, path: Union[str, os.PathLike], kind: str) -> 
         raise TuningDatabaseError(
             f"{name!r} holds a {found!r} record store, expected {kind!r}"
             + (
-                "; open log files via TuningDatabase.open() or LogStore"
+                "; open log files with TuningDatabase(path=...)"
                 if found == "log"
                 else ""
             )
@@ -597,25 +592,74 @@ def read_map_file(path: Union[str, os.PathLike]) -> List[TuningRecord]:
 _EMPTY_BUCKET: Mapping[Tuple, TuningRecord] = {}
 
 
-class RecordStore:
-    """Backend contract + shared in-memory tier of the tuning database.
+def _is_log_header(line: str) -> bool:
+    """True when ``line`` decodes to a record log's header."""
+    try:
+        header = json.loads(line)
+    except ValueError:
+        return False
+    return isinstance(header, dict) and header.get("kind") == "log"
 
-    Concrete backends (:class:`JsonMapStore`, :class:`LogStore`) inherit
-    the keep-better map, revision counter, change log and read-copy hot
-    tier, and implement durability by overriding :meth:`snapshot`,
-    :meth:`recover` and the :meth:`_persist_effective` hook.
 
-    Concurrency contract: every mutation happens under ``self._lock``;
-    bucket dicts are **copy-on-write** (mutated as fresh copies, then
-    published into ``self._hot`` by a single dict store), so
-    :meth:`serve` — the million-record hot path — reads without taking
-    the lock and never observes a half-applied update.
+class LogStore:
+    """The tuning database's record store: a keep-better map in memory,
+    backed by an append-only log when the store has a ``path``.
+
+    **In memory.**  Problem key -> {measurement conditions -> record}; every
+    append goes through the keep-better fold (:func:`resolve_record`), a
+    revision counter bumps once per *effective* append, and a bounded
+    change log feeds :meth:`changes_since`.  Every mutation happens under
+    ``self._lock``; bucket dicts are **copy-on-write** (mutated as fresh
+    copies, then published into ``self._hot`` by a single dict store), so
+    :meth:`serve` — the million-record hot path — reads without taking the
+    lock and never observes a half-applied update.  Without a ``path`` that
+    is all there is: an append does no file work, :meth:`snapshot` returns
+    None and :meth:`recover` raises.
+
+    **On disk** (with a ``path``): a fold over an :class:`AppendLog` of kind
+    ``log``.  The header line ``{"format": 1, "kind": "log",
+    "snapshot_revision": R}`` is followed by one line per effective append
+    ``{"rev": n, "record": {...}}`` (the surviving *winner* is logged, so
+    replay needs no budget-merge reconstruction); the ``log-snapshot``
+    holds the live ``records`` and their ``revision``.
+
+    * **Appends** are O(1): one line per effective append, flushed always
+      and fsync'd when ``fsync_appends`` is set (snapshots always fsync).
+      The hot tier publishes before the line is written: a put is not an
+      acknowledgement, so a put whose line fails to write stays served
+      from memory until the next recovery.
+    * **Compaction** triggers when the log holds at least
+      ``compact_min_entries`` entries and the dead-record ratio
+      ``dead / (dead + live)`` reaches ``compact_dead_ratio``: the live
+      set becomes the snapshot and the log is reset to a bare header.
+      The rewrite costs O(live) but needs >= live dead entries to trigger,
+      so durable appends stay O(1) amortised.
+    * **Recovery** folds the snapshot, then replays the log tail in order
+      through the same keep-better fold (idempotent, so replaying entries
+      the snapshot already covers is safe); a crash mid-append loses only
+      that put (see :class:`AppendLog`).
+    * **A JSON map at the path** (a non-empty file whose first line is not
+      a log header, such as a :func:`write_map_file` export or a file an
+      older build saved) is converted in place before recovery: it is read
+      with :func:`read_map_file`, whose errors leave it untouched, and one
+      atomic replace installs a log whose lines carry its records.  A crash
+      before the replace leaves the map byte-identical; one after it
+      leaves a log that holds every record.
     """
 
-    #: backend discriminator stamped into :meth:`describe` output.
-    kind = "memory"
-
-    def __init__(self, path: Optional[Union[str, os.PathLike]] = None) -> None:
+    def __init__(
+        self,
+        path: Optional[Union[str, os.PathLike]] = None,
+        records: Iterable[TuningRecord] = (),
+        *,
+        compact_dead_ratio: float = 0.5,
+        compact_min_entries: int = 1024,
+        fsync_appends: bool = False,
+    ) -> None:
+        if not 0.0 < compact_dead_ratio <= 1.0:
+            raise ValueError(
+                f"compact_dead_ratio must be in (0, 1], got {compact_dead_ratio}"
+            )
         #: problem key -> {measurement conditions -> record}; records for the
         #: same problem measured under different conditions coexist, so two
         #: runners with different executors never evict each other's entries.
@@ -627,18 +671,28 @@ class RecordStore:
         #: record leaves it untouched).  ``_change_log`` appends the changed
         #: (problem, conditions) slot per bump, so :meth:`changes_since` can
         #: stream exactly the records that moved by slicing the tail — the
-        #: primitive the worker pool's cross-shard exchange and the log
-        #: backend's replication are built on — without rescanning the whole
-        #: map every round.  The log is compacted once it doubles
-        #: ``_CHANGE_LOG_CAP`` (``_log_base`` tracks the revision of its
-        #: first retained entry); a checkpoint older than the retained tail
-        #: falls back to over-delivering the whole map, which keep-better
-        #: apply makes safe.
+        #: primitive the worker pool's cross-shard exchange is built on —
+        #: without rescanning the whole map every round.  The change log is
+        #: compacted once it doubles ``_CHANGE_LOG_CAP`` (``_log_base``
+        #: tracks the revision of its first retained entry); a checkpoint
+        #: older than the retained tail falls back to over-delivering the
+        #: whole map, which keep-better apply makes safe.
         self._revision = 0
         self._log_base = 0
         self._change_log: List[Tuple[Tuple, Tuple]] = []
         self._lock = threading.RLock()
         self.path = os.fspath(path) if path is not None else None
+        self._log = (
+            None
+            if self.path is None
+            else AppendLog(self.path, "log", fsync_appends=fsync_appends)
+        )
+        self.snapshot_path = None if self._log is None else self._log.snapshot_path
+        self._compact_dead_ratio = float(compact_dead_ratio)
+        self._compact_min_entries = int(compact_min_entries)
+        #: the slots the log tail holds lines for since the last compaction;
+        #: every other tail line is dead (see :meth:`_dead_locked`).
+        self._logged_slots: set = set()
         # Telemetry mirrors (null no-ops until attach_metrics binds real
         # ones); the store sits in the REPRO601 no-wall-clock scope, so
         # only counts and levels are recorded.
@@ -647,6 +701,15 @@ class RecordStore:
         self._m_recoveries = NULL_COUNTER
         self._m_recovered_records = NULL_COUNTER
         self._m_live = NULL_GAUGE
+        self._m_log_appends = NULL_COUNTER
+        self._m_compactions = NULL_COUNTER
+        self._m_compaction_records = NULL_COUNTER
+        self._m_log_entries = NULL_GAUGE
+        self._m_dead = NULL_GAUGE
+        if self._log is not None:
+            self.recover()
+        for record in records:
+            self.append(record)
 
     def attach_metrics(self, metrics) -> None:
         """Bind store telemetry to a metrics scope (see ``repro.obs``).
@@ -655,9 +718,12 @@ class RecordStore:
         so the full names are ``db.store.appends_total``,
         ``db.store.appends_effective``, ``db.store.recoveries``,
         ``db.store.recovered_records`` and the ``db.store.live_records``
-        gauge (:class:`LogStore` adds log/compaction instruments).
-        Observability never alters store state: instruments are written on
-        the same code paths that already mutate the map, nothing more.
+        gauge.  A store with a path adds ``log_appends`` (lines written),
+        ``compactions`` / ``compaction_records`` (rewrites and the live
+        records they carried), and the ``log_entries`` / ``dead_entries``
+        tail gauges.  Observability never alters store state: instruments
+        are written on the same code paths that already mutate the map,
+        nothing more.
         """
         with self._lock:
             self._m_appends = metrics.counter("appends_total")
@@ -666,6 +732,14 @@ class RecordStore:
             self._m_recovered_records = metrics.counter("recovered_records")
             self._m_live = metrics.gauge("live_records")
             self._m_live.set(self._live)
+            if self._log is not None:
+                self._m_log_appends = metrics.counter("log_appends")
+                self._m_compactions = metrics.counter("compactions")
+                self._m_compaction_records = metrics.counter("compaction_records")
+                self._m_log_entries = metrics.gauge("log_entries")
+                self._m_dead = metrics.gauge("dead_entries")
+                self._m_log_entries.set(self._log.lines)
+                self._m_dead.set(self._dead_locked())
 
     # -- in-memory tier -------------------------------------------------- #
     def __len__(self) -> int:
@@ -697,11 +771,11 @@ class RecordStore:
 
         ``effective`` is True when the slot actually changed (an insert, a
         faster record, or a budget upgrade); only effective appends bump
-        the revision, enter the change log, and reach the backend's
-        durability hook.  A losing (or identical) record leaves everything
-        untouched, which is what keeps record exchange loop-free:
-        re-applying a record the store already holds never re-broadcasts
-        it and never grows the on-disk log.
+        the revision, enter the change log, and reach the log on disk.  A
+        losing (or identical) record leaves everything untouched, which is
+        what keeps record exchange loop-free: re-applying a record the
+        store already holds never re-broadcasts it and never grows the
+        on-disk log.
         """
         with self._lock:
             self._m_appends.inc()
@@ -718,7 +792,8 @@ class RecordStore:
                 self._log_base += _CHANGE_LOG_CAP
             self._m_appends_effective.inc()
             self._m_live.set(self._live)
-            self._persist_effective(winner)
+            if self._log is not None:
+                self._log_locked(winner, slot)
             return winner, True
 
     @property
@@ -751,39 +826,6 @@ class RecordStore:
                     changed.append(self._hot[key][cond])
             return changed
 
-    # -- durability contract (backend-specific) -------------------------- #
-    def _persist_effective(self, winner: TuningRecord) -> None:
-        """Durability hook, called with the lock held once per effective
-        append, after the in-memory tier already holds ``winner``.  The
-        base store is memory-only; :class:`LogStore` appends a log line
-        here.  :class:`JsonMapStore` deliberately leaves it a no-op — its
-        durability is the explicit O(db) :meth:`snapshot`."""
-
-    def snapshot(self) -> Optional[str]:
-        """Force the full live set onto stable storage; returns the path
-        written (None for an in-memory store with no path)."""
-        raise NotImplementedError
-
-    def recover(self) -> int:
-        """Rebuild the in-memory tier from stable storage; returns the
-        number of live records recovered.  Idempotent: recovering twice
-        yields the same record set and revision."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release on-disk resources.  Idempotent; a closed store keeps
-        serving reads, but backends with open file handles reject further
-        appends."""
-
-    # -- introspection / recovery plumbing ------------------------------- #
-    def _reset_memory(self) -> None:
-        """(lock held) Drop the in-memory tier ahead of a recovery fold."""
-        self._hot = {}
-        self._live = 0
-        self._revision = 0
-        self._log_base = 0
-        self._change_log = []
-
     def _publish_locked(self, record: TuningRecord) -> Tuple[TuningRecord, Optional[Tuple]]:
         """(lock held) Keep-better fold of ``record`` into its bucket;
         returns the survivor and the changed ``(key, conditions)`` slot, or
@@ -805,151 +847,12 @@ class RecordStore:
             self._live += 1
         return winner, (key, cond)
 
-    def _finish_recovery(self, revision: int) -> int:
-        """(lock held) Seal a recovery fold: pin the revision and reset the
-        change log so stale replica checkpoints over-deliver (safe) rather
-        than miss changes."""
-        self._revision = max(revision, self._live)
-        self._log_base = self._revision
-        self._change_log = []
-        self._m_recoveries.inc()
-        self._m_recovered_records.inc(self._live)
-        self._m_live.set(self._live)
-        return self._live
-
-    def describe(self) -> Dict[str, object]:
-        """JSON-native introspection snapshot (see satellite: structured
-        ``describe()``); backends extend with their durability state."""
-        with self._lock:
-            return {
-                "kind": self.kind,
-                "path": self.path,
-                "records": self._live,
-                "revision": self._revision,
-            }
-
-
-class JsonMapStore(RecordStore):
-    """Whole-file JSON map backend — the compatibility reference.
-
-    The original ``TuningDatabase`` on-disk format: :meth:`snapshot`
-    atomically rewrites the entire map (O(db) per call, fine for
-    thousands of records, the reason :class:`LogStore` exists for
-    millions), :meth:`recover` re-reads it.  No write-ahead state exists,
-    so a crash between snapshots loses the puts since the last snapshot —
-    the historical contract of ``TuningDatabase.save()``.
-    """
-
-    kind = "map"
-
-    def __init__(
-        self,
-        records: Iterable[TuningRecord] = (),
-        path: Optional[Union[str, os.PathLike]] = None,
-    ) -> None:
-        super().__init__(path=path)
-        for record in records:
-            self.append(record)
-
-    def snapshot(self) -> Optional[str]:
-        if self.path is None:
-            return None
-        return write_map_file(self.path, self.scan())
-
-    def recover(self) -> int:
-        if self.path is None:
-            raise TuningDatabaseError(
-                "in-memory JsonMapStore has no path to recover from"
-            )
-        records = read_map_file(self.path)
-        with self._lock:
-            self._reset_memory()
-            for record in records:
-                self._publish_locked(record)
-            return self._finish_recovery(self._live)
-
-
-class LogStore(RecordStore):
-    """Append-only record log: a keep-better fold over an :class:`AppendLog`.
-
-    On disk (kind ``log``): the header line
-    ``{"format": 1, "kind": "log", "snapshot_revision": R}`` is followed by
-    one line per effective append ``{"rev": n, "record": {...}}`` (the
-    surviving *winner* is logged, so replay needs no budget-merge
-    reconstruction); the ``log-snapshot`` holds the live ``records`` and
-    their ``revision``.
-
-    * **Appends** are O(1): one line per effective append, flushed always
-      and fsync'd when ``fsync_appends`` is set (snapshots always fsync).
-      The hot tier publishes before the line is written: a put is not an
-      acknowledgement, so a put whose line fails to write stays served
-      from memory until the next recovery.
-    * **Compaction** triggers when the log holds at least
-      ``compact_min_entries`` entries and the dead-record ratio
-      ``dead / (dead + live)`` reaches ``compact_dead_ratio``: the live
-      set becomes the snapshot and the log is reset to a bare header.
-      The rewrite costs O(live) but needs >= live dead entries to trigger,
-      so durable appends stay O(1) amortised.
-    * **Recovery** folds the snapshot, then replays the log tail in order
-      through the same keep-better fold (idempotent, so replaying entries
-      the snapshot already covers is safe); a crash mid-append loses only
-      that put (see :class:`AppendLog`).
-    """
-
-    kind = "log"
-
-    def __init__(
-        self,
-        path: Union[str, os.PathLike],
-        records: Iterable[TuningRecord] = (),
-        *,
-        compact_dead_ratio: float = 0.5,
-        compact_min_entries: int = 1024,
-        fsync_appends: bool = False,
-    ) -> None:
-        super().__init__(path=path)
-        if not 0.0 < compact_dead_ratio <= 1.0:
-            raise ValueError(
-                f"compact_dead_ratio must be in (0, 1], got {compact_dead_ratio}"
-            )
-        self._log = AppendLog(self.path, "log", fsync_appends=fsync_appends)
-        self.snapshot_path = self._log.snapshot_path
-        self._compact_dead_ratio = float(compact_dead_ratio)
-        self._compact_min_entries = int(compact_min_entries)
-        #: the slots the log tail holds lines for since the last compaction;
-        #: every other tail line is dead (see :meth:`_dead_locked`).
-        self._logged_slots: set = set()
-        self._m_log_appends = NULL_COUNTER
-        self._m_compactions = NULL_COUNTER
-        self._m_compaction_records = NULL_COUNTER
-        self._m_log_entries = NULL_GAUGE
-        self._m_dead = NULL_GAUGE
-        self.recover()
-        for record in records:
-            self.append(record)
-
-    def attach_metrics(self, metrics) -> None:
-        """Bind log telemetry: everything the base store records plus
-        ``log_appends`` (lines written), ``compactions`` /
-        ``compaction_records`` (rewrites and the live records they
-        carried), and the ``log_entries`` / ``dead_entries`` tail gauges
-        (full names ``db.store.*`` when wired through the façade)."""
-        super().attach_metrics(metrics)
-        with self._lock:
-            self._m_log_appends = metrics.counter("log_appends")
-            self._m_compactions = metrics.counter("compactions")
-            self._m_compaction_records = metrics.counter("compaction_records")
-            self._m_log_entries = metrics.gauge("log_entries")
-            self._m_dead = metrics.gauge("dead_entries")
-            self._m_log_entries.set(self._log.lines)
-            self._m_dead.set(self._dead_locked())
-
     # -- durability ------------------------------------------------------ #
-    def _persist_effective(self, winner: TuningRecord) -> None:
+    def _log_locked(self, winner: TuningRecord, slot: Tuple) -> None:
         """(lock held) Append one effective record to the log; compact when
         the dead ratio crosses the threshold."""
         self._log.append({"rev": self._revision, "record": winner.to_dict()})
-        self._logged_slots.add((winner.key(), winner.conditions()))
+        self._logged_slots.add(slot)
         dead = self._dead_locked()
         self._m_log_appends.inc()
         self._m_log_entries.set(self._log.lines)
@@ -965,12 +868,15 @@ class LogStore(RecordStore):
         return self._log.lines - len(self._logged_slots)
 
     def snapshot(self) -> Optional[str]:
-        """Compact now: fsync'd snapshot of the live set + log reset.
+        """Compact now: fsync'd snapshot of the live set + log reset;
+        returns the snapshot's path (None for a store without a path).
 
         Also the idle-time hook for bounding recovery: a long-lived daemon
         can snapshot between traffic bursts so restart replays only a
         short tail."""
         with self._lock:
+            if self._log is None:
+                return None
             self._compact_locked()
             return self.snapshot_path
 
@@ -990,22 +896,60 @@ class LogStore(RecordStore):
 
     # -- recovery -------------------------------------------------------- #
     def recover(self) -> int:
-        """Rebuild memory from snapshot + log tail (see class docstring);
-        ``self._revision`` tracks the highest revision seen until
-        :meth:`_finish_recovery` pins it."""
+        """Rebuild memory from the path: convert a JSON map in place, fold
+        the snapshot, replay the log tail (see the class docstring); returns
+        the number of live records.  Idempotent: recovering twice yields the
+        same record set and revision.  ``self._revision`` tracks the highest
+        revision seen until the end pins it."""
         with self._lock:
-            self._reset_memory()
+            if self._log is None:
+                raise TuningDatabaseError(
+                    "a LogStore without a path has nothing to recover from"
+                )
+            self._convert_map_locked()
+            self._hot = {}
+            self._live = 0
+            self._revision = 0
+            self._log_base = 0
+            self._change_log = []
             self._logged_slots = set()
             header = self._log.recover(
                 self._fold_snapshot_locked,
                 self._fold_line_locked,
                 fresh_header=lambda: {"snapshot_revision": self._revision},
             )
+            # Pin the revision where the empty change log starts, so a stale
+            # replica checkpoint over-delivers (safe) rather than misses
+            # changes.
+            self._revision = max(
+                self._revision, int(header.get("snapshot_revision", 0)), self._live
+            )
+            self._log_base = self._revision
+            self._m_recoveries.inc()
+            self._m_recovered_records.inc(self._live)
+            self._m_live.set(self._live)
             self._m_log_entries.set(self._log.lines)
             self._m_dead.set(self._dead_locked())
-            return self._finish_recovery(
-                max(self._revision, int(header.get("snapshot_revision", 0)))
-            )
+            return self._live
+
+    def _convert_map_locked(self) -> None:
+        """(lock held) Replace a JSON map at the path by a log holding its
+        records, in one atomic write (see the class docstring).  A missing
+        or empty file is a fresh log, not a map."""
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                first = fh.readline()
+        except FileNotFoundError:
+            return
+        if not first or _is_log_header(first):
+            return
+        header = {"format": FORMAT_VERSION, "kind": "log", "snapshot_revision": 0}
+        lines = [json.dumps(header, sort_keys=True) + "\n"]
+        lines += [
+            json.dumps({"rev": rev, "record": record.to_dict()}, sort_keys=True) + "\n"
+            for rev, record in enumerate(read_map_file(self.path), start=1)
+        ]
+        _atomic_write(self.path, lambda fh: fh.writelines(lines), fsync=True)
 
     def _fold_snapshot_locked(self, payload: Dict[str, object]) -> None:
         """(lock held) Fold the snapshot's live records and its revision."""
@@ -1022,16 +966,28 @@ class LogStore(RecordStore):
         self._revision = max(self._revision, rev)
 
     def close(self) -> None:
+        """Release the log's file handle (idempotent); a closed store keeps
+        serving reads, and :meth:`recover` reopens it for appends."""
         with self._lock:
-            self._log.close()
+            if self._log is not None:
+                self._log.close()
 
     def describe(self) -> Dict[str, object]:
-        info = super().describe()
+        """JSON-native introspection snapshot: ``kind`` is ``"memory"`` for
+        a store without a path and ``"log"`` for one with a path, which
+        adds the log's state."""
         with self._lock:
-            info.update(
-                snapshot_path=self.snapshot_path,
-                log_entries=self._log.lines,
-                dead_entries=self._dead_locked(),
-                closed=self._log.closed,
-            )
-        return info
+            info: Dict[str, object] = {
+                "kind": "memory" if self._log is None else "log",
+                "path": self.path,
+                "records": self._live,
+                "revision": self._revision,
+            }
+            if self._log is not None:
+                info.update(
+                    snapshot_path=self.snapshot_path,
+                    log_entries=self._log.lines,
+                    dead_entries=self._dead_locked(),
+                    closed=self._log.closed,
+                )
+            return info

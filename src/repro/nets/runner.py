@@ -126,7 +126,8 @@ class ModelRunner:
         self.library = CudnnLibrary(spec)
         self.executor = GPUExecutor(spec)
         #: shared across every layer/model this runner times; pass one in to
-        #: persist records across runners or processes (JSON save/load).
+        #: share records across runners, or one with a path to keep them
+        #: across processes.
         self.database = database if database is not None else TuningDatabase()
 
     # ------------------------------------------------------------------ #

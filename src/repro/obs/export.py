@@ -40,7 +40,7 @@ def format_describe(info: object) -> str:
 
     ``{"kind": "TuningDatabase", "records": 3, ...}`` becomes
     ``TuningDatabase[records=3, ...]``; nested describe dicts (a database's
-    backend, a service's database) render recursively.  Pure function over
+    store, a service's database) render recursively.  Pure function over
     JSON-native data — the inverse direction (parsing) is never needed,
     because the dict itself is the machine-readable form.
     """

@@ -27,8 +27,8 @@ server needs:
 * **Per-request timeouts** — an expired request's run is cancelled cleanly
   through the backend and journaled ``failed(TIMEOUT)``.
 * **Graceful drain** — stop admissions, finish in-flight work, stop the
-  backend, snapshot the journal and flush the database, so the next start
-  replays a short tail.
+  backend, snapshot the journal and compact the database's log, so the next
+  start replays a short tail.
 
 The daemon is transport-agnostic: :meth:`handle` serves decoded wire ops
 and :meth:`tick` advances scheduling, so the same object runs under the
@@ -596,8 +596,8 @@ class TuningDaemon:
     # -- lifecycle ------------------------------------------------------- #
     def drain(self) -> Dict[str, object]:
         """Graceful drain: stop admissions, finish in-flight work, stop the
-        backend (a pool's workers drain, compact and report), snapshot the
-        journal, flush the database.  Returns a summary; the daemon keeps
+        backend (a pool's workers drain and report), snapshot the journal,
+        compact the database's log.  Returns a summary; the daemon keeps
         serving ``status``/``result`` ops afterwards."""
         with self._lock:
             self._draining = True
@@ -623,8 +623,8 @@ class TuningDaemon:
 
     def close(self) -> None:
         """Release file handles without draining (idempotent).  The backend
-        is terminated SIGKILL-style — no worker drain, no shard compaction
-        — so a killed and a closed daemon recover identically."""
+        is terminated SIGKILL-style — no worker drain — so a killed and a
+        closed daemon recover identically."""
         with self._lock:
             self.backend.terminate()
             self.journal.close()

@@ -165,15 +165,12 @@ def serve_forever(
             from ..core.autotune.database import TuningDatabase
             from .pool import TuningWorkerPool
 
-            database = None
-            if database_path is not None:
-                # A restart must serve what earlier sessions tuned (and the
-                # drain rewrites the file from this database).
-                database = (
-                    TuningDatabase.open(database_path)
-                    if os.path.exists(database_path)
-                    else TuningDatabase(path=database_path)
-                )
+            # A log-backed database: every record is on disk as soon as it
+            # is tuned, so a restart (even after SIGKILL) serves what
+            # earlier sessions tuned.
+            database = (
+                TuningDatabase(path=database_path) if database_path is not None else None
+            )
             if backend == "pool":
                 backend = TuningWorkerPool(num_workers=workers, obs=obs)
             daemon = TuningDaemon(

@@ -59,11 +59,10 @@ Invariants the streaming layer preserves:
   holds it.
 
 Fault tolerance: a worker that dies (killed, crashed) is detected by the
-parent, which degrades gracefully — its durable shard log is salvaged into
-the shared database, and its unresolved tickets (and any later submits
-routed to it) re-run in an in-parent runner whose private database starts
-as a copy of the shared one, so records the worker streamed or persisted
-before dying are served, not re-tuned; the failure is counted in
+parent, which degrades gracefully — its unresolved tickets (and any later
+submits routed to it) re-run in an in-parent runner whose private database
+starts as a copy of the shared one, so records the worker streamed before
+dying are served, not re-tuned; the failure is counted in
 :attr:`TuningWorkerPool.stats` and the pool — and whatever daemon sits
 above it — keeps serving.  Malformed messages and sync payloads ("poisoned
 envelopes") are dropped and counted, never applied.  When no worker
@@ -90,7 +89,6 @@ from ..core.autotune.database import (
     TuningDatabaseError,
     TuningRecord,
 )
-from ..core.autotune.store import LogStore
 from ..core.autotune.engine import TuningResult
 from ..obs import (
     NULL_OBS,
@@ -147,9 +145,6 @@ class PoolStats:
     poisoned_envelopes: int = 0
     #: workers that died mid-workload (their shards re-ran in the parent).
     worker_failures: int = 0
-    #: records recovered from a dead worker's shard log (``store_dir``
-    #: pools only): work the worker persisted but never got to stream.
-    records_recovered: int = 0
     # Aggregates over every shard service (plus in-parent recovery reruns):
     measurements: int = 0
     tuning_runs: int = 0
@@ -163,8 +158,7 @@ class PoolStats:
             f"{self.measurements} measurements, {self.records_streamed} records "
             f"streamed ({self.records_applied} applied, "
             f"{self.poisoned_envelopes} poisoned), "
-            f"{self.worker_failures} worker failures / "
-            f"{self.records_recovered} records recovered]"
+            f"{self.worker_failures} worker failures]"
         )
 
 
@@ -246,14 +240,7 @@ class _ShardRunner:
         admit_window: int = 0,
         database: Optional[TuningDatabase] = None,
         obs: Optional[Observability] = None,
-        store_path: Optional[str] = None,
     ) -> None:
-        if database is None and store_path is not None:
-            # Durable shard: every effective put lands in an append-only
-            # log, and constructing the store replays whatever an earlier
-            # (crashed) incarnation of this shard persisted — the worker
-            # restarts with its records instead of re-tuning them.
-            database = TuningDatabase(store=LogStore(store_path))
         self.service = TuningService(database=database, policy=policy, obs=obs)
         self.admit_window = admit_window
         #: backlog of (ticket, request); duplicates may be admitted out of
@@ -353,26 +340,6 @@ class _ShardRunner:
             messages.append(("done_one", shard, ticket, outcome))
         return progressed, messages
 
-    def drain_store(self) -> None:
-        """Retire the shard's database: flush durable state, then close.
-
-        The pool-side drain hook (the daemon's graceful drain reaches
-        streaming shards through it): a log-backed shard compacts its
-        append-only store into an fsync'd snapshot before closing, so the
-        next incarnation recovers from the snapshot and replays a zero- or
-        near-zero-length log tail instead of the whole workload's appends.
-        Flush trouble is deliberately non-fatal (degrade-never-crash): the
-        uncompacted log still holds every effective put, so recovery is
-        merely slower, not lossy.
-        """
-        store = self.service.database.store
-        if isinstance(store, LogStore) and store.path is not None:
-            try:
-                store.snapshot()
-            except (OSError, TuningDatabaseError):
-                pass
-        self.service.database.close()
-
 
 def _serve_shard(
     shard_index: int,
@@ -383,7 +350,6 @@ def _serve_shard(
     sync_queue,
     results_queue,
     obs_enabled: bool = False,
-    store_path: Optional[str] = None,
 ) -> None:
     """Worker process entry point (module-level: pickles everywhere).
 
@@ -424,7 +390,6 @@ def _serve_shard(
             policy=policy,
             admit_window=admit_window,
             obs=obs,
-            store_path=store_path,
         )
         for ticket, request in backlog:
             runner.enqueue(ticket, request)
@@ -480,10 +445,6 @@ def _serve_shard(
             results_queue.put(("error", shard_index, f"{type(exc).__name__}: {exc}"))
         except Exception:
             pass
-    else:
-        # Graceful worker exit = a drained shard: durable stores are
-        # compacted before close so a restart replays a short tail.
-        runner.drain_store()
 
 
 class TuningWorkerPool:
@@ -513,15 +474,6 @@ class TuningWorkerPool:
     metrics snapshot back in its ``bye`` report; :meth:`fleet_snapshot`
     merges the shards' snapshots with the parent's into one fleet view.
 
-    ``store_dir`` makes shards durable: shard ``i``'s private database is
-    backed by an append-only :class:`~repro.core.autotune.store.LogStore`
-    at ``<store_dir>/shard-<i>.log``, so every effective put survives the
-    worker process.  A restarted worker recovers its records from the log
-    instead of re-tuning them, and when a worker dies mid-workload the
-    parent recovers its log directly — records the worker persisted but
-    never streamed are folded into the shared database before the shard's
-    in-parent rerun (counted in :attr:`PoolStats.records_recovered`).
-
     The pool is not thread-safe; the daemon above serialises every call
     under its own lock, and direct users must do the same.
     """
@@ -533,7 +485,6 @@ class TuningWorkerPool:
         admit_window: int = 4,
         use_processes: Optional[bool] = None,
         obs: Optional[Observability] = None,
-        store_dir: Optional[str] = None,
     ) -> None:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0 (0 = one per CPU, capped)")
@@ -543,9 +494,6 @@ class TuningWorkerPool:
         self.policy = make_policy(policy)
         self.admit_window = admit_window
         self.use_processes = use_processes
-        #: directory for durable per-shard record logs (None = in-memory
-        #: shard databases, the default).
-        self.store_dir = os.fspath(store_dir) if store_dir is not None else None
         #: True when the last session ran in worker processes (False = the
         #: serial in-process interleaving was used).
         self.used_processes = False
@@ -587,7 +535,6 @@ class TuningWorkerPool:
         self._c_records_applied = acc.counter("records_applied")
         self._c_poisoned = acc.counter("poisoned_envelopes")
         self._c_worker_failures = acc.counter("worker_failures")
-        self._c_records_recovered = acc.counter("records_recovered")
         self._c_measurements = acc.counter("measurements")
         self._c_tuning_runs = acc.counter("tuning_runs")
         self._c_database_hits = acc.counter("database_hits")
@@ -616,7 +563,6 @@ class TuningWorkerPool:
             records_applied=c.get("pool.records_applied", 0),
             poisoned_envelopes=c.get("pool.poisoned_envelopes", 0),
             worker_failures=c.get("pool.worker_failures", 0),
-            records_recovered=c.get("pool.records_recovered", 0),
             measurements=c.get("pool.measurements", 0),
             tuning_runs=c.get("pool.tuning_runs", 0),
             database_hits=c.get("pool.database_hits", 0),
@@ -670,37 +616,6 @@ class TuningWorkerPool:
             for request in requests
         ]
         return num_shards, placement
-
-    def _shard_store_path(self, index: int) -> Optional[str]:
-        """The durable log location for shard ``index`` (None when the pool
-        was built without ``store_dir``)."""
-        if self.store_dir is None:
-            return None
-        return os.path.join(self.store_dir, f"shard-{index}.log")
-
-    def _recover_shard_store(self, index: int, exchange: TuningDatabase) -> int:
-        """Fold a dead worker's shard log into the shared database.
-
-        Returns how many recovered records improved it.  Recovery is
-        best-effort in the pool's degrade-never-crash style: a missing log
-        means the worker died before its first put (nothing to recover),
-        and an unreadable one is counted as poisoned — the in-parent rerun
-        re-tunes that work either way.
-        """
-        path = self._shard_store_path(index)
-        if path is None or not os.path.exists(path):
-            return 0
-        try:
-            store = LogStore(path)
-        except (OSError, TuningDatabaseError):
-            self._c_poisoned.inc()
-            return 0
-        try:
-            applied = exchange.apply(store.scan())
-        finally:
-            store.close()
-        self._c_records_recovered.inc(len(applied))
-        return len(applied)
 
     def _context(self):
         methods = multiprocessing.get_all_start_methods()
@@ -784,8 +699,7 @@ class TuningWorkerPool:
         Mode selection: processes when available (and more than one
         shard), else the deterministic in-process serial interleaving;
         ``use_processes`` forces either.  A stopped or terminated pool may
-        ``start()`` again — durable shards (``store_dir``) then recover
-        their logs instead of re-tuning.
+        ``start()`` again.
         """
         if self._serving:
             raise RuntimeError("pool is already serving; stop() it first")
@@ -828,7 +742,6 @@ class TuningWorkerPool:
                     policy=self.policy,
                     admit_window=self.admit_window,
                     obs=self.obs,
-                    store_path=self._shard_store_path(i),
                 )
                 self._serve_inboxes[i] = []
                 for ticket, request in backlogs[i]:
@@ -856,7 +769,6 @@ class TuningWorkerPool:
                         self._serve_sync_queues[i],
                         self._serve_results_queue,
                         self.obs.enabled,
-                        self._shard_store_path(i),
                     ),
                     daemon=True,
                 )
@@ -1104,12 +1016,11 @@ class TuningWorkerPool:
                 self._failover_serving_shard(shard)
 
     def _failover_serving_shard(self, shard: int) -> None:
-        """A worker died: salvage its durable log into the exchange, then
-        hand its unresolved tickets (and any future submits routed to it)
-        to an in-parent runner whose private database starts as a copy of
-        the exchange.  Records the worker streamed or persisted before
-        dying are served, not re-tuned; the pool (and the daemon above)
-        keeps serving throughout."""
+        """A worker died: hand its unresolved tickets (and any future
+        submits routed to it) to an in-parent runner whose private database
+        starts as a copy of the exchange.  Records the worker streamed
+        before dying are served, not re-tuned; the pool (and the daemon
+        above) keeps serving throughout."""
         if shard in self._serve_runners:
             return
         process = self._serve_workers.pop(shard, None)
@@ -1119,7 +1030,6 @@ class TuningWorkerPool:
             process.join(timeout=1.0)
         self._c_worker_failures.inc()
         self._o_workers_failed.inc()
-        self._recover_shard_store(shard, self._serve_exchange)
         database = TuningDatabase()
         database.apply(self._serve_exchange)
         runner = _ShardRunner(
@@ -1181,10 +1091,10 @@ class TuningWorkerPool:
         """Leave serving mode gracefully.
 
         Process workers get a ``("stop",)`` sentinel, finish their in-flight
-        work, compact their durable stores and report ``bye`` (folded into
-        the pool's accounting and the exchange); workers that die instead
-        fail over.  In-parent runners drain their backlogs, compact and are
-        absorbed.  Any future still unresolved afterwards is answered with
+        work and report ``bye`` (folded into the pool's accounting and the
+        exchange); workers that die instead fail over.  In-parent runners
+        drain their backlogs and are absorbed.  Any future still unresolved
+        afterwards is answered with
         :class:`~repro.service.errors.RequestCancelled` — drain first (pump
         :meth:`step` until idle, as the daemon's drain does) for a clean
         stop.  Idempotent; a stopped pool may :meth:`start` again.
@@ -1222,7 +1132,6 @@ class TuningWorkerPool:
             pass
         for runner in self._serve_runners.values():
             self._serve_exchange.apply(runner.service.database)
-            runner.drain_store()
             self._absorb(runner.service.stats)
             # In-parent runners share self.obs, so their extras are already
             # in the parent registry — only the per-service accounting needs
@@ -1238,11 +1147,10 @@ class TuningWorkerPool:
         self._finish_serving()
 
     def terminate(self) -> None:
-        """SIGKILL-style exit from serving mode: no drain, no sentinel, no
-        compaction — workers are terminated, shard databases just close, and
-        unresolved futures fail.  A later :meth:`start` of a durable pool
-        recovers the shard logs; everything else recovers through whatever
-        journal sits above (the daemon's fault model)."""
+        """SIGKILL-style exit from serving mode: no drain, no sentinel —
+        workers are terminated and unresolved futures fail.  Everything
+        recovers through whatever journal sits above (the daemon's fault
+        model)."""
         if not self._serving:
             return
         for process in self._serve_workers.values():
@@ -1250,11 +1158,6 @@ class TuningWorkerPool:
                 process.terminate()
         for process in self._serve_workers.values():
             process.join(timeout=1.0)
-        for runner in self._serve_runners.values():
-            try:
-                runner.service.database.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
         for future in list(self._serve_futures.values()):
             if not future.done():
                 future._set_exception(RequestCancelled("pool terminated"))

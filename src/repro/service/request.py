@@ -18,7 +18,7 @@ differ only in urgency still coalesce onto one run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from ..conv.tensor import ConvParams
 from ..core.autotune.baselines import (
@@ -33,9 +33,6 @@ from ..core.autotune.config import Measurer
 from ..core.autotune.engine import AutoTuningEngine, TuningResult
 from ..core.autotune.session import TuningSessionProtocol
 from ..gpusim.spec import GPUSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.autotune.database import TuningDatabase
 
 __all__ = ["TUNERS", "TuningRequest"]
 
@@ -128,9 +125,7 @@ class TuningRequest:
     def make_measurer(self) -> Measurer:
         return Measurer(self.params, self.spec, noise=self.noise, seed=self.noise_seed)
 
-    def make_engine(
-        self, database: Optional["TuningDatabase"] = None
-    ) -> AutoTuningEngine:
+    def make_engine(self) -> AutoTuningEngine:
         """Instantiate the engine an ``"ate"``/``"tvm_style"`` request names.
 
         Driving ``engine.tune(initial_random=self.initial_random)`` directly
@@ -148,20 +143,12 @@ class TuningRequest:
             seed=self.seed,
             pruned=self.pruned,
             measurer=self.make_measurer(),
-            database=database,
         )
 
-    def make_tuner(
-        self, database: Optional["TuningDatabase"] = None
-    ) -> Union[AutoTuningEngine, BaselineTuner]:
-        """Instantiate whatever tuner this request names.
-
-        Engine-backed tuners accept the optional ``database``; baseline
-        tuners never consult one (their direct ``tune()`` has no database
-        semantics), so it is ignored for them.
-        """
+    def make_tuner(self) -> Union[AutoTuningEngine, BaselineTuner]:
+        """Instantiate whatever tuner this request names."""
         if self.tuner in ("ate", "tvm_style"):
-            return self.make_engine(database=database)
+            return self.make_engine()
         cls = _BASELINE_CLASSES[self.tuner]
         return cls(
             self.params,
@@ -183,7 +170,7 @@ class TuningRequest:
         with (``tuner.measurer``); the session consults no database — lookups
         and stores are the driving service's job.
         """
-        tuner = self.make_tuner(database=None)
+        tuner = self.make_tuner()
         if isinstance(tuner, AutoTuningEngine):
             return tuner, tuner.session(self.initial_random)
         return tuner, tuner.session()
@@ -195,7 +182,7 @@ class TuningRequest:
         would get.  The service's bit-identity property is defined (and
         tested) against this function.
         """
-        tuner = self.make_tuner(database=None)
+        tuner = self.make_tuner()
         if isinstance(tuner, AutoTuningEngine):
             return tuner.tune(initial_random=self.initial_random)
         return tuner.tune()

@@ -131,8 +131,8 @@ class TestServeForever:
             measured = client.describe()["service"]["stats"]["measurements"]
         assert repeat.from_cache and measured == 0
         assert repeat.best_time == tuned.best_time
-        # The second drain rewrote the file without losing the first record.
-        record = TuningDatabase.open(database_path).lookup(SMALL, V100, "direct")
+        # The file is a record log that still holds the first record.
+        record = TuningDatabase(path=database_path).lookup(SMALL, V100, "direct")
         assert record is not None and record.time_seconds == tuned.best_time
 
     def test_closed_journal_stops_serving_with_exit_1(self, tmp_path, monkeypatch):

@@ -1,15 +1,14 @@
-"""Tests for the RecordStore backend protocol behind TuningDatabase.
+"""Tests for the LogStore record store behind TuningDatabase.
 
-Covers the backend contract (append/scan/changes_since/snapshot/recover)
-for both backends, the LogStore's append-only durability + compaction (its
-crash recovery is in ``test_append_log.py``, shared with the request
-journal), the format-1 header versioning, the deprecation shims,
-structured ``describe()``, and the acceptance property that swapping
-backends changes no tuning trajectory for the service or the streaming
-pool.
+Covers the store contract (append/scan/serve/changes_since) in memory and
+on a log, the log's durability + compaction (its crash recovery is in
+``test_append_log.py``, shared with the request journal), the format-1
+header versioning and the in-place conversion of a JSON map, the removed
+shims, structured ``describe()``, and the acceptance property that a
+log-backed database changes no tuning trajectory for the service or the
+streaming pool.
 """
 
-import dataclasses
 import json
 import os
 import random
@@ -20,7 +19,6 @@ import pytest
 
 from repro.conv import ConvParams
 from repro.core.autotune import (
-    JsonMapStore,
     LogStore,
     SearchSpace,
     TuningDatabase,
@@ -72,12 +70,12 @@ def _canonical(store_or_db):
 
 
 def _make_store(kind, tmp_path, **kw):
-    if kind == "map":
-        return JsonMapStore(path=tmp_path / "db.json", **kw)
+    if kind == "memory":
+        return LogStore(**kw)
     return LogStore(tmp_path / "db.log", **kw)
 
 
-@pytest.mark.parametrize("kind", ["map", "log"])
+@pytest.mark.parametrize("kind", ["memory", "log"])
 class TestRecordStoreProtocol:
     def test_append_scan_len(self, kind, tmp_path):
         store = _make_store(kind, tmp_path)
@@ -129,21 +127,6 @@ class TestRecordStoreProtocol:
         assert store.changes_since(store.revision) == []
         store.close()
 
-    def test_snapshot_recover_round_trip(self, kind, tmp_path):
-        store = _make_store(kind, tmp_path)
-        for record in _records(5):
-            store.append(record)
-        before = _canonical(store)
-        store.snapshot()
-        store.close()
-        fresh = _make_store(kind, tmp_path)
-        fresh.recover()
-        assert _canonical(fresh) == before
-        # Recovery pins the change-log base: a stale replica checkpoint
-        # over-delivers the whole map (safe), never misses changes.
-        assert len(fresh.changes_since(0)) == 5
-        fresh.close()
-
     def test_describe_is_json_native(self, kind, tmp_path):
         store = _make_store(kind, tmp_path)
         store.append(_record())
@@ -154,7 +137,37 @@ class TestRecordStoreProtocol:
         store.close()
 
 
+class TestMemoryStore:
+    def test_memory_store_touches_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = LogStore()
+        for record in _records(3):
+            store.append(record)
+        assert store.snapshot() is None
+        with pytest.raises(TuningDatabaseError, match="without a path"):
+            store.recover()
+        assert len(store) == 3  # a refused recover drops nothing
+        assert set(store.describe()) == {"kind", "path", "records", "revision"}
+        store.close()
+        assert os.listdir(tmp_path) == []
+
+
 class TestLogStoreDurability:
+    def test_snapshot_recover_round_trip(self, tmp_path):
+        store = _make_store("log", tmp_path)
+        for record in _records(5):
+            store.append(record)
+        before = _canonical(store)
+        store.snapshot()
+        store.close()
+        fresh = _make_store("log", tmp_path)
+        fresh.recover()
+        assert _canonical(fresh) == before
+        # Recovery pins the change-log base: a stale replica checkpoint
+        # over-delivers the whole map (safe), never misses changes.
+        assert len(fresh.changes_since(0)) == 5
+        fresh.close()
+
     def test_appends_survive_reopen_without_snapshot(self, tmp_path):
         path = tmp_path / "db.log"
         store = LogStore(path)
@@ -250,7 +263,7 @@ class TestLogStoreDurability:
             LogStore(tmp_path / "db.log", compact_dead_ratio=0.0)
 
     def test_concurrent_appends_with_lockfree_lookups(self, tmp_path):
-        db = TuningDatabase(store=LogStore(tmp_path / "db.log"))
+        db = TuningDatabase(path=tmp_path / "db.log")
         errors = []
 
         def writer(offset):
@@ -308,7 +321,7 @@ class TestFormatVersioning:
         # steers the caller toward the right entry point.
         header_only = tmp_path / "header-only.log"
         LogStore(header_only).close()
-        with pytest.raises(TuningDatabaseError, match="TuningDatabase.open"):
+        with pytest.raises(TuningDatabaseError, match=r"TuningDatabase\(path="):
             TuningDatabase.load(header_only)
         # A log with records is multi-line JSON: json.load fails first,
         # and the error already hints at the append-only log case.
@@ -319,20 +332,21 @@ class TestFormatVersioning:
         with pytest.raises(TuningDatabaseError, match="append-only"):
             TuningDatabase.load(path)
 
-    def test_open_sniffs_both_backends(self, tmp_path):
+    def test_path_opens_logs_and_converts_maps(self, tmp_path):
         record = _record()
         map_path = tmp_path / "db.json"
         TuningDatabase([record]).save(map_path)
-        opened = TuningDatabase.open(map_path)
-        assert isinstance(opened.store, JsonMapStore)
+        opened = TuningDatabase(path=map_path)
+        assert opened.describe()["store"]["kind"] == "log"
+        assert json.loads(map_path.read_text().splitlines()[0])["kind"] == "log"
         assert len(opened) == 1
+        opened.close()
 
         log_path = tmp_path / "db.log"
-        db = TuningDatabase(store=LogStore(log_path))
+        db = TuningDatabase(path=log_path)
         db.put(record)
         db.close()
-        opened = TuningDatabase.open(log_path)
-        assert isinstance(opened.store, LogStore)
+        opened = TuningDatabase(path=log_path)
         assert len(opened) == 1
         assert opened.lookup(record.params, record.gpu, record.algorithm) == record
         opened.close()
@@ -368,7 +382,7 @@ class TestRemovedShims:
 
 class TestStructuredDescribe:
     def test_database_describe_is_dict(self, tmp_path):
-        db = TuningDatabase(store=LogStore(tmp_path / "db.log"))
+        db = TuningDatabase(path=tmp_path / "db.log")
         db.put(_record())
         db.lookup(LAYER, V100, "direct")
         db.lookup(SMALL, V100, "direct")
@@ -395,7 +409,7 @@ class TestStructuredDescribe:
         text = format_describe(db.describe())
         assert text.startswith("TuningDatabase[")
         assert "records=1" in text
-        assert "map[" in text  # nested backend describe
+        assert "memory[" in text  # nested store describe
 
     def test_format_describe_non_dict_falls_back(self):
         assert format_describe(7) == "7"
@@ -404,7 +418,7 @@ class TestStructuredDescribe:
 class TestStoreMetrics:
     def test_db_store_metric_names(self, tmp_path):
         registry = MetricsRegistry()
-        db = TuningDatabase(store=LogStore(tmp_path / "db.log"))
+        db = TuningDatabase(path=tmp_path / "db.log")
         db.attach_metrics(registry.scope("db"))
         slow, fast = _record(time_seconds=2e-3), _record(time_seconds=1e-3)
         db.put(slow)
@@ -441,7 +455,7 @@ class TestStoreMetrics:
 
 
 class TestBackendBitIdentity:
-    """Acceptance: swapping backends changes no tuning trajectory."""
+    """Acceptance: a log-backed database changes no tuning trajectory."""
 
     def _workload(self):
         return [
@@ -459,118 +473,68 @@ class TestBackendBitIdentity:
         ]
 
     def test_service_trajectories_identical_across_backends(self, tmp_path):
-        map_service = TuningService(database=TuningDatabase())
-        map_results = map_service.tune(self._workload())
-        log_db = TuningDatabase(store=LogStore(tmp_path / "svc.log"))
+        memory_service = TuningService(database=TuningDatabase())
+        memory_results = memory_service.tune(self._workload())
+        log_db = TuningDatabase(path=tmp_path / "svc.log")
         log_service = TuningService(database=log_db)
         log_results = log_service.tune(self._workload())
-        assert self._trajectories(map_results) == self._trajectories(log_results)
-        assert map_service.stats.measurements == log_service.stats.measurements
-        assert _canonical(map_service.database) == _canonical(log_service.database)
+        assert self._trajectories(memory_results) == self._trajectories(log_results)
+        assert memory_service.stats.measurements == log_service.stats.measurements
+        assert _canonical(memory_service.database) == _canonical(log_service.database)
         log_db.close()
 
     def test_streaming_pool_trajectories_identical_across_backends(self, tmp_path):
         workload = self._workload() * 2
         results = {}
         databases = {}
-        for backend in ("map", "log"):
-            pool = TuningWorkerPool(
-                num_workers=2,
-                use_processes=False,
-                store_dir=(
-                    os.path.join(tmp_path, "shards") if backend == "log" else None
-                ),
-            )
-            exchange = TuningDatabase()
-            results[backend] = pool.tune(workload, database=exchange)
-            databases[backend] = exchange
-        assert self._trajectories(results["map"]) == self._trajectories(
+        for kind, path in (("memory", None), ("log", tmp_path / "exchange.log")):
+            pool = TuningWorkerPool(num_workers=2, use_processes=False)
+            exchange = TuningDatabase(path=path)
+            results[kind] = pool.tune(workload, database=exchange)
+            databases[kind] = exchange
+        assert self._trajectories(results["memory"]) == self._trajectories(
             results["log"]
         )
-        assert _canonical(databases["map"]) == _canonical(databases["log"])
-        # The durable run left per-shard logs behind, compacted at drain
-        # (drain_store snapshots each store so a restart replays a short
-        # tail instead of the whole workload's appends).
-        assert sorted(os.listdir(os.path.join(tmp_path, "shards"))) == [
-            "shard-0.log",
-            "shard-0.log.snap",
-            "shard-1.log",
-            "shard-1.log.snap",
-        ]
-
-
-class TestPoolDurability:
-    def test_shard_runner_recovers_from_previous_log(self, tmp_path):
-        from repro.service.pool import _ShardRunner
-
-        path = os.path.join(tmp_path, "shard-0.log")
-        first = _ShardRunner(store_path=path)
-        planted = _record()
-        first.service.database.put(planted)
-        first.service.database.close()
-        # A restarted shard starts from its log, not from empty.
-        second = _ShardRunner(store_path=path)
-        assert second.service.database.records() == [planted]
-        # Recovered records predate the streaming checkpoint: they are not
-        # re-broadcast as if this incarnation had just tuned them.
-        assert second.take_new_records() == []
-        second.service.database.close()
-
-    def test_parent_recovers_dead_shard_log(self, tmp_path):
-        pool = TuningWorkerPool(
-            num_workers=2, use_processes=False, store_dir=str(tmp_path)
-        )
-        pool._reset_accounting()
-        # Simulate a worker that persisted two records and died unstreamed.
-        dead_store = LogStore(pool._shard_store_path(1))
-        for record in _records(2):
-            dead_store.append(record)
-        dead_store.close()
-        exchange = TuningDatabase()
-        assert pool._recover_shard_store(1, exchange) == 2
-        assert len(exchange) == 2
-        assert pool.stats.records_recovered == 2
-
-    def test_parent_recovery_tolerates_missing_and_corrupt_logs(self, tmp_path):
-        pool = TuningWorkerPool(
-            num_workers=2, use_processes=False, store_dir=str(tmp_path)
-        )
-        pool._reset_accounting()
-        exchange = TuningDatabase()
-        # Missing log: the worker died before its first put.
-        assert pool._recover_shard_store(0, exchange) == 0
-        # Corrupt log: counted as poisoned, never crashes the parent.
-        with open(pool._shard_store_path(1), "w", encoding="utf-8") as fh:
-            fh.write('{"format": 1, "kind": "log"}\n{"rev": torn\n{"rev": 2}\n')
-        assert pool._recover_shard_store(1, exchange) == 0
-        assert pool.stats.poisoned_envelopes == 1
-        assert pool.stats.records_recovered == 0
+        assert _canonical(databases["memory"]) == _canonical(databases["log"])
+        # Every record the shards streamed into the shared database is in
+        # its log.
+        databases["log"].close()
+        reopened = TuningDatabase(path=tmp_path / "exchange.log")
+        assert _canonical(reopened) == _canonical(databases["memory"])
+        reopened.close()
 
 
 class TestFacade:
     def test_put_and_lookup_identity_with_log_backend(self, tmp_path):
-        db = TuningDatabase(store=LogStore(tmp_path / "db.log"))
+        db = TuningDatabase(path=tmp_path / "db.log")
         fast, slow = _record(time_seconds=1e-3), _record(time_seconds=2e-3)
         assert db.put(fast) is fast
         assert db.put(slow) is fast
         assert db.lookup(LAYER, V100, "direct") is fast
         db.close()
 
-    def test_store_and_path_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            TuningDatabase(
-                path=tmp_path / "a.json", store=JsonMapStore(path=tmp_path / "b.json")
-            )
-
-    def test_save_without_path_snapshots_the_backend(self, tmp_path):
+    def test_save_without_path_compacts_the_log(self, tmp_path):
         path = tmp_path / "db.log"
-        db = TuningDatabase(store=LogStore(path))
+        db = TuningDatabase(path=path)
         db.put(_record())
-        assert db.save() == str(path) + ".snap"
+        assert db.save() == str(path)
+        assert os.path.exists(str(path) + ".snap")
+        assert db.describe()["store"]["log_entries"] == 0
         db.close()
 
+    def test_save_to_its_own_path_compacts_the_log(self, tmp_path):
+        # A map exported over the live log would drop every later put when
+        # the database is reopened.
+        path = tmp_path / "db.json"
+        db = TuningDatabase(path=path)
+        db.put(_record())
+        assert db.save(path) == str(path)
+        db.put(_record(params=SMALL))
+        db.close()
+        assert len(TuningDatabase(path=path)) == 2
+
     def test_save_with_explicit_path_exports_portable_map(self, tmp_path):
-        db = TuningDatabase(store=LogStore(tmp_path / "db.log"))
+        db = TuningDatabase(path=tmp_path / "db.log")
         db.put(_record())
         exported = db.save(tmp_path / "export.json")
         loaded = TuningDatabase.load(exported)
@@ -580,7 +544,7 @@ class TestFacade:
     def test_engine_results_flow_through_store(self, tmp_path):
         from repro.core.autotune import AutoTuningEngine
 
-        db = TuningDatabase(store=LogStore(tmp_path / "db.log"))
+        db = TuningDatabase(path=tmp_path / "db.log")
         result = AutoTuningEngine(
             SMALL, V100, "direct", max_measurements=8, seed=1, database=db
         ).tune()
@@ -588,7 +552,7 @@ class TestFacade:
         db.close()
         # The tuned record survives the process: a fresh engine on a
         # recovered database is served from cache with zero measurements.
-        recovered = TuningDatabase(store=LogStore(tmp_path / "db.log"))
+        recovered = TuningDatabase(path=tmp_path / "db.log")
         again = AutoTuningEngine(
             SMALL, V100, "direct", max_measurements=8, seed=1, database=recovered
         ).tune()

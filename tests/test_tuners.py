@@ -21,9 +21,11 @@ from repro.core.autotune import (
     feature_matrix,
 )
 from repro.gpusim import V100
+from repro.service import TUNERS, TuningRequest
 
 # A small layer keeps the tuning tests fast while leaving a non-trivial space.
 LAYER = ConvParams.square(13, 64, 96, kernel=3, stride=1, padding=1)
+SMALL = ConvParams.square(8, 16, 32, kernel=3, stride=1, padding=1)
 BUDGET = 60
 
 
@@ -128,6 +130,36 @@ class TestTuningResult:
     def test_measurements_to_reach_empty_is_zero(self):
         r = TuningResult(tuner="x", params=LAYER, gpu="V100")
         assert r.measurements_to_reach(0.99) == 0
+
+
+class TestConvergenceCurve:
+    """Figure 11's curve ranks trials by time, as the tuner's best trial
+    does, in direct-equivalent GFLOP/s, so it can never end above the
+    throughput of the configuration the tuner returns."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("algorithm", ["direct", "winograd"])
+    @pytest.mark.parametrize("tuner", TUNERS)
+    def test_curve_ends_at_the_returned_best(self, tuner, algorithm, seed):
+        request = TuningRequest(
+            SMALL,
+            V100,
+            algorithm=algorithm,
+            max_measurements=24,
+            seed=seed,
+            pruned=tuner != "tvm_style",
+            tuner=tuner,
+        )
+        result = request.tune_direct()
+        curve = result.best_gflops_curve()
+        assert len(curve) == result.num_measurements
+        assert curve == sorted(curve)
+        assert curve[-1] == SMALL.flops / result.best_time / 1e9
+        if algorithm == "direct":
+            assert curve[-1] == result.best_gflops
+        # The curve first reaches its end at the returned best trial.
+        reached = result.trials[result.measurements_to_reach(1.0) - 1]
+        assert reached.time_seconds == result.best_time
 
 
 class TestAutoTuningEngine:

@@ -36,6 +36,7 @@ import pytest
 
 from repro.conv import ConvParams
 from repro.core.autotune import LogStore, TuningDatabase
+from repro.core.autotune import database as database_module
 from repro.core.autotune.store import TuningDatabaseError
 from repro.gpusim import V100
 from repro.obs import FakeClock, MonotonicClock, Observability
@@ -617,8 +618,15 @@ class TestCrashRecovery:
         self, tmp_path, monkeypatch
     ):
         # One failed durable put fails only its own run: the store cuts the
-        # line back off its file and takes the next put.
-        database = TuningDatabase(store=LogStore(tmp_path / "db.log", fsync_appends=True))
+        # line back off its file and takes the next put.  The database is
+        # built on an fsync'ing log, so a failed fsync is a failed put.
+        monkeypatch.setattr(
+            database_module,
+            "LogStore",
+            lambda path: LogStore(path, fsync_appends=True),
+        )
+        database = TuningDatabase(path=tmp_path / "db.log")
+        monkeypatch.undo()
         daemon = TuningDaemon(tmp_path / "j.log", database=database)
         first, second = (
             dataclasses.replace(_request(budget=8), params=SMALL.with_batch(b), pruned=True)
@@ -633,8 +641,31 @@ class TestCrashRecovery:
         daemon.run_until_idle()
         assert daemon.status(rid)["state"] == "done"
         daemon.kill()
-        reopened = TuningDatabase.open(tmp_path / "db.log")
+        reopened = TuningDatabase(path=tmp_path / "db.log")
         assert [record.params for record in reopened.records()] == [second.params]
+
+    def test_killed_daemon_keeps_its_database(self, tmp_path):
+        # The database at a path is a record log, appended to as each run
+        # finishes: a SIGKILL before any drain loses none of its records.
+        path = tmp_path / "tuning.json"
+        request = TuningRequest(SMALL, V100, max_measurements=8, seed=1)
+        daemon = TuningDaemon(tmp_path / "j1.log", database=TuningDatabase(path=path))
+        rid = daemon.submit(request)
+        daemon.run_until_idle()
+        assert daemon.status(rid)["state"] == "done"
+        assert daemon.backend.stats.measurements == 8
+        daemon.kill()
+
+        # A fresh journal: only the database can answer the same problem.
+        restarted = TuningDaemon(
+            tmp_path / "j2.log", database=TuningDatabase(path=path)
+        )
+        rid = restarted.submit(dataclasses.replace(request, seed=2))
+        restarted.run_until_idle()
+        assert result_from_wire(restarted.result(rid)).from_cache
+        assert restarted.backend.stats.measurements == 0
+        assert restarted.database.hits == 1
+        restarted.close()
 
     def test_restart_twice_equals_restart_once(self, tmp_path):
         daemon = TuningDaemon(tmp_path / "j.log")

@@ -184,26 +184,32 @@ class TestDefaultLocation:
 
     def test_explicit_path_through_a_file_raises(self, tmp_path, monkeypatch):
         # $REPRO_TUNING_DB nests the database under something that is a
-        # *file*: save() could never create the directories, so default()
-        # must refuse up front rather than lose a whole run's results at
-        # the final save.
+        # *file*: the log can never be created there, so default() must
+        # refuse up front rather than tune into a database it cannot keep.
         blocker = tmp_path / "blocker.txt"
         blocker.write_text("in the way")
         monkeypatch.setenv("REPRO_TUNING_DB", str(blocker / "nested" / "db.json"))
-        with pytest.raises(TuningDatabaseError, match="not a writable directory"):
+        with pytest.raises(TuningDatabaseError, match="REPRO_TUNING_DB"):
             TuningDatabase.default()
+        assert blocker.read_text() == "in the way"
+        assert os.listdir(tmp_path) == ["blocker.txt"]
 
     def test_explicit_unwritable_ancestor_raises(self, tmp_path, monkeypatch):
         target = tmp_path / "missing" / "deeper" / "db.json"
         monkeypatch.setenv("REPRO_TUNING_DB", str(target))
-        real_access = os.access
-        monkeypatch.setattr(
-            os,
-            "access",
-            lambda p, mode: False if str(p) == str(tmp_path) else real_access(p, mode),
-        )
-        with pytest.raises(TuningDatabaseError, match="not a writable directory"):
+        # The suite runs as root in CI containers, where a chmod'ed
+        # directory still accepts writes, so the refusal is injected.
+        real_makedirs = os.makedirs
+
+        def makedirs(name, *args, **kwargs):
+            if str(name).startswith(str(tmp_path)):
+                raise PermissionError(13, "Permission denied", str(name))
+            return real_makedirs(name, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", makedirs)
+        with pytest.raises(TuningDatabaseError, match="REPRO_TUNING_DB"):
             TuningDatabase.default()
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
         "payload",
@@ -226,6 +232,96 @@ class TestDefaultLocation:
     def test_save_without_path_raises(self):
         with pytest.raises(ValueError):
             TuningDatabase().save()
+
+
+def _legacy_map(form, records):
+    """A JSON map as earlier builds saved it at the database path: the
+    format-1 export, or the older bare ``{"version": 1, ...}`` form."""
+    payload = {"version": 1, "records": [r.to_dict() for r in records]}
+    if form == "format-1":
+        payload.update(format=1, kind="map")
+    return json.dumps(payload, indent=1, sort_keys=True)
+
+
+def _canonical(db):
+    return sorted(
+        (r.key(), r.conditions(), r.time_seconds, r.config.key(), r.budget)
+        for r in db.records()
+    )
+
+
+@pytest.mark.parametrize("form", ["format-1", "version-1"])
+class TestLegacyMapMigration:
+    """A map at ``$REPRO_TUNING_DB`` (or the implicit cache path) becomes a
+    record log in place, with no record lost to any crash on the way."""
+
+    RECORDS = (
+        _record(),
+        _record(params=SMALL, algorithm="winograd", time_seconds=5e-4, budget=16),
+    )
+
+    def _setup(self, tmp_path, monkeypatch, form):
+        target = tmp_path / "db.json"
+        target.write_text(_legacy_map(form, self.RECORDS))
+        monkeypatch.setenv("REPRO_TUNING_DB", str(target))
+        return target
+
+    def test_default_converts_the_map_to_a_log(self, tmp_path, monkeypatch, form):
+        target = self._setup(tmp_path, monkeypatch, form)
+        db = TuningDatabase.default()
+        assert db.describe()["store"]["kind"] == "log"
+        assert json.loads(target.read_text().splitlines()[0])["kind"] == "log"
+        for record in self.RECORDS:
+            assert db.lookup(record.params, record.gpu, record.algorithm) == record
+        added = _record(params=LAYER.with_batch(4))
+        db.put(added)  # appended to the log, no save needed
+        db.close()
+        reopened = TuningDatabase.default()
+        assert _canonical(reopened) == _canonical(TuningDatabase([*self.RECORDS, added]))
+        reopened.close()
+
+    def test_fault_before_the_replace_leaves_the_map(self, tmp_path, monkeypatch, form):
+        target = self._setup(tmp_path, monkeypatch, form)
+        before = target.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                os, "replace", lambda *a: (_ for _ in ()).throw(OSError("power cut"))
+            )
+            with pytest.raises(TuningDatabaseError, match="REPRO_TUNING_DB"):
+                TuningDatabase.default()
+        assert target.read_bytes() == before
+        assert os.listdir(tmp_path) == ["db.json"]  # no temp file left behind
+        db = TuningDatabase.default()  # the next open converts it
+        assert _canonical(db) == _canonical(TuningDatabase(self.RECORDS))
+        db.close()
+
+    def test_fault_after_the_replace_leaves_a_whole_log(self, tmp_path, monkeypatch, form):
+        from repro.core.autotune import store as store_module
+
+        target = self._setup(tmp_path, monkeypatch, form)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                store_module.AppendLog,
+                "recover",
+                lambda *a, **k: (_ for _ in ()).throw(OSError("killed")),
+            )
+            with pytest.raises(TuningDatabaseError, match="REPRO_TUNING_DB"):
+                TuningDatabase.default()
+        assert json.loads(target.read_text().splitlines()[0])["kind"] == "log"
+        db = TuningDatabase.default()
+        assert _canonical(db) == _canonical(TuningDatabase(self.RECORDS))
+        db.close()
+
+    def test_load_inverts_the_export(self, tmp_path, monkeypatch, form):
+        self._setup(tmp_path, monkeypatch, form)
+        db = TuningDatabase.default()
+        exported = db.save(tmp_path / "export.json")
+        loaded = TuningDatabase.load(exported)
+        assert loaded.path is None  # an import remembers no path
+        assert _canonical(loaded) == _canonical(db)
+        for record in self.RECORDS:
+            assert loaded.lookup(record.params, record.gpu, record.algorithm) == record
+        db.close()
 
 
 class TestAtomicSave:
