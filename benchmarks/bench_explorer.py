@@ -15,6 +15,11 @@ column-wise feature matrix must be bit-identical to the per-row path, and the
 vectorised explorer's best-found runtime at equal measurement budget must be
 no worse than the scalar explorer's (≤5% in the mean) across a seed grid.
 The ≥5x propose() speedup floor is soft under ``BENCH_SPEEDUP_SOFT=1``.
+
+A second benchmark times ``SearchSpace.size()``, which every fresh tuning
+session calls to fill ``TuningResult.space_size``, against the enumerating
+loop it replaced (``tests/space_oracle.py``) over the 348 zoo spaces.  Equal
+counts always gate; the ``count_speedup`` floor is in ``bench_baseline.json``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import os
 import random
 import statistics
+import sys
 import warnings
 
 import numpy as np
@@ -43,6 +49,12 @@ from repro.core.autotune import (
     feature_matrix,
     feature_vector,
 )
+
+# The enumerating count lives with the tests, not in src/.
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
+from tests.space_oracle import oracle_size, zoo_spaces  # noqa: E402
 
 PARAMS = ConvParams.square(28, 128, 128, kernel=3, stride=1, padding=1)
 NUM_WALKERS = 256
@@ -183,3 +195,43 @@ def test_explorer_speedup(benchmark, gpu_v100):
             warnings.warn(message, stacklevel=2)
         else:
             pytest.fail(message)
+
+
+def run_count_benchmark():
+    """Best-of-``ROUNDS`` seconds for ``size()`` and for the oracle loop over
+    every zoo space; every round checks that the counts are equal."""
+    best = {"count": float("inf"), "oracle": float("inf")}
+    for _ in range(ROUNDS):
+        counts = {}
+        for name, fn in (("count", SearchSpace.size), ("oracle", oracle_size)):
+            # Fresh spaces every round: size() memoises per instance.
+            spaces = zoo_spaces()
+            start = _CLOCK.now()
+            counts[name] = [fn(space) for space in spaces]
+            best[name] = min(best[name], _CLOCK.now() - start)
+        # Hard gate: the closed-form count equals the enumeration everywhere.
+        assert counts["count"] == counts["oracle"], (
+            "SearchSpace.size() diverges from the enumerating oracle"
+        )
+    return len(spaces), best["count"], best["oracle"]
+
+
+@pytest.mark.benchmark(group="explorer")
+def test_space_count_speedup(benchmark):
+    num_spaces, t_count, t_oracle = benchmark.pedantic(
+        run_count_benchmark, rounds=1, iterations=1
+    )
+    count_speedup = t_oracle / t_count
+    emit(
+        f"SearchSpace.size() over {num_spaces} zoo spaces: {t_count * 1e3:.1f} ms "
+        f"vs {t_oracle * 1e3:.0f} ms for the enumerating loop "
+        f"({count_speedup:.0f}x, best of {ROUNDS})"
+    )
+    write_bench_json(
+        "search_space",
+        num_spaces=num_spaces,
+        rounds=ROUNDS,
+        count_seconds=t_count,
+        oracle_seconds=t_oracle,
+        count_speedup=count_speedup,
+    )

@@ -62,8 +62,9 @@ def test_fig10_batched_direct_conv(benchmark, gpu_1080ti, per_block_elements):
     mean = sum(speedups) / len(speedups)
     emit(f"Figure 10 mean batched speedup: {mean:.2f}x (paper reports 1.51x)")
     # Shape checks: the dataflow wins on every batched configuration, as in the
-    # paper; note the simulator shows a flatter size trend than the paper's
-    # hardware because batching already saturates input reuse in the model
-    # (recorded as a deviation in EXPERIMENTS.md).
+    # paper.  Deviation from the paper: the simulator's speedup varies less
+    # with the feature-map size than the paper's hardware does, because in
+    # the model batching already saturates input reuse.  So the size trend
+    # is not asserted.
     assert mean > 1.0
     assert all(s > 1.0 for s in speedups)

@@ -80,8 +80,9 @@ def test_fig11_tuner_convergence(benchmark, gpu_v100):
         + f", cuDNN: {cudnn_gflops:.0f}"
     )
     # The ATE ends above the cuDNN baseline and within a small margin of the
-    # best TVM-style method (per-seed variance at this 96-measurement budget
-    # is recorded in EXPERIMENTS.md).
+    # best TVM-style method.  This single-seed check fails at seed 11; ROADMAP
+    # item 1 plans to replace it with a claim over seeds 0-19, measured
+    # against the exhaustive optimum.
     assert ate.best_gflops >= max(o.best_gflops for o in others) * 0.85
     assert ate.best_gflops > cudnn_gflops
     # And it converges sooner (fewer measurements to reach 95% of its final value

@@ -15,11 +15,14 @@ TVM-style tuner explores; ``pruned=True`` applies the constraints above.
 Table 2's "Size of Search Space" columns are ``SearchSpace.size()`` of the
 two variants.
 
-The space is a **frozen** dataclass: the option tables and the ``size()``
-memo are derived from ``params``/``spec``/``algorithm``/``pruned`` once in
-``__post_init__``, so mutating those fields afterwards would silently serve
-stale tables.  Freezing turns that staleness hazard into an immediate
-``FrozenInstanceError``; build a new space instead of mutating one.
+The space is a **frozen** dataclass: the option tables are derived from
+``params``/``spec``/``algorithm``/``pruned`` once in ``__post_init__``, and
+``size()`` counts the space from those tables in closed form (Table 1's
+tile mask times each tile's count of thread shapes, with no enumeration),
+memoising the count on first use.  Mutating those fields afterwards would
+silently serve stale tables and a stale count.  Freezing turns that
+staleness hazard into an immediate ``FrozenInstanceError``; build a new
+space instead of mutating one.
 
 Next to the scalar operations (``random_configuration``, ``neighbor``,
 ``contains``) the space exposes their array-at-a-time twins over
@@ -37,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +116,8 @@ class SearchSpace:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == "winograd" and not self.params.winograd_compatible():
             raise ValueError("Winograd space requested for a non-Winograd problem")
+        if self.algorithm == "winograd" and not self.e_options:
+            raise ValueError("a Winograd space needs at least one e option")
         # The dataclass is frozen (see the module docstring): derived state is
         # written once here via object.__setattr__ and never invalidated.
         set_ = partial(object.__setattr__, self)
@@ -170,7 +175,7 @@ class SearchSpace:
         if self.algorithm != "winograd":
             return 1.0
         r = self.params.ker_height
-        e = min(self._e_opts) if hasattr(self, "_e_opts") and self._e_opts else min(self.e_options)
+        e = min(self._e_opts)
         t = e + r - 1
         return 2.0 * t * t / (e * e)
 
@@ -194,48 +199,57 @@ class SearchSpace:
         return tx * ty * tz <= min(self.max_threads_per_block, self.spec.max_threads_per_block)
 
     # ------------------------------------------------------------------ #
-    # Size and iteration
+    # Size
     # ------------------------------------------------------------------ #
     def size(self) -> int:
-        """Number of configurations in the space (computed exactly).
+        """Number of configurations in the space, counted exactly.
 
-        The full enumeration is expensive for unpruned spaces, so the count
-        is memoised: every tuning run, result record and benchmark that asks
-        for the size of the same space pays for the enumeration at most once.
+        Every tuning result reports it (``TuningResult.space_size``), so a
+        fresh session asks for it once.  The count is closed-form over the
+        option tables (:meth:`_compute_size`): a few NumPy calls, however
+        many configurations the space holds.  It is memoised per instance.
         """
         if self._size is None:
             object.__setattr__(self, "_size", self._compute_size())
         return self._size
 
     def _compute_size(self) -> int:
-        total = 0
-        per_layout_order_unroll = len(self._layouts) * len(self._orders) * len(self._unrolls)
-        for smem in self._smem_opts:
-            for _e in self._e_opts:
-                for x in self._tile_x_opts:
-                    tx_opts = _thread_options(x)
-                    for y in self._tile_y_opts:
-                        ty_opts = _thread_options(y)
-                        for z in self._tile_z_opts:
-                            if not self._tile_ok(x, y, z, smem):
-                                continue
-                            tz_opts = _thread_options(z)
-                            thread_combos = sum(
-                                1
-                                for tx in tx_opts
-                                for ty in ty_opts
-                                for tz in tz_opts
-                                if self._thread_ok(tx, ty, tz)
-                            )
-                            total += thread_combos * per_layout_order_unroll
-        return total
+        """Count the configurations :meth:`contains` accepts, without
+        enumerating them.
 
-    def iter_tiles(self, smem: int) -> Iterator[Tuple[int, int, int]]:
-        for x in self._tile_x_opts:
-            for y in self._tile_y_opts:
-                for z in self._tile_z_opts:
-                    if self._tile_ok(x, y, z, smem):
-                        yield (x, y, z)
+        Whether a tile fits (:meth:`tile_ok_mask`) depends on the shared
+        memory but not on ``e``: the Winograd overhead is sized by the
+        smallest ``e``.  Which thread shapes fit (:meth:`thread_ok_mask`)
+        depends on the tile alone, and layout, loop order and unroll are
+        unconstrained.  So the size is the sum over (smem, tile) of
+        ``tile_ok * threads(tile)``, times the other knobs' option counts.
+        """
+        free = len(self._e_opts) * len(self._layouts) * len(self._orders) * len(self._unrolls)
+        x, y, z = self._tile_arrs
+        tile_ok = self.tile_ok_mask(
+            x[:, None, None],
+            y[None, :, None],
+            z[None, None, :],
+            self._smem_arr[:, None, None, None],
+        )
+        # threads[i, j, k]: thread triples of tile (x_i, y_j, z_k) with
+        # tx*ty*tz <= limit, i.e. tx*ty <= limit // tz.  Values above the
+        # limit, the _PAD sentinels among them, are clamped to limit + 1
+        # first: they fail alike, and two pads multiplied overflow int64.
+        limit = max(0, min(self.max_threads_per_block, self.spec.max_threads_per_block))
+        tx, ty, tz = (np.minimum(table, limit + 1) for table, _ in self._thread_tables)
+        pairs = np.minimum(tx[:, None, :, None] * ty[None, :, None, :], limit + 1)
+        pairs = np.sort(pairs.reshape(x.size * y.size, -1), axis=1)
+        # One searchsorted counts every (x, y) row: row r's values, all in
+        # 1..limit + 1, move to the r-th block of limit + 1 integers, so the
+        # flattened rows stay sorted and each query stays in its own row.
+        rows = np.arange(x.size * y.size, dtype=np.int64)[:, None, None]
+        shift = rows * (limit + 1)
+        ends = np.searchsorted(
+            (pairs + shift[:, :, 0]).ravel(), shift + limit // tz, side="right"
+        )
+        threads = (ends - rows * pairs.shape[1]).sum(axis=2)
+        return int((tile_ok * threads.reshape(tile_ok.shape[1:])).sum()) * free
 
     # ------------------------------------------------------------------ #
     # Membership
@@ -379,13 +393,13 @@ class SearchSpace:
     ) -> np.ndarray:
         """Vectorised :meth:`_tile_ok`: Table 1's tile constraints per row.
 
-        Uses the same float arithmetic (``math.sqrt`` and ``np.sqrt`` are both
-        correctly rounded), so the mask agrees with the scalar predicate on
-        every row.
+        Uses the same float arithmetic in the same order (``math.sqrt`` and
+        ``np.sqrt`` are both correctly rounded), so the mask agrees with the
+        scalar predicate on every row.
         """
         sb_elements = smem // self.spec.dtype_size
         overhead = self._capacity_per_output()
-        ok = ~(overhead * (x * y * z) > sb_elements)
+        ok = ~(overhead * x * y * z > sb_elements)
         if self.pruned:
             r = self.params.reuse_factor
             ok &= ~(z > np.sqrt(sb_elements / r))

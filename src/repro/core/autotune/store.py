@@ -37,7 +37,7 @@ import contextlib
 import dataclasses
 import json
 import os
-import tempfile
+import stat
 import threading
 from typing import IO, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -270,6 +270,21 @@ def resolve_record(
 
 
 # -- shared on-disk helpers --------------------------------------------- #
+def _create_temp(path: str) -> Tuple[int, str]:
+    """Create and open a new temp file beside ``path``: ``(fd, temp path)``.
+
+    The file is created with mode 0666, which the kernel masks with the
+    process umask exactly as ``open()`` does for a new file
+    (``tempfile.mkstemp`` would always give 0600).
+    """
+    while True:
+        tmp_path = f"{path}.{os.urandom(4).hex()}.tmp"
+        try:
+            return os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp_path
+        except FileExistsError:
+            continue
+
+
 def _atomic_write(path: str, write: Callable[[IO[str]], object], fsync: bool = False) -> str:
     """Write a file at ``path`` through ``write(fh)``, via temp file +
     ``os.replace``.
@@ -278,14 +293,19 @@ def _atomic_write(path: str, write: Callable[[IO[str]], object], fsync: bool = F
     any previous file intact; ``fsync=True`` additionally forces the bytes
     to stable storage before the rename (crash-recovery snapshots must not
     evaporate on power loss).  Parent directories are created as needed.
+    A file that replaces an existing one keeps its permission bits; a new
+    one gets the mode ``open()`` would give it.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    fd, tmp_path = _create_temp(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             write(fh)
             if fsync:
                 fh.flush()

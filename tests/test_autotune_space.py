@@ -1,11 +1,14 @@
 """Tests for configurations, search spaces and feature extraction."""
 
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.conv import ConvParams, Layout
 from repro.core.autotune import (
+    ConfigArray,
     Configuration,
     FEATURE_NAMES,
     Measurer,
@@ -14,7 +17,8 @@ from repro.core.autotune import (
     feature_matrix,
     feature_vector,
 )
-from repro.gpusim import V100
+from repro.gpusim import GTX_1080TI, V100
+from tests.space_oracle import oracle_configs, oracle_size, zoo_spaces
 
 
 @pytest.fixture
@@ -26,6 +30,47 @@ def conv3():
 @pytest.fixture
 def direct_space(conv3):
     return SearchSpace(conv3, V100, "direct", pruned=True)
+
+
+@st.composite
+def _spaces(draw):
+    """Search spaces over small generated problems: odd and prime extents,
+    1x1/3x3/5x5 kernels, strides 1 and 2, both GPUs (sometimes with small
+    shared memory and a low thread limit), ``max_threads_per_block`` at 16,
+    64 and 1024, and custom Winograd ``e_options``."""
+    kernel = draw(st.sampled_from((1, 3, 5)))
+    stride = draw(st.sampled_from((1, 2)))
+    params = ConvParams(
+        in_height=draw(st.integers(kernel, 32)),
+        in_width=draw(st.integers(kernel, 32)),
+        in_channels=draw(st.integers(1, 8)),
+        out_channels=draw(st.integers(1, 48)),
+        ker_height=kernel,
+        ker_width=kernel,
+        stride=stride,
+        padding=draw(st.integers(0, kernel // 2)),
+    )
+    spec = draw(st.sampled_from((GTX_1080TI, V100)))
+    if draw(st.booleans()):
+        spec = dataclasses.replace(
+            spec,
+            shared_mem_per_sm=draw(st.integers(256, 64 * 1024)),
+            max_threads_per_block=draw(st.sampled_from((8, 48, 256))),
+        )
+    algorithm = "direct"
+    e_options = (2, 3, 4)
+    if params.winograd_compatible():
+        algorithm = draw(st.sampled_from(("winograd", "direct")))
+        custom = st.lists(st.integers(2, 6), min_size=1, max_size=3, unique=True)
+        e_options = tuple(draw(st.one_of(st.just(e_options), custom)))
+    return SearchSpace(
+        params,
+        spec,
+        algorithm,
+        pruned=draw(st.booleans()),
+        e_options=e_options,
+        max_threads_per_block=draw(st.sampled_from((16, 64, 1024))),
+    )
 
 
 def _config(**kw):
@@ -188,8 +233,71 @@ class TestSearchSpace:
         with pytest.raises(ValueError):
             SearchSpace(strided_params, V100, "winograd")
 
+    def test_winograd_space_rejects_empty_e_options(self, conv3):
+        with pytest.raises(ValueError, match="e option"):
+            SearchSpace(conv3, V100, "winograd", e_options=())
+
     def test_describe(self, direct_space):
         assert "pruned" in direct_space.describe()
+
+    def test_size_equals_oracle_on_zoo(self):
+        """The closed-form count equals the enumerating loop on every zoo
+        space: 59 layers x 2 GPUs x (direct, plus Winograd for 3x3 stride 1)
+        x pruned/unpruned."""
+        spaces = zoo_spaces()
+        assert len(spaces) == 348
+        for space in spaces:
+            assert space.size() == oracle_size(space), space.describe()
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=_spaces())
+    @example(space=SearchSpace(ConvParams.square(13, 3, 31, kernel=3, padding=1), V100))
+    @example(space=SearchSpace(
+        ConvParams.square(27, 5, 7, kernel=5, padding=2), GTX_1080TI, "winograd",
+        pruned=True, e_options=(3, 5),
+    ))
+    @example(space=SearchSpace(
+        ConvParams.square(29, 4, 17, kernel=1, stride=2),
+        dataclasses.replace(V100, shared_mem_per_sm=3000, max_threads_per_block=48),
+        pruned=True,
+    ))
+    @example(space=SearchSpace(
+        ConvParams.square(11, 2, 9, kernel=3, stride=2, padding=1), V100,
+        max_threads_per_block=16,
+    ))
+    def test_size_equals_oracle(self, space):
+        """On generated problems the count equals the loop, and on small
+        spaces the loop's configurations number exactly ``size()``, all lie
+        in the space, and none repeats."""
+        size = space.size()
+        assert size == oracle_size(space)
+        if size > 200_000:
+            return
+        chunks = list(oracle_configs(space))
+        assert sum(len(chunk) for chunk in chunks) == size
+        for chunk in chunks:
+            assert space.contains_batch(chunk).all()
+        keys = ConfigArray.concat(chunks).key_matrix()
+        keys = keys[np.lexsort(keys.T)]
+        assert (np.diff(keys, axis=0) != 0).any(axis=1).all()
+
+    def test_tile_mask_agrees_with_scalar_on_an_exact_boundary(self):
+        """With e = 3 and a 3x3 kernel the Winograd overhead 50/9 is inexact,
+        and a 5x3x3 tile in 250 elements sits on the boundary: the mask must
+        round like the scalar predicate, or ``contains_batch`` (and the
+        count) accepts a tile ``contains`` rejects."""
+        params = ConvParams(
+            in_height=3, in_width=5, in_channels=1, out_channels=3, padding=1
+        )
+        spec = dataclasses.replace(V100, shared_mem_per_sm=1000)
+        space = SearchSpace(params, spec, "winograd", e_options=(3,))
+        tile = Configuration(
+            algorithm="winograd", tile_x=5, tile_y=3, tile_z=3,
+            threads_x=1, threads_y=1, threads_z=1, smem_per_block=1000, e=3,
+        )
+        assert not space.contains(tile)
+        assert not space.contains_batch(ConfigArray.from_configs([tile]))[0]
+        assert space.size() == oracle_size(space)
 
 
 class TestFeatures:

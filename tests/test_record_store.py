@@ -12,6 +12,7 @@ streaming pool.
 import json
 import os
 import random
+import stat
 import threading
 import warnings
 
@@ -28,7 +29,7 @@ from repro.core.autotune import (
 from repro.core.autotune.store import FORMAT_VERSION
 from repro.gpusim import V100
 from repro.obs import MetricsRegistry, format_describe
-from repro.service import TuningRequest, TuningService, TuningWorkerPool
+from repro.service import RequestJournal, TuningRequest, TuningService, TuningWorkerPool
 
 LAYER = ConvParams.square(13, 64, 96, kernel=3, stride=1, padding=1)
 SMALL = ConvParams.square(8, 16, 32, kernel=3, stride=1, padding=1)
@@ -290,6 +291,58 @@ class TestLogStoreDurability:
         assert not errors
         assert len(db) == 200
         db.close()
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+class TestFileModes:
+    """Every file the store and the journal write is installed by renaming a
+    temp file over it.  A new file must get the mode ``open()`` gives it
+    under the umask, and a replaced file must keep its permission bits."""
+
+    def test_new_files_get_the_umask_default(self, tmp_path, umask_022):
+        db = TuningDatabase(path=tmp_path / "db.log")  # installs the header
+        db.put(_record())
+        db.save()  # compaction: the snapshot, then a log reset
+        export = db.save(tmp_path / "export.json")  # map export
+        journal = RequestJournal(tmp_path / "journal.log")
+        journal.accept("rid", {})
+        journal.snapshot()
+        for path in (db.path, db.path + ".snap", export, journal.path,
+                     str(tmp_path / "journal.log.snap")):
+            assert _mode(path) == 0o644, path
+        db.close()
+        journal.close()
+
+    def test_replaced_files_keep_their_mode(self, tmp_path, umask_022):
+        db = TuningDatabase(path=tmp_path / "db.log")
+        db.put(_record())
+        db.save()
+        export = db.save(tmp_path / "export.json")
+        for path, mode in ((db.path, 0o640), (db.path + ".snap", 0o604), (export, 0o660)):
+            os.chmod(path, mode)
+        db.put(_record(params=SMALL))
+        db.save()
+        db.save(export)
+        assert (_mode(db.path), _mode(db.path + ".snap"), _mode(export)) == (0o640, 0o604, 0o660)
+        db.close()
+        # A map opened as the database is converted to a log in place.
+        os.chmod(export, 0o640)
+        converted = TuningDatabase(path=export)
+        assert converted.describe()["store"]["kind"] == "log"
+        assert _mode(export) == 0o640
+        converted.close()
 
 
 class TestFormatVersioning:
