@@ -17,8 +17,8 @@ from .space import SearchSpace
 from .features import FEATURE_NAMES, FeatureCache, feature_matrix, feature_vector
 from .cost_model import CostModel, GradientBoostedTrees, RegressionTree
 from .explorer import ExplorerConfig, ParallelRandomWalkExplorer, ScalarRandomWalkExplorer
-from .session import TrialRecord, TuningResult, TuningSessionProtocol, record_trial
-from .engine import AutoTuningEngine, TuningSession
+from .session import TrialRecord, Tuner, TuningResult, TuningSession, record_trial
+from .engine import AutoTuningEngine
 from .database import (
     RecordEnvelope,
     TuningDatabase,
@@ -28,7 +28,6 @@ from .database import (
 )
 from .store import LogStore
 from .baselines import (
-    BaselineSession,
     BaselineTuner,
     GeneticTuner,
     ParallelTemperingSATuner,
@@ -63,11 +62,10 @@ __all__ = [
     "ScalarRandomWalkExplorer",
     "AutoTuningEngine",
     "TrialRecord",
+    "Tuner",
     "TuningResult",
     "TuningSession",
-    "TuningSessionProtocol",
     "record_trial",
-    "BaselineSession",
     "BaselineTuner",
     "GeneticTuner",
     "ParallelTemperingSATuner",

@@ -15,16 +15,14 @@ TVM-style tuner over the *unpruned* configuration space:
 Every tuner returns the same :class:`~repro.core.autotune.session.TuningResult`
 structure so the benchmarks can compare convergence curves directly.
 
-**Step-wise sessions.**  Like the engine, every baseline runs as a resumable
-session implementing the
-:class:`~repro.core.autotune.session.TuningSessionProtocol` — the search loop
-is written once as a generator (:meth:`BaselineTuner._search`) that yields
-proposal batches and receives the corresponding
-:class:`~repro.core.autotune.session.TrialRecord` lists back, and
-:class:`BaselineSession` adapts that generator to the strict
-``propose()``/``update()`` alternation.  ``tune()`` is the thin synchronous
-driver (measure each batch with the tuner's own
-:meth:`~repro.core.autotune.config.Measurer.measure_batch`); the concurrent
+**Step-wise sessions.**  Like the engine, every baseline is a
+:class:`~repro.core.autotune.session.Tuner`: its search loop is written once
+as a generator (:meth:`BaselineTuner._search`) that yields proposal batches
+and receives the corresponding
+:class:`~repro.core.autotune.session.TrialRecord` lists back, the one
+:class:`~repro.core.autotune.session.TuningSession` runs it step-wise, and
+the inherited ``tune()`` drives that session with the tuner's own
+:meth:`~repro.core.autotune.config.Measurer.measure_batch`.  The concurrent
 :class:`~repro.service.TuningService` drives the very same sessions, packing
 their batches into shared executor calls — both produce bit-identical
 trajectories because all randomness lives in the generator and is consumed
@@ -35,15 +33,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Generator, List, Optional, Sequence
+from typing import List, Sequence
 
-from ...conv.tensor import ConvParams
-from ...gpusim.executor import ExecutionResult
-from ...gpusim.spec import GPUSpec
-from .config import Configuration, Measurer
+from .config import Configuration
 from .engine import AutoTuningEngine
-from .session import TrialRecord, TuningResult, record_trial
-from .space import SearchSpace
+from .session import SearchGenerator, TrialRecord, Tuner, TuningResult, TuningSession
 
 __all__ = [
     "BaselineSession",
@@ -55,153 +49,28 @@ __all__ = [
     "TVMStyleTuner",
 ]
 
-#: generator type of :meth:`BaselineTuner._search`: yields proposal batches,
-#: receives the matching trial records back.
-SearchGenerator = Generator[List[Configuration], List[TrialRecord], None]
 
+class BaselineSession(TuningSession):
+    """No tuner instantiates this: every tuner runs the one
+    :class:`~repro.core.autotune.session.TuningSession`.
 
-class BaselineSession:
-    """Step-wise session over a baseline tuner's search generator.
-
-    Adapts :meth:`BaselineTuner._search` to the
-    :class:`~repro.core.autotune.session.TuningSessionProtocol`: every batch
-    the generator yields is handed out by :meth:`propose`, and the
-    measurements fed back through :meth:`update` (strict alternation, in
-    proposal order, ``None`` marking infeasible entries) are recorded and
-    returned into the generator.  A session may run to completion exactly
-    once per tuner instance — the tuner's RNG streams are session state.
+    The name stays importable because the end-to-end benchmark's span table
+    (``benchmarks/e2e/spans.py``) wraps ``propose``/``update`` on both
+    ``engine:TuningSession`` and ``baselines:BaselineSession``.  A plain
+    alias would make it wrap the one class twice and trace every session
+    call as two spans; wrapping this empty subclass changes nothing.
     """
 
-    def __init__(self, tuner: "BaselineTuner") -> None:
-        self.tuner = tuner
-        self.result = tuner._new_result()
-        self._finished = False
-        self._awaiting = False
-        self._gen = tuner._search(self.result)
-        self._next = self._advance(None)
 
-    # ------------------------------------------------------------------ #
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
-    def propose(self) -> List[Configuration]:
-        """Next batch of configurations to measure; ``[]`` when finished."""
-        if self._finished:
-            return []
-        if self._awaiting:
-            raise RuntimeError("propose() called before update() of the previous batch")
-        self._awaiting = True
-        return list(self._next)
-
-    def update(
-        self,
-        configs: Sequence[Configuration],
-        executions: Sequence[Optional[ExecutionResult]],
-    ) -> None:
-        """Feed back the measurements of the last proposed batch."""
-        if not self._awaiting:
-            raise RuntimeError("update() called without a pending proposal")
-        if len(configs) != len(executions):
-            raise ValueError("configs and executions must have the same length")
-        self._awaiting = False
-        records = [
-            record_trial(self.result, config, execution)
-            for config, execution in zip(configs, executions)
-        ]
-        self._next = self._advance(records)
-
-    # ------------------------------------------------------------------ #
-    def _advance(self, records: Optional[List[TrialRecord]]) -> List[Configuration]:
-        """Resume the search generator until it yields a non-empty batch.
-
-        An empty yield (a search step that produced nothing to measure) is
-        answered with an empty record list instead of being surfaced — an
-        empty :meth:`propose` batch means *finished* to every driver.
-        """
-        try:
-            batch = self._gen.send(records)
-            while not batch:
-                batch = self._gen.send([])
-        except StopIteration:
-            self._finished = True
-            return []
-        return list(batch)
-
-
-class BaselineTuner:
-    """Common scaffolding for measurement-driven baseline tuners.
+class BaselineTuner(Tuner):
+    """Common base of the measurement-driven baseline tuners.
 
     Subclasses implement exactly one method — the :meth:`_search` generator —
-    and inherit the session machinery, the shared budget bookkeeping
-    (:meth:`_remaining`) and the synchronous :meth:`tune` driver.
+    and inherit everything else from
+    :class:`~repro.core.autotune.session.Tuner`.
     """
 
     name = "baseline"
-
-    def __init__(
-        self,
-        params: ConvParams,
-        spec: GPUSpec,
-        algorithm: str = "direct",
-        max_measurements: int = 256,
-        seed: int = 0,
-        pruned: bool = False,
-        measurer: Optional[Measurer] = None,
-    ) -> None:
-        if max_measurements < 1:
-            raise ValueError("max_measurements must be >= 1")
-        self.params = params
-        self.spec = spec
-        self.algorithm = algorithm
-        self.max_measurements = max_measurements
-        self.seed = seed
-        self.space = SearchSpace(params, spec, algorithm, pruned=pruned)
-        self.measurer = measurer or Measurer(params, spec)
-        self.rng = random.Random(seed)
-
-    # ------------------------------------------------------------------ #
-    def _new_result(self) -> TuningResult:
-        return TuningResult(
-            tuner=self.name,
-            params=self.params,
-            gpu=self.spec.name,
-            space_size=self.space.size(),
-        )
-
-    def _remaining(self, result: TuningResult) -> int:
-        """Measurement budget left — the single bookkeeping rule every
-        search generator loops on (previously duplicated per tuner)."""
-        return self.max_measurements - result.num_measurements
-
-    def _search(self, result: TuningResult) -> SearchGenerator:
-        """The tuner's search loop as a generator: ``records = yield configs``.
-
-        Receives the :class:`TrialRecord` list of each yielded batch (in
-        proposal order); all tuner randomness must be drawn inside, so any
-        faithful driver reproduces the trajectory bit-for-bit.
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    def session(self) -> BaselineSession:
-        """Start the step-wise session (see :class:`BaselineSession`).
-
-        The session borrows the tuner's RNG streams, so at most one session
-        per tuner instance may run to completion; :meth:`tune` is simply a
-        session driven by the tuner's own measurer.
-        """
-        return BaselineSession(self)
-
-    def tune(self) -> TuningResult:
-        """Drive a session to completion with the tuner's own measurer."""
-        session = self.session()
-        while True:
-            batch = session.propose()
-            if not batch:
-                break
-            session.update(batch, self.measurer.measure_batch(batch))
-        return session.result
 
 
 class RandomSearchTuner(BaselineTuner):
@@ -439,10 +308,8 @@ class TVMStyleTuner(AutoTuningEngine):
     tuning service) record their results under the ``"tvm_style"`` name.
     """
 
+    name = "tvm_style"
+
     def __init__(self, *args, **kwargs) -> None:
         kwargs.setdefault("pruned", False)
         super().__init__(*args, **kwargs)
-
-    @property
-    def result_name(self) -> str:
-        return "tvm_style"

@@ -1,47 +1,57 @@
-"""The step-wise tuning-session protocol shared by every tuner.
+"""The one tuning session and the tuner base every search strategy shares.
 
-Every search strategy in this package — the ATE engine and all five baseline
-tuners — runs as a *session*: a resumable object that owns the search state
-(all RNG included) and alternates strictly between
+Every search strategy in this package — the ATE engine (the paper's
+Figure 8 loop, Section 6.1) and all five comparison tuners of Figure 11 —
+is a :class:`Tuner` whose search loop is one generator, ``records = yield
+configs`` (:meth:`Tuner._search`).  A :class:`TuningSession` runs that
+generator step-wise, alternating strictly between
 
-* :meth:`~TuningSessionProtocol.propose` — return the next batch of
-  configurations to measure (``[]`` once the run is finished), and
-* :meth:`~TuningSessionProtocol.update` — receive the measurements of exactly
-  that batch, in proposal order, with ``None`` marking infeasible entries.
+* :meth:`~TuningSession.propose` — resume the search and return the next
+  batch of configurations to measure (``[]`` once the run is finished), and
+* :meth:`~TuningSession.update` — record the measurements of exactly that
+  batch, in proposal order, with ``None`` marking infeasible entries.
 
 The session never measures anything itself, so the *driver* chooses the
-measurement strategy: the synchronous ``tune()`` methods measure each batch
-immediately through the tuner's own
+measurement strategy: :meth:`Tuner.tune` measures each batch immediately
+through the tuner's own
 :meth:`~repro.core.autotune.config.Measurer.measure_batch`, while the
 concurrent :class:`~repro.service.TuningService` interleaves many sessions
 and packs their batches into shared executor calls.  Because a session
 consumes measurements in exactly the order it proposed them and all
-randomness lives inside the session, **any driver that feeds back faithful
-measurements reproduces the synchronous run bit-for-bit** — that equivalence
-is property-tested on full trajectories for every tuner.
+randomness lives in the generator, **any driver that feeds back faithful
+measurements reproduces the synchronous run bit-for-bit** — that
+equivalence is property-tested on full trajectories for every tuner.
 
-This module holds the protocol itself plus the result structures every
-session fills in (:class:`TrialRecord`, :class:`TuningResult`) and the shared
-:func:`record_trial` bookkeeping, so the engine
-(:class:`~repro.core.autotune.engine.TuningSession`) and the baselines
-(:class:`~repro.core.autotune.baselines.BaselineSession`) record trials
-identically.
+This module also holds the result structures every session fills in
+(:class:`TrialRecord`, :class:`TuningResult`) and the :func:`record_trial`
+bookkeeping.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Generator, List, Optional, Sequence
 
 import numpy as np
+
+from .config import Configuration, Measurer
+from .space import SearchSpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...conv.tensor import ConvParams
     from ...gpusim.executor import ExecutionResult
-    from .config import Configuration
+    from ...gpusim.spec import GPUSpec
 
-__all__ = ["TrialRecord", "TuningResult", "TuningSessionProtocol", "record_trial"]
+__all__ = [
+    "SearchGenerator",
+    "TrialRecord",
+    "Tuner",
+    "TuningResult",
+    "TuningSession",
+    "record_trial",
+]
 
 
 @dataclass(frozen=True)
@@ -56,6 +66,11 @@ class TrialRecord:
     @property
     def valid(self) -> bool:
         return np.isfinite(self.time_seconds) and self.time_seconds > 0
+
+
+#: generator type of :meth:`Tuner._search`: yields proposal batches, receives
+#: the matching trial records back.
+SearchGenerator = Generator[List[Configuration], List[TrialRecord], None]
 
 
 @dataclass
@@ -140,7 +155,7 @@ def record_trial(
 
     ``execution is None`` marks an infeasible configuration and is recorded as
     an invalid (infinite-time) trial; every session records trials through
-    this single helper so the engine and the baselines account identically.
+    this single helper, so every tuner accounts identically.
     """
     index = len(result.trials)
     if execution is None:
@@ -158,29 +173,141 @@ def record_trial(
     return record
 
 
-@runtime_checkable
-class TuningSessionProtocol(Protocol):
-    """Structural interface every step-wise tuning session satisfies.
+class TuningSession:
+    """One resumable tuning run over a tuner's search generator.
 
-    Implementations: :class:`~repro.core.autotune.engine.TuningSession` (the
-    ATE / TVM-style engine) and
-    :class:`~repro.core.autotune.baselines.BaselineSession` (random search,
-    simulated annealing, parallel tempering, genetic).  The
-    :class:`~repro.service.TuningService` schedules any mixture of them.
+    Every batch the generator yields is handed out by :meth:`propose`, and
+    the measurements fed back through :meth:`update` (strict alternation, in
+    proposal order, ``None`` marking infeasible entries) are recorded and
+    sent into the generator by the next :meth:`propose`.  So the search
+    step that picks a batch — for the engine, retraining and the explorer —
+    runs inside :meth:`propose`, and :meth:`update` only records.  A session
+    may run to completion exactly once per tuner instance: the tuner's RNG
+    streams and search machinery are session state.
     """
 
-    result: TuningResult
+    def __init__(self, tuner: "Tuner") -> None:
+        self.result = tuner._new_result()
+        self._finished = False
+        self._awaiting = False
+        self._gen = tuner._search(self.result)
+        self._records: Optional[List[TrialRecord]] = None  # sent at the next propose
 
+    # ------------------------------------------------------------------ #
     @property
-    def finished(self) -> bool:  # pragma: no cover - protocol stub
-        ...
+    def finished(self) -> bool:
+        return self._finished
 
-    def propose(self) -> List["Configuration"]:  # pragma: no cover - stub
-        ...
+    def propose(self) -> List[Configuration]:
+        """Next batch of configurations to measure; ``[]`` when finished.
+
+        Resumes the generator until it yields a non-empty batch.  An empty
+        yield (a search step that produced nothing to measure) is answered
+        with an empty record list instead of being surfaced, because an
+        empty batch means *finished* to every driver.
+        """
+        if self._finished:
+            return []
+        if self._awaiting:
+            raise RuntimeError("propose() called before update() of the previous batch")
+        try:
+            batch = self._gen.send(self._records)
+            while not batch:
+                batch = self._gen.send([])
+        except StopIteration:
+            self._finished = True
+            return []
+        self._awaiting = True
+        return list(batch)
 
     def update(
         self,
-        configs: Sequence["Configuration"],
+        configs: Sequence[Configuration],
         executions: Sequence[Optional["ExecutionResult"]],
-    ) -> None:  # pragma: no cover - protocol stub
-        ...
+    ) -> None:
+        """Feed back the measurements of the last proposed batch."""
+        if not self._awaiting:
+            raise RuntimeError("update() called without a pending proposal")
+        if len(configs) != len(executions):
+            raise ValueError("configs and executions must have the same length")
+        self._awaiting = False
+        self._records = [
+            record_trial(self.result, config, execution)
+            for config, execution in zip(configs, executions)
+        ]
+
+
+class Tuner:
+    """Common scaffolding of every tuner: the ATE engine and the baselines.
+
+    Subclasses implement the :meth:`_search` generator and inherit the
+    shared constructor, the budget bookkeeping (:meth:`_remaining`), the
+    step-wise :meth:`session` and the synchronous :meth:`tune` driver.
+    """
+
+    #: recorded in :attr:`TuningResult.tuner`.
+    name = "tuner"
+
+    def __init__(
+        self,
+        params: "ConvParams",
+        spec: "GPUSpec",
+        algorithm: str = "direct",
+        max_measurements: int = 256,
+        seed: int = 0,
+        pruned: bool = False,
+        measurer: Optional[Measurer] = None,
+    ) -> None:
+        if max_measurements < 1:
+            raise ValueError("max_measurements must be >= 1")
+        self.params = params
+        self.spec = spec
+        self.algorithm = algorithm
+        self.max_measurements = max_measurements
+        self.seed = seed
+        self.space = SearchSpace(params, spec, algorithm, pruned=pruned)
+        self.measurer = measurer or Measurer(params, spec)
+        self.rng = random.Random(seed)
+
+    # ------------------------------------------------------------------ #
+    def _new_result(self) -> TuningResult:
+        return TuningResult(
+            tuner=self.name,
+            params=self.params,
+            gpu=self.spec.name,
+            space_size=self.space.size(),
+        )
+
+    def _remaining(self, result: TuningResult) -> int:
+        """Measurement budget left: the one bookkeeping rule every search
+        generator loops on."""
+        return self.max_measurements - result.num_measurements
+
+    def _search(self, result: TuningResult) -> SearchGenerator:
+        """The tuner's search loop as a generator: ``records = yield configs``.
+
+        Receives the :class:`TrialRecord` list of each yielded batch (in
+        proposal order); all tuner randomness must be drawn inside, so any
+        faithful driver reproduces the trajectory bit-for-bit.
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    def session(self) -> TuningSession:
+        """Start the step-wise session (see :class:`TuningSession`).
+
+        The session borrows the tuner's RNG streams, so at most one session
+        per tuner instance may run to completion; :meth:`tune` is simply a
+        session driven by the tuner's own measurer.
+        """
+        return TuningSession(self)
+
+    def tune(self) -> TuningResult:
+        """Drive a session to completion with the tuner's own measurer."""
+        session = self.session()
+        while True:
+            batch = session.propose()
+            if not batch:
+                break
+            session.update(batch, self.measurer.measure_batch(batch))
+        return session.result

@@ -12,9 +12,10 @@ batches:
 * :class:`RequestCoalescer` — identical in-flight requests share one run.
 * :class:`TuningService` — the scheduler: serves database hits at submit
   time, drives every active run's step-wise session (the ATE engine *and*
-  every baseline tuner implement the same
-  :class:`~repro.core.autotune.session.TuningSessionProtocol`), and packs
-  proposal batches from different requests into shared executor calls
+  every baseline tuner run the one
+  :class:`~repro.core.autotune.session.TuningSession` over their search
+  generators), and packs proposal batches from different requests into
+  shared executor calls
   (:meth:`~repro.gpusim.executor.GPUExecutor.run_batch_groups`).
 * :class:`SchedulingPolicy` — which runs propose each round: uniform
   (default), budget-weighted fair share, earliest-deadline-first.
@@ -24,7 +25,10 @@ batches:
   immediately and pushes it down every other shard's sync channel), with a
   deterministic serial fallback; a batch ``tune()`` is one serving session.
   It serves through the same ``submit`` / ``step`` / ``cancel`` / ``stop``
-  contract as :class:`TuningService`, so either backs the daemon.
+  contract as :class:`TuningService` (one ``cancel(request, exc=None)``
+  signature on both), so either backs the daemon.  A shard settles a
+  request whose submit raises as a failed ticket, so one bad request
+  fails alone.
 * :class:`TuningDaemon` / :class:`DaemonClient` — the always-on deployment
   shape: every accepted request is journaled durably (:class:`RequestJournal`)
   *before* acknowledgement, admission control answers overload with a typed

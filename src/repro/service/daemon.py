@@ -318,7 +318,14 @@ class TuningDaemon:
                 self._check_deadline(request, self._clock.now())
                 self._c_b_submits.inc()
                 future = self.backend.submit(request)
-            except RequestError as err:
+            except Exception as exc:
+                # As at submit: a request the backend cannot start fails
+                # alone instead of stopping the daemon from opening.
+                err = (
+                    exc
+                    if isinstance(exc, RequestError)
+                    else RequestFailed(f"submit failed: {exc}")
+                )
                 self.journal.fail(entry.rid, err.to_wire())
                 self._c_failed.inc()
                 continue

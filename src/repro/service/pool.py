@@ -36,7 +36,9 @@ failover) to the same handler, so every shard behaves alike: a pool future
 is flagged ``from_database`` only when the parent pre-served it, and a
 shard failure that is not a typed
 :class:`~repro.service.errors.RequestError` arrives as
-:class:`~repro.service.errors.RequestFailed`.  The parent folds each
+:class:`~repro.service.errors.RequestFailed`, also when the shard's submit
+itself raises (a tuner that cannot be built, a deadline that passed in the
+backlog); the shard keeps serving.  The parent folds each
 arriving record into the shared database immediately (monotonic keep-better
 ``apply``) and pushes the winners down every *other* shard's sync queue, so
 submit-time database serving sees cross-shard bests mid-workload: a problem
@@ -279,7 +281,7 @@ class _ShardRunner:
             ):
                 break
             self.pending.popleft()
-            self.futures[ticket] = self.service.submit(head)
+            self._submit(ticket, head)
             if self.service.coalescer.get(head) is not None:
                 # The request is now in flight: pull its backlog duplicates
                 # forward so they ride the run instead of re-tuning after
@@ -287,11 +289,23 @@ class _ShardRunner:
                 remaining: Deque[Tuple[int, TuningRequest]] = deque()
                 for later_ticket, later in self.pending:
                     if later == head:
-                        self.futures[later_ticket] = self.service.submit(later)
+                        self._submit(later_ticket, later)
                     else:
                         remaining.append((later_ticket, later))
                 self.pending = remaining
         return self.service.step() or bool(self.pending)
+
+    def _submit(self, ticket: int, request: TuningRequest) -> None:
+        """Submit one backlog entry.  A submit that raises (a tuner that
+        cannot be built, a deadline that passed in the backlog) settles the
+        ticket with that error, which :meth:`round` reports like any failed
+        run, instead of ending the shard round."""
+        try:
+            self.futures[ticket] = self.service.submit(request)
+        except Exception as exc:
+            future = TuningFuture(request)
+            future._set_exception(exc)
+            self.futures[ticket] = future
 
     def take_new_records(self) -> List[TuningRecord]:
         new = self.service.database.changes_since(self._checkpoint)

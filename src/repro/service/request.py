@@ -22,7 +22,6 @@ from typing import Mapping, Optional, Tuple, Union
 
 from ..conv.tensor import ConvParams
 from ..core.autotune.baselines import (
-    BaselineTuner,
     GeneticTuner,
     ParallelTemperingSATuner,
     RandomSearchTuner,
@@ -30,8 +29,8 @@ from ..core.autotune.baselines import (
     TVMStyleTuner,
 )
 from ..core.autotune.config import Measurer
-from ..core.autotune.engine import AutoTuningEngine, TuningResult
-from ..core.autotune.session import TuningSessionProtocol
+from ..core.autotune.engine import AutoTuningEngine
+from ..core.autotune.session import Tuner, TuningResult, TuningSession
 from ..gpusim.spec import GPUSpec
 
 __all__ = ["TUNERS", "TuningRequest"]
@@ -96,6 +95,8 @@ class TuningRequest:
             raise ValueError("max_measurements and batch_size must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.initial_random < 0:
+            raise ValueError("initial_random must be >= 0")
         if self.tuner not in TUNERS:
             raise ValueError(f"unknown tuner {self.tuner!r}; expected one of {TUNERS}")
         if isinstance(self.tuner_params, Mapping):
@@ -126,11 +127,13 @@ class TuningRequest:
         return Measurer(self.params, self.spec, noise=self.noise, seed=self.noise_seed)
 
     def make_engine(self) -> AutoTuningEngine:
-        """Instantiate the engine an ``"ate"``/``"tvm_style"`` request names.
+        """Instantiate the engine an ``"ate"``/``"tvm_style"`` request names,
+        with the request's ``batch_size``, ``initial_random`` and
+        ``patience``.
 
-        Driving ``engine.tune(initial_random=self.initial_random)`` directly
-        and scheduling the request through the service yield bit-identical
-        results — that equivalence is the service's core contract.
+        Driving ``engine.tune()`` directly and scheduling the request through
+        the service yield bit-identical results — that equivalence is the
+        service's core contract.
         """
         cls = TVMStyleTuner if self.tuner == "tvm_style" else AutoTuningEngine
         return cls(
@@ -143,9 +146,10 @@ class TuningRequest:
             seed=self.seed,
             pruned=self.pruned,
             measurer=self.make_measurer(),
+            initial_random=self.initial_random,
         )
 
-    def make_tuner(self) -> Union[AutoTuningEngine, BaselineTuner]:
+    def make_tuner(self) -> Tuner:
         """Instantiate whatever tuner this request names."""
         if self.tuner in ("ate", "tvm_style"):
             return self.make_engine()
@@ -161,9 +165,7 @@ class TuningRequest:
             **dict(self.tuner_params),
         )
 
-    def make_session(
-        self,
-    ) -> Tuple[Union[AutoTuningEngine, BaselineTuner], TuningSessionProtocol]:
+    def make_session(self) -> Tuple[Tuner, TuningSession]:
         """A fresh tuner plus its step-wise session, ready for a scheduler.
 
         The tuner owns the measurer the session's proposals must be measured
@@ -171,8 +173,6 @@ class TuningRequest:
         and stores are the driving service's job.
         """
         tuner = self.make_tuner()
-        if isinstance(tuner, AutoTuningEngine):
-            return tuner, tuner.session(self.initial_random)
         return tuner, tuner.session()
 
     def tune_direct(self) -> TuningResult:
@@ -182,10 +182,7 @@ class TuningRequest:
         would get.  The service's bit-identity property is defined (and
         tested) against this function.
         """
-        tuner = self.make_tuner()
-        if isinstance(tuner, AutoTuningEngine):
-            return tuner.tune(initial_random=self.initial_random)
-        return tuner.tune()
+        return self.make_tuner().tune()
 
     def describe(self) -> str:
         return (

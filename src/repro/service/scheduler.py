@@ -5,8 +5,8 @@
 algorithm + **search tuner** + budget) and answers each with a
 :class:`~repro.service.futures.TuningFuture`.  Every tuner in the repository
 — the ATE engine, the TVM-style engine and all four baseline searches — runs
-through the same step-wise session protocol
-(:class:`~repro.core.autotune.session.TuningSessionProtocol`), so one
+as the same step-wise session
+(:class:`~repro.core.autotune.session.TuningSession`), so one
 service schedules heterogeneous algorithms side by side.  Three mechanisms
 remove the redundancy a naive per-request loop would pay:
 
@@ -57,8 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.autotune.config import Measurer
 from ..core.autotune.database import TuningDatabase, TuningRecord
-from ..core.autotune.engine import TuningResult
-from ..core.autotune.session import TuningSessionProtocol
+from ..core.autotune.session import Tuner, TuningResult, TuningSession
 from ..obs import (
     FILL_RATIO_BOUNDS,
     GROUP_COUNT_BOUNDS,
@@ -122,15 +121,13 @@ class ServiceStats:
 class _ActiveRun:
     """One scheduled tuning run and its step-wise session.
 
-    ``tuner`` is whatever the request named — an
-    :class:`~repro.core.autotune.engine.AutoTuningEngine` or a
-    :class:`~repro.core.autotune.baselines.BaselineTuner` — and only matters
-    as the owner of the measurer the session's proposals are lowered with.
+    ``tuner`` is whatever the request named and only matters as the owner of
+    the measurer the session's proposals are lowered with.
     """
 
     request: TuningRequest
-    tuner: object
-    session: TuningSessionProtocol
+    tuner: Tuner
+    session: TuningSession
 
     @property
     def measurer(self) -> Measurer:
@@ -414,29 +411,18 @@ class TuningService:
             return True
 
     def cancel(
-        self,
-        request: TuningRequest,
-        exc: Optional[BaseException] = None,
-        *,
-        future: Optional[TuningFuture] = None,
+        self, request: TuningRequest, exc: Optional[BaseException] = None
     ) -> bool:
-        """Cancel ``request``'s in-flight run — or just one waiter on it.
+        """Cancel ``request``'s in-flight run.
 
-        Without ``future`` the whole run is cancelled: every future attached
-        to it (the primary and any coalesced duplicates) receives ``exc`` —
-        default :class:`~repro.service.errors.RequestCancelled` — and the
-        run's measurements-so-far are accounted exactly like a failed run.
+        Every future attached to it (the primary and any coalesced
+        duplicates) receives ``exc`` — default
+        :class:`~repro.service.errors.RequestCancelled` — and the run's
+        measurements-so-far are accounted exactly like a failed run.  The
+        daemon's per-request timeouts cancel this way: a rid enters the
+        backend once, so its run has that one waiter.
 
-        With ``future`` (the cancelling submitter's own future) only *that*
-        waiter is detached and answered with ``exc`` while other undone
-        waiters remain — their deadlines have not expired just because one
-        submitter's did, so the run keeps going for them.  The run is failed
-        outright only when the cancelling future is its last surviving
-        waiter.  The daemon's per-request timeouts cancel the whole run: a
-        rid enters the backend once, so its run has that one waiter.
-
-        Returns False when nothing was cancelled: no matching active run,
-        or ``future`` was given but is already answered or detached.
+        Returns False when no active run matches ``request``.
         """
         with self._lock:
             for run in self._active:
@@ -446,25 +432,6 @@ class TuningService:
                         if exc is not None
                         else RequestCancelled(f"cancelled: {request.describe()}")
                     )
-                    if future is not None:
-                        entry = self.coalescer.get(request)
-                        if (
-                            entry is None
-                            or future not in entry.futures
-                            or future.done()
-                        ):
-                            return False
-                        survivors = [
-                            f
-                            for f in entry.futures
-                            if f is not future and not f.done()
-                        ]
-                        if survivors:
-                            # Detach just this waiter; the run (and every
-                            # other waiter's future) is untouched.
-                            entry.futures.remove(future)
-                            future._set_exception(error)
-                            return True
                     self._fail(run, error)
                     return True
             return False

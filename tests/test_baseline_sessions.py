@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.conv import ConvParams
 from repro.core.autotune import (
-    BaselineSession,
     GeneticTuner,
     ParallelTemperingSATuner,
     RandomSearchTuner,
     SimulatedAnnealingTuner,
-    TuningSessionProtocol,
+    Tuner,
+    TuningSession,
     TVMStyleTuner,
 )
 from repro.gpusim import V100
@@ -51,12 +51,11 @@ def _request(tuner, budget=20, seed=3, **kw):
 
 
 class TestSessionProtocol:
-    @pytest.mark.parametrize("name", sorted(BASELINE_CLASSES))
-    def test_sessions_satisfy_protocol(self, name):
-        tuner = BASELINE_CLASSES[name](SMALL, V100, max_measurements=8, seed=1)
-        session = tuner.session()
-        assert isinstance(session, BaselineSession)
-        assert isinstance(session, TuningSessionProtocol)
+    @pytest.mark.parametrize("name", sorted(TUNERS))
+    def test_every_tuner_runs_the_one_session(self, name):
+        tuner, session = _request(name, budget=8).make_session()
+        assert isinstance(tuner, Tuner)
+        assert type(session) is TuningSession
 
     def test_propose_twice_without_update_raises(self):
         session = RandomSearchTuner(SMALL, V100, max_measurements=8, seed=1).session()
@@ -100,7 +99,7 @@ class TestSessionProtocol:
     def test_tvm_style_result_name(self):
         result = TVMStyleTuner(SMALL, V100, max_measurements=8, seed=1).tune()
         assert result.tuner == "tvm_style"
-        session = TVMStyleTuner(SMALL, V100, max_measurements=8, seed=1).session(4)
+        session = TVMStyleTuner(SMALL, V100, max_measurements=8, seed=1).session()
         assert session.result.tuner == "tvm_style"
 
 
@@ -214,6 +213,11 @@ class TestRequestValidation:
         )
         assert a == b == c and hash(a) == hash(b) == hash(c)
         assert a.tuner_params == (("elite", 2), ("population", 8))
+
+    def test_negative_initial_random_rejected(self):
+        with pytest.raises(ValueError, match="initial_random"):
+            TuningRequest(SMALL, V100, initial_random=-1)
+        TuningRequest(SMALL, V100, initial_random=0)  # ok: explorer from the start
 
     def test_bad_deadline_rejected(self):
         with pytest.raises(ValueError):

@@ -372,6 +372,21 @@ class GoodSession:
 """
 
 
+SEARCHING_TUNER = """
+class Engine:
+    def __init__(self, database):
+        self.database = database
+
+    def _search(self, result):
+        records = yield []
+        return records
+
+    def tune(self):
+        record = self.database.lookup(self)
+        return record
+"""
+
+
 class TestSessionPurity:
     def test_good_session_passes(self, tmp_path):
         result = lint(tmp_path, {"src/s.py": GOOD_SESSION})
@@ -414,6 +429,24 @@ class TestSessionPurity:
             },
         )
         assert codes(result) == ["REPRO402", "REPRO402"]
+
+    def test_search_loop_database_reference_caught(self, tmp_path):
+        # A tuner's search generator is session state too: it runs inside
+        # session.propose(), whatever class defines it.
+        source = SEARCHING_TUNER.replace(
+            "        records = yield []\n",
+            "        records = yield self.database.lookup(result)\n",
+        )
+        result = lint(tmp_path, {"src/t.py": source})
+        assert codes(result) == ["REPRO402"]
+        assert lines(result, "REPRO402") == [6]
+        assert "Engine._search" in result.findings[0].message
+
+    def test_tune_driver_may_use_the_database(self, tmp_path):
+        # The same class's tune() is a driver: it looks up and stores
+        # around the session, never inside it.
+        result = lint(tmp_path, {"src/t.py": SEARCHING_TUNER})
+        assert result.ok
 
     def test_protocol_definition_exempt(self, tmp_path):
         result = lint(

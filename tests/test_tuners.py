@@ -196,6 +196,8 @@ class TestAutoTuningEngine:
             AutoTuningEngine(LAYER, V100, batch_size=0)
         with pytest.raises(ValueError):
             AutoTuningEngine(LAYER, V100, patience=0)
+        with pytest.raises(ValueError, match="initial_random"):
+            AutoTuningEngine(LAYER, V100, initial_random=-1)
 
 
 class TestBaselines:

@@ -852,6 +852,126 @@ class TestBackends:
             TuningDaemon(tmp_path / "j.log", backend="bogus")
 
 
+#: requests that are valid on the wire but whose tuner cannot be built,
+#: each with a word of the ``ValueError`` it raises: a genetic population
+#: below the tuner's minimum of 4, and executor noise outside [0, 0.5).
+UNSTARTABLE = {
+    "population": TuningRequest(
+        SMALL, V100, max_measurements=8, pruned=False, tuner="genetic",
+        tuner_params={"population": 2},
+    ),
+    "noise": TuningRequest(
+        SMALL, V100, max_measurements=8, pruned=False, tuner="random", noise=0.7
+    ),
+}
+
+
+class TestRequestsThatCannotStart:
+    """Regression: a pool shard used to let an exception from its service's
+    submit escape the shard round, so one bad request ended
+    ``TuningDaemon.tick()`` (and ``serve_forever`` with exit 1), and a
+    restart over the same journal replayed the rid and raised again.  The
+    shard now settles that ticket with the error, so the rid alone fails,
+    typed, and every backend keeps ticking."""
+
+    KINDS = BACKENDS + ("pool-processes",)
+
+    @staticmethod
+    def _backend(kind):
+        if kind == "pool-processes":
+            return TuningWorkerPool(num_workers=2, use_processes=True)
+        return _backend(kind)
+
+    @staticmethod
+    def _submit(daemon, request):
+        """Submit over the wire; the service backend rejects an unstartable
+        request at submit, a pool acknowledges it."""
+        return daemon.handle({"op": "submit", "request": request_to_wire(request)})
+
+    @staticmethod
+    def _assert_settled(daemon, cause, good):
+        bad_entry = daemon.journal.get(request_id(UNSTARTABLE[cause]))
+        assert bad_entry.status == "failed"
+        assert bad_entry.error["code"] == "FAILED"
+        assert cause in bad_entry.error["message"]
+        good_entry = daemon.journal.get(request_id(good))
+        assert good_entry.status == "done"
+        assert _trials(result_from_wire(daemon.result(request_id(good)))) == _trials(
+            good.tune_direct()
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unstartable_request_fails_alone(self, tmp_path, kind):
+        good = _request(budget=6)
+        daemon = TuningDaemon(tmp_path / "j.log", backend=self._backend(kind))
+        try:
+            self._submit(daemon, UNSTARTABLE["population"])
+            assert self._submit(daemon, good)["ok"]
+            daemon.run_until_idle()
+            self._assert_settled(daemon, "population", good)
+            # The backend keeps serving after the failure.
+            later = daemon.submit(_request(seed=1, budget=6))
+            daemon.run_until_idle()
+            assert daemon.journal.get(later).status == "done"
+        finally:
+            daemon.close()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_restart_replaying_an_unstartable_rid_keeps_ticking(self, tmp_path, kind):
+        good = _request(budget=6)
+        first = TuningDaemon(tmp_path / "j.log", backend=self._backend(kind))
+        self._submit(first, UNSTARTABLE["noise"])
+        self._submit(first, good)
+        first.kill()  # before any tick: a pool leaves both rids in flight
+        restarted = TuningDaemon(tmp_path / "j.log", backend=self._backend(kind))
+        try:
+            restarted.run_until_idle()
+            self._assert_settled(restarted, "noise", good)
+        finally:
+            restarted.close()
+
+    def test_service_restart_over_a_pool_journal_opens(self, tmp_path):
+        # A pool acknowledges an unstartable request that the service would
+        # have rejected at submit; a daemon reopened on the service backend
+        # replays it and must fail that rid, not fail to open.
+        good = _request(budget=6)
+        first = TuningDaemon(tmp_path / "j.log", backend=_backend("pool"))
+        self._submit(first, UNSTARTABLE["population"])
+        self._submit(first, good)
+        first.kill()
+        restarted = TuningDaemon(tmp_path / "j.log", backend="service")
+        try:
+            restarted.run_until_idle()
+            self._assert_settled(restarted, "population", good)
+        finally:
+            restarted.close()
+
+    def test_deadline_expiring_in_a_shard_backlog_fails_alone(self, tmp_path):
+        # One shard admitting one run at a time, on the daemon's clock: the
+        # second request waits in the backlog until its deadline passes.
+        clock = FakeClock()
+        pool = TuningWorkerPool(
+            num_workers=1,
+            admit_window=1,
+            use_processes=False,
+            obs=Observability(enabled=True, clock=clock),
+        )
+        daemon = TuningDaemon(tmp_path / "j.log", backend=pool, clock=clock)
+        try:
+            running = daemon.submit(_sa_request(budget=20))
+            waiting = daemon.submit(_request(seed=3, budget=6, deadline=5.0))
+            daemon.tick()
+            assert daemon.journal.get(waiting).status == "running"
+            clock.advance(10.0)
+            daemon.run_until_idle()
+            assert daemon.journal.get(waiting).error["code"] == "DEADLINE_EXPIRED"
+            assert daemon.journal.get(running).status == "done"
+            with pytest.raises(DeadlineExpired):
+                daemon.result(waiting)
+        finally:
+            daemon.close()
+
+
 # -- transport robustness -------------------------------------------------- #
 def _sendall_then_close(path, payload):
     """One raw client interaction: send bytes, read best-effort, close."""

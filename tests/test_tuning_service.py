@@ -18,8 +18,6 @@ from repro.core.autotune import (
 from repro.gpusim import GTX_1080TI, V100
 from repro.service import (
     RequestCancelled,
-    RequestTimeout,
-    TuningFuture,
     TuningRequest,
     TuningService,
     TuningWorkerPool,
@@ -39,7 +37,7 @@ def _request(params=SMALL, spec=V100, algorithm="direct", budget=24, seed=1, **k
 def _direct(request: TuningRequest):
     """Reference: drive the engine synchronously, no database."""
     engine = request.make_engine()
-    result = engine.tune(initial_random=request.initial_random)
+    result = engine.tune()
     return result, engine.measurer.num_measurements
 
 
@@ -52,7 +50,7 @@ class TestTuningSession:
         request = _request()
         reference, _ = _direct(request)
         engine = request.make_engine()
-        session = engine.session(request.initial_random)
+        session = engine.session()
         while not session.finished:
             batch = session.propose()
             if not batch:
@@ -90,7 +88,7 @@ class TestTuningSession:
     def test_finished_session_proposes_nothing(self):
         request = _request(budget=8)
         engine = request.make_engine()
-        session = engine.session(request.initial_random)
+        session = engine.session()
         while True:
             batch = session.propose()
             if not batch:
@@ -139,16 +137,10 @@ class TestCoalescing:
 
 
 class TestCancellation:
-    """`TuningService.cancel` and coalesced waiters.
+    """`TuningService.cancel` fails a run and every future attached to it
+    (the daemon's per-request timeout path)."""
 
-    Regression (the daemon's per-request timeout path): cancelling a run
-    used to fail *every* future attached to it, including coalesced
-    duplicates from other submitters whose own deadlines had not expired.
-    With ``future=``, only the cancelling waiter detaches while others
-    remain; the run itself fails only when no surviving waiter is left.
-    """
-
-    def _two_coalesced(self):
+    def test_cancel_fails_every_waiter(self):
         # simulated_annealing measures one config per round, so the run is
         # reliably still in flight after a couple of steps.
         request = _request(budget=50, tuner="simulated_annealing", pruned=False)
@@ -157,58 +149,15 @@ class TestCancellation:
         second = service.submit(request)
         assert second.coalesced
         service.step()
-        return service, request, first, second
-
-    def test_timeout_on_one_of_two_coalesced_submits(self):
-        service, request, first, second = self._two_coalesced()
-        timeout = RequestTimeout("second submitter's deadline expired")
-        assert service.cancel(request, timeout, future=second)
-        # The cancelled waiter is answered with the timeout immediately...
-        with pytest.raises(RequestTimeout):
-            second.result()
-        # ...while the run (and the other submitter) is untouched: it
-        # finishes with the full fresh result, bit-identical to direct.
-        assert not first.done()
-        service.drain()
-        assert _trajectory(first.result()) == _trajectory(request.tune_direct())
-        assert service.stats.tuning_runs == 1
-
-    def test_cancelling_the_primary_promotes_the_duplicate(self):
-        service, request, first, second = self._two_coalesced()
-        assert service.cancel(request, RequestTimeout("expired"), future=first)
-        with pytest.raises(RequestTimeout):
-            first.result()
-        service.drain()
-        # The surviving duplicate inherited the run wholesale.
-        assert _trajectory(second.result()) == _trajectory(request.tune_direct())
-
-    def test_cancelling_the_last_waiter_fails_the_run(self):
-        request = _request(budget=50, tuner="simulated_annealing", pruned=False)
-        service = TuningService()
-        only = service.submit(request)
-        service.step()
-        assert service.cancel(request, RequestCancelled("gone"), future=only)
-        with pytest.raises(RequestCancelled):
-            only.result()
-        # Nothing in flight anymore: the run was torn down, not leaked.
-        assert not service.step()
-
-    def test_cancel_without_future_fails_every_waiter(self):
-        service, request, first, second = self._two_coalesced()
         assert service.cancel(request, RequestCancelled("all gone"))
         with pytest.raises(RequestCancelled):
             first.result()
         with pytest.raises(RequestCancelled):
             second.result()
-
-    def test_cancel_with_settled_or_foreign_future_is_a_noop(self):
-        service, request, first, second = self._two_coalesced()
-        foreign = TuningFuture(request)
-        assert not service.cancel(request, future=foreign)
-        assert service.cancel(request, future=second)
-        # Already detached: a second cancel of the same future is a no-op.
-        assert not service.cancel(request, future=second)
-        assert not first.done()
+        # Nothing in flight anymore: the run was torn down, not leaked, and
+        # a second cancel finds nothing to cancel.
+        assert not service.step()
+        assert not service.cancel(request)
 
 
 class TestBitIdentity:
@@ -403,7 +352,7 @@ class TestIncrementalFeatures:
     def test_feature_cache_grows_with_dataset(self):
         request = _request()
         engine = request.make_engine()
-        engine.tune(initial_random=request.initial_random)
+        engine.tune()
         # Retraining cached one row per distinct measured configuration.
         assert len(engine.features) > 0
 

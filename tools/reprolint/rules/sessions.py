@@ -1,27 +1,29 @@
 """REPRO401/REPRO402 — session purity.
 
-Every tuner runs as a step-wise session behind
-``TuningSessionProtocol`` (``propose() -> configs`` / ``update(configs,
-executions)`` / ``finished`` / ``result``).  Two things keep the
-service-driven trajectories bit-identical to ``tune_direct()``:
+Every tuner runs as the one step-wise ``TuningSession`` (``propose() ->
+configs`` / ``update(configs, executions)`` / ``finished`` / ``result``)
+over its search generator, ``records = yield configs`` (``_search``).  Two
+things keep the service-driven trajectories bit-identical to
+``tune_direct()``:
 
-* **REPRO401 (protocol shape)** — a class that offers ``propose`` *and*
-  ``update`` is a session implementation and must expose the full protocol
-  with the right shapes: ``propose(self)`` with no required extra
-  parameters, ``update(self, configs, executions)`` with exactly two, a
-  ``finished`` property/method, and a ``result`` attribute (assigned in
-  ``__init__`` or class-annotated).  A shape drift compiles fine and only
-  explodes when the service schedules the session.
-* **REPRO402 (no mid-run database consult)** — sessions own all RNG and
-  never look at the shared ``TuningDatabase``; lookups/stores are the
-  driver's job at submit/finalize time.  A session that consults the
+* **REPRO401 (session shape)** — a class that offers ``propose`` *and*
+  ``update`` is a session and must expose the full shape: ``propose(self)``
+  with no required extra parameters, ``update(self, configs, executions)``
+  with exactly two, a ``finished`` property/method, and a ``result``
+  attribute (assigned in ``__init__`` or class-annotated).  A shape drift
+  compiles fine and only explodes when the service schedules the session.
+* **REPRO402 (no mid-run database consult)** — sessions and search loops
+  own all RNG and never look at the shared ``TuningDatabase``;
+  lookups/stores are the driver's job at submit/finalize time (the
+  engine's ``tune()`` is such a driver).  A search that consults the
   database mid-run makes its trajectory depend on what *other* requests
   finished first — the exact nondeterminism the streaming pool's
   record-injection contract forbids.  The rule bans any reference to
-  ``TuningDatabase`` or a ``.database`` attribute inside a session class.
+  ``TuningDatabase`` or a ``.database`` attribute inside a session class
+  and inside every ``_search`` method, whatever class defines it.
 
-``typing.Protocol`` classes (the protocol definition itself) are exempt.
-Scoped to ``src/``: test doubles may fake partial sessions on purpose.
+``typing.Protocol`` classes are exempt.  Scoped to ``src/``: test doubles
+may fake partial sessions on purpose.
 """
 
 from __future__ import annotations
@@ -58,14 +60,14 @@ class SessionPurityRule(Rule):
     name = "session-purity"
     codes = {
         "REPRO401": (
-            "session class does not implement the TuningSessionProtocol "
-            "shape (propose(self) / update(self, configs, executions) / "
+            "session class does not implement the session shape "
+            "(propose(self) / update(self, configs, executions) / "
             "finished / result)"
         ),
         "REPRO402": (
-            "session class references the TuningDatabase (sessions must not "
-            "consult the database mid-run; lookups/stores belong to the "
-            "driver, or bit-identity vs tune_direct() breaks)"
+            "session class or _search loop references the TuningDatabase "
+            "(a search must not consult the database mid-run; lookups/stores "
+            "belong to the driver, or bit-identity vs tune_direct() breaks)"
         ),
     }
 
@@ -80,10 +82,17 @@ class SessionPurityRule(Rule):
             if not isinstance(node, ast.ClassDef) or _is_protocol(node):
                 continue
             methods = {m.name: m for m in astutil.class_methods(node)}
-            if "propose" not in methods or "update" not in methods:
-                continue  # not a session implementation
-            findings.extend(self._check_shape(ctx, node, methods))
-            findings.extend(self._check_database_purity(ctx, node))
+            if "propose" in methods and "update" in methods:
+                findings.extend(self._check_shape(ctx, node, methods))
+                findings.extend(
+                    self._check_database_purity(ctx, node, f"session class '{node.name}'")
+                )
+            elif "_search" in methods:
+                findings.extend(
+                    self._check_database_purity(
+                        ctx, methods["_search"], f"search loop '{node.name}._search'"
+                    )
+                )
         return findings
 
     # ------------------------------------------------------------------ #
@@ -149,9 +158,10 @@ class SessionPurityRule(Rule):
         return False
 
     # ------------------------------------------------------------------ #
-    def _check_database_purity(self, ctx, cls: ast.ClassDef) -> List[Finding]:
+    def _check_database_purity(self, ctx, scope: ast.AST, where: str) -> List[Finding]:
+        """REPRO402 over ``scope``: a session class or a ``_search`` method."""
         findings: List[Finding] = []
-        for node in ast.walk(cls):
+        for node in ast.walk(scope):
             offense: Optional[str] = None
             if isinstance(node, ast.Name) and node.id == "TuningDatabase":
                 offense = "references TuningDatabase"
@@ -162,8 +172,8 @@ class SessionPurityRule(Rule):
                     ctx.finding(
                         "REPRO402",
                         node,
-                        f"session class '{cls.name}' {offense}; sessions "
-                        "must not consult the database mid-run",
+                        f"{where} {offense}; a search must not consult the "
+                        "database mid-run",
                     )
                 )
         return findings
