@@ -28,7 +28,6 @@ from .database import (
 )
 from .store import LogStore
 from .baselines import (
-    BaselineTuner,
     GeneticTuner,
     ParallelTemperingSATuner,
     RandomSearchTuner,
@@ -66,7 +65,6 @@ __all__ = [
     "TuningResult",
     "TuningSession",
     "record_trial",
-    "BaselineTuner",
     "GeneticTuner",
     "ParallelTemperingSATuner",
     "RandomSearchTuner",

@@ -17,8 +17,8 @@ structure so the benchmarks can compare convergence curves directly.
 
 **Step-wise sessions.**  Like the engine, every baseline is a
 :class:`~repro.core.autotune.session.Tuner`: its search loop is written once
-as a generator (:meth:`BaselineTuner._search`) that yields proposal batches
-and receives the corresponding
+as a generator (:meth:`~repro.core.autotune.session.Tuner._search`) that
+yields proposal batches and receives the corresponding
 :class:`~repro.core.autotune.session.TrialRecord` lists back, the one
 :class:`~repro.core.autotune.session.TuningSession` runs it step-wise, and
 the inherited ``tune()`` drives that session with the tuner's own
@@ -41,7 +41,6 @@ from .session import SearchGenerator, TrialRecord, Tuner, TuningResult, TuningSe
 
 __all__ = [
     "BaselineSession",
-    "BaselineTuner",
     "RandomSearchTuner",
     "SimulatedAnnealingTuner",
     "ParallelTemperingSATuner",
@@ -62,18 +61,7 @@ class BaselineSession(TuningSession):
     """
 
 
-class BaselineTuner(Tuner):
-    """Common base of the measurement-driven baseline tuners.
-
-    Subclasses implement exactly one method — the :meth:`_search` generator —
-    and inherit everything else from
-    :class:`~repro.core.autotune.session.Tuner`.
-    """
-
-    name = "baseline"
-
-
-class RandomSearchTuner(BaselineTuner):
+class RandomSearchTuner(Tuner):
     """Uniform random sampling of the configuration space."""
 
     name = "random"
@@ -92,7 +80,7 @@ class RandomSearchTuner(BaselineTuner):
         yield configs
 
 
-class SimulatedAnnealingTuner(BaselineTuner):
+class SimulatedAnnealingTuner(Tuner):
     """Measurement-driven simulated annealing on the neighbourhood graph."""
 
     name = "simulated_annealing"
@@ -128,7 +116,7 @@ class SimulatedAnnealingTuner(BaselineTuner):
             temperature *= self.cooling
 
 
-class ParallelTemperingSATuner(BaselineTuner):
+class ParallelTemperingSATuner(Tuner):
     """Batched simulated annealing: tempered chains measured together.
 
     The single-chain :class:`SimulatedAnnealingTuner` measures one
@@ -236,7 +224,7 @@ class ParallelTemperingSATuner(BaselineTuner):
                     times[i], times[i + 1] = times[i + 1], times[i]
 
 
-class GeneticTuner(BaselineTuner):
+class GeneticTuner(Tuner):
     """A small genetic algorithm (the third automation method of Figure 11)."""
 
     name = "genetic"

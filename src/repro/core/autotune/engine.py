@@ -90,8 +90,8 @@ class AutoTuningEngine(Tuner):
         to run the per-configuration reference path (the quality-parity
         property tests drive both).  ``initial_random`` is the size of the
         random initialisation batch (0 starts straight with the explorer)."""
-        if batch_size < 1 or max_measurements < 1:
-            raise ValueError("batch_size and max_measurements must be >= 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if patience < 1:
             raise ValueError("patience must be >= 1")
         if initial_random < 0:

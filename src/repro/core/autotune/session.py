@@ -245,8 +245,8 @@ class Tuner:
     step-wise :meth:`session` and the synchronous :meth:`tune` driver.
     """
 
-    #: recorded in :attr:`TuningResult.tuner`.
-    name = "tuner"
+    #: recorded in :attr:`TuningResult.tuner`; every subclass sets it.
+    name: str
 
     def __init__(
         self,

@@ -82,9 +82,9 @@ from .errors import (
     NotReady,
     Overloaded,
     RequestError,
-    RequestFailed,
     RequestTimeout,
     UnknownRequest,
+    as_request_error,
     error_from_wire,
 )
 from .frontend import PROTOCOL_VERSION
@@ -321,11 +321,7 @@ class TuningDaemon:
             except Exception as exc:
                 # As at submit: a request the backend cannot start fails
                 # alone instead of stopping the daemon from opening.
-                err = (
-                    exc
-                    if isinstance(exc, RequestError)
-                    else RequestFailed(f"submit failed: {exc}")
-                )
+                err = as_request_error(exc, "submit failed: ")
                 self.journal.fail(entry.rid, err.to_wire())
                 self._c_failed.inc()
                 continue
@@ -476,14 +472,12 @@ class TuningDaemon:
             try:
                 self._c_b_submits.inc()
                 future = self.backend.submit(request)
-            except RequestError as err:
-                self.journal.fail(rid, err.to_wire())
-                self._c_failed.inc()
-                raise
             except Exception as exc:
-                err = RequestFailed(f"submit failed: {exc}")
+                err = as_request_error(exc, "submit failed: ")
                 self.journal.fail(rid, err.to_wire())
                 self._c_failed.inc()
+                if err is exc:
+                    raise
                 raise err from exc
             self.journal.mark_running(rid)
             self._futures[rid] = future
@@ -587,8 +581,7 @@ class TuningDaemon:
             try:
                 result = self._futures[rid].result(timeout=0)
             except Exception as exc:
-                err = exc if isinstance(exc, RequestError) else RequestFailed(str(exc))
-                self.journal.fail(rid, err.to_wire())
+                self.journal.fail(rid, as_request_error(exc).to_wire())
                 self._c_failed.inc()
             else:
                 self.journal.complete(rid, result_to_wire(result))

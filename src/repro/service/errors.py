@@ -34,6 +34,7 @@ __all__ = [
     "RequestFailed",
     "RequestTimeout",
     "UnknownRequest",
+    "as_request_error",
     "error_from_wire",
 ]
 
@@ -124,6 +125,15 @@ class RequestFailed(RequestError):
     """The tuning run itself raised; the message carries the cause."""
 
     code = "FAILED"
+
+
+def as_request_error(exc: BaseException, prefix: str = "") -> RequestError:
+    """The typed error a failed request reports: ``exc`` itself when it is
+    already a :class:`RequestError`, else a :class:`RequestFailed` whose
+    message is ``prefix`` followed by ``exc``'s."""
+    if isinstance(exc, RequestError):
+        return exc
+    return RequestFailed(f"{prefix}{exc}")
 
 
 _BY_CODE: Dict[str, Type[RequestError]] = {

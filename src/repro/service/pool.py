@@ -99,7 +99,7 @@ from ..obs import (
     MonotonicClock,
     Observability,
 )
-from .errors import RequestCancelled, RequestError, RequestFailed, error_from_wire
+from .errors import RequestCancelled, RequestFailed, as_request_error, error_from_wire
 from .futures import TuningFuture
 from .journal import request_id
 from .policy import SchedulingPolicy, make_policy
@@ -345,10 +345,8 @@ class _ShardRunner:
             del self.futures[ticket]
             try:
                 result = future.result(timeout=0)
-            except RequestError as err:
-                outcome = ("err", err.to_wire())
             except Exception as exc:
-                outcome = ("err", RequestFailed(str(exc)).to_wire())
+                outcome = ("err", as_request_error(exc).to_wire())
             else:
                 outcome = ("ok", result)
             messages.append(("done_one", shard, ticket, outcome))

@@ -287,10 +287,13 @@ class TuningService:
                     future.from_database = True
                     future._set_result(record.as_result())
                     return future
-            self.coalescer.join(future)
             # The session consults no database itself — lookups and stores
             # are the service's job, so an in-flight run is never pre-empted.
+            # It is built before the run is registered: a request that cannot
+            # start raises here and leaves no in-flight entry for its
+            # duplicates to coalesce onto.
             tuner, session = request.make_session()
+            self.coalescer.join(future)
             if self.obs.enabled:
                 # Fleet-aggregated telemetry for the run's measurement and
                 # search machinery; attached before the first proposal so

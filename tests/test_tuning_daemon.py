@@ -49,6 +49,7 @@ from repro.service import (
     FakeTransport,
     Overloaded,
     RequestCancelled,
+    RequestFailed,
     RequestJournal,
     RequestTimeout,
     SocketTransport,
@@ -107,6 +108,26 @@ def _backend(kind):
 def _trials(result):
     """Bit-comparable view of a result's trial list."""
     return [(t.index, t.config.as_dict(), t.time_seconds, t.gflops) for t in result.trials]
+
+
+def _within(seconds, check):
+    """Run ``check`` in a daemon thread and fail unless it returns within
+    ``seconds``; what it raises is re-raised here.  For checks whose
+    regression is a hang rather than a wrong answer."""
+    raised = []
+
+    def run():
+        try:
+            check()
+        except BaseException as exc:  # re-raised in the test's thread
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{check.__name__} still running after {seconds}s"
+    if raised:
+        raise raised[0]
 
 
 def _fail_next_fsync(monkeypatch, cut_back):
@@ -945,6 +966,36 @@ class TestRequestsThatCannotStart:
             self._assert_settled(restarted, "population", good)
         finally:
             restarted.close()
+
+    @pytest.mark.parametrize("use_processes", [False, True])
+    def test_duplicate_unstartable_requests_all_fail(self, use_processes):
+        # Regression: a shard's service registered the run before building
+        # its tuner, so after the first copy failed its duplicates coalesced
+        # onto a run that never existed and their tickets never settled;
+        # ``tune`` then pumped forever.  Each call runs in a thread with a
+        # time limit so that regression fails here instead of hanging.
+        bad = UNSTARTABLE["population"]
+
+        def tune_twice():
+            pool = TuningWorkerPool(num_workers=2, use_processes=use_processes)
+            with pytest.raises(RequestFailed, match="population"):
+                pool.tune([bad, bad])
+
+        def serve_twice():
+            pool = TuningWorkerPool(num_workers=2, use_processes=use_processes)
+            pool.start()
+            try:
+                futures = [pool.submit(bad), pool.submit(bad)]
+                while pool.step():
+                    pass
+                for future in futures:
+                    with pytest.raises(RequestFailed, match="population"):
+                        future.result(timeout=0)
+            finally:
+                pool.stop()
+
+        for check in (tune_twice, serve_twice):
+            _within(60.0, check)
 
     def test_deadline_expiring_in_a_shard_backlog_fails_alone(self, tmp_path):
         # One shard admitting one run at a time, on the daemon's clock: the

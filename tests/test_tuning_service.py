@@ -135,6 +135,19 @@ class TestCoalescing:
         service.tune([_request(), _request(noise=0.0)])
         assert service.stats.tuning_runs == 2
 
+    def test_unstartable_request_leaves_nothing_to_coalesce_onto(self):
+        # Regression: the run used to be registered before its tuner was
+        # built, so a duplicate of a request whose tuner raised joined a run
+        # that never existed and waited on it forever.
+        request = _request(tuner="genetic", tuner_params={"population": 2}, pruned=False)
+        service = TuningService()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="population"):
+                service.submit(request)
+        assert len(service.coalescer) == 0
+        assert service.num_active == 0
+        assert not service.step()
+
 
 class TestCancellation:
     """`TuningService.cancel` fails a run and every future attached to it
