@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-cost-model bench-store bench-daemon bench-paper bench-e2e-selftest compare-bench
+.PHONY: test lint reprolint stress daemonize-smoke digest bench bench-batched bench-service bench-explorer bench-cost-model bench-store bench-daemon bench-paper bench-e2e-selftest compare-bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -31,6 +31,13 @@ stress:
 # removal (runs in the non-blocking stress CI job).
 daemonize-smoke:
 	$(PYTHON) -m pytest tests/test_daemonize.py -m slow -q
+
+# One sha256 per tuning trajectory over a fixed grid of 156 requests, then
+# a service batch and a serial two-shard pool batch of them (~40 s).  A
+# change that keeps behaviour prints byte-identical output; run it on the
+# parent with `PYTHONPATH=<parent>/src python tools/trajectory_digest.py`.
+digest:
+	$(PYTHON) tools/trajectory_digest.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s

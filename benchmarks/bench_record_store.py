@@ -2,24 +2,25 @@
 
 The tuning daemon keeps one long-lived database: every tuning run appends
 its best record, lookups are served from memory, and restarts must recover
-exactly what was stored.  This benchmark drives
-:class:`~repro.core.autotune.store.LogStore` through that lifecycle at
-scale:
+exactly what was stored.  This benchmark drives a
+:class:`~repro.core.autotune.database.TuningDatabase` on a record log
+through that lifecycle at scale:
 
-* ``append`` — 1M effective puts into a :class:`LogStore` (50 improvement
+* ``append`` — 1M effective puts into the database (50 improvement
   rounds over 20k problems, every put changes the winner).  Dead-ratio
   compaction must keep this O(1) amortised: the second half of the workload
   may not be materially slower than the first, and the log may not grow
   with history.
-* ``recovery`` — reopen the store (snapshot fold + log-tail replay) and
+* ``recovery`` — reopen the database (snapshot fold + log-tail replay) and
   require the recovered record set to be *exactly* the pre-close effective
   set, including after a torn trailing append (the mid-append crash
   signature).
 * ``durable put`` — per-put durability: the log's append+flush vs one
   whole-file JSON map rewrite (:func:`write_map_file`) per put, which is
   what a map file needs for the same guarantee.
-* ``serve`` — lock-free lookup latency must not depend on whether the store
-  has a log: a store without a path against the recovered log-backed one.
+* ``serve`` — lock-free lookup latency must not depend on whether the
+  database has a log: a database without a path against the recovered
+  log-backed one.
 
 Correctness gates (recovered-set equality, bounded log, identical serving
 with and without a log) always fail hard; wall-clock floors soften to
@@ -38,7 +39,7 @@ import pytest
 from conftest import emit, write_bench_json, write_obs_json
 from repro.analysis import ResultTable, render_table
 from repro.conv import ConvParams
-from repro.core.autotune import LogStore, SearchSpace
+from repro.core.autotune import SearchSpace, TuningDatabase
 from repro.core.autotune.store import TuningRecord, write_map_file
 from repro.obs import MetricsRegistry, MonotonicClock
 
@@ -71,9 +72,9 @@ def _base_records(spec):
     ]
 
 
-def _canonical(store):
+def _canonical(db):
     return sorted(
-        (r.key(), r.conditions(), r.time_seconds, r.budget) for r in store.scan()
+        (r.key(), r.conditions(), r.time_seconds, r.budget) for r in db.records()
     )
 
 
@@ -91,8 +92,8 @@ def run_record_store_benchmark(spec, tmp_path):
     registry = MetricsRegistry()
     base = _base_records(spec)
     log_path = os.path.join(tmp_path, "bench.log")
-    store = LogStore(log_path)
-    store.attach_metrics(registry.scope("db.store"))
+    store = TuningDatabase(path=log_path)
+    store.attach_metrics(registry.scope("db"))
 
     # -- append: 1M effective puts, every round improves every key ------- #
     half_times = [0.0, 0.0]
@@ -103,7 +104,7 @@ def run_record_store_benchmark(spec, tmp_path):
         ]
         start = _CLOCK.now()
         for record in batch:
-            store.append(record)
+            store.put(record)
         half_times[round_index * 2 // ROUNDS] += _CLOCK.now() - start
     t_append = sum(half_times)
     append_per_second = TOTAL_APPENDS / t_append
@@ -114,7 +115,7 @@ def run_record_store_benchmark(spec, tmp_path):
     # Hard gates: compaction actually ran and kept the log O(live), not
     # O(history) — 1M appends may not leave 1M log entries behind.
     assert len(store) == LIVE_KEYS
-    assert counters["db.store.appends_effective"] == TOTAL_APPENDS
+    assert counters["db.puts_effective"] == TOTAL_APPENDS
     assert counters["db.store.compactions"] >= 1, "dead-ratio compaction never ran"
     assert info["log_entries"] <= 3 * LIVE_KEYS, (
         f"log holds {info['log_entries']} entries for {LIVE_KEYS} live records; "
@@ -126,7 +127,7 @@ def run_record_store_benchmark(spec, tmp_path):
     revision = store.revision
     store.close()
     start = _CLOCK.now()
-    recovered = LogStore(log_path)
+    recovered = TuningDatabase(path=log_path)
     t_recover = _CLOCK.now() - start
     recovery_per_second = LIVE_KEYS / t_recover
     assert _canonical(recovered) == expected, "recovered set != pre-close set"
@@ -137,39 +138,43 @@ def run_record_store_benchmark(spec, tmp_path):
     recovered.close()
     with open(log_path, "ab") as fh:
         fh.write(b'{"rev": 0, "record": {"par')
-    after_crash = LogStore(log_path)
+    after_crash = TuningDatabase(path=log_path)
     assert _canonical(after_crash) == expected, "torn tail corrupted recovery"
 
     # -- serve: lock-free lookups must not depend on the log -------------- #
-    memory_store = LogStore(records=after_crash.scan())
-    keys = [record.key() for record in base[:: LIVE_KEYS // 1000 or 1]]
+    memory_store = TuningDatabase(after_crash.records())
+    probes = [
+        (record.params, record.gpu, record.algorithm)
+        for record in base[:: LIVE_KEYS // 1000 or 1]
+    ]
     timings = {}
     for name, store_under_test in (("memory", memory_store), ("log", after_crash)):
         start = _CLOCK.now()
         for i in range(SERVE_LOOKUPS):
-            store_under_test.serve(keys[i % len(keys)])
+            store_under_test.lookup(*probes[i % len(probes)])
         timings[name] = _CLOCK.now() - start
     serve_memory_vs_log = timings["memory"] / timings["log"]
     sample = random.Random(1).sample(base, 32)
     for record in sample:  # hard gate: identical answers with and without a log
-        assert memory_store.serve(record.key()) == after_crash.serve(record.key())
+        probe = (record.params, record.gpu, record.algorithm)
+        assert memory_store.lookup(*probe) == after_crash.lookup(*probe)
     after_crash.close()
 
     # -- durable puts: append+flush vs whole-file rewrite ---------------- #
     durable = base[:DURABLE_PUTS]
-    log2 = LogStore(os.path.join(tmp_path, "durable.log"))
+    log2 = TuningDatabase(path=os.path.join(tmp_path, "durable.log"))
     start = _CLOCK.now()
     for record in durable:
-        log2.append(record)
+        log2.put(record)
     t_log_durable = _CLOCK.now() - start
     log2.close()
     map_path = os.path.join(tmp_path, "durable.json")
-    map_records = LogStore()
+    map_records = TuningDatabase()
     start = _CLOCK.now()
     for record in durable:
-        map_records.append(record)
+        map_records.put(record)
         # A map file's only durability story: rewrite all of it.
-        write_map_file(map_path, map_records.scan())
+        write_map_file(map_path, map_records.records())
     t_map_durable = _CLOCK.now() - start
     durable_put_speedup = t_map_durable / t_log_durable
 

@@ -26,7 +26,6 @@ from .database import (
     TuningRecord,
     default_database_path,
 )
-from .store import LogStore
 from .baselines import (
     GeneticTuner,
     ParallelTemperingSATuner,
@@ -48,7 +47,6 @@ __all__ = [
     "TuningDatabaseError",
     "TuningRecord",
     "default_database_path",
-    "LogStore",
     "FEATURE_NAMES",
     "FeatureCache",
     "feature_matrix",

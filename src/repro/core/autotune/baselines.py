@@ -61,6 +61,25 @@ class BaselineSession(TuningSession):
     """
 
 
+def _metropolis_accept(
+    current_time: float, cand_time: float, temperature: float, rng: random.Random
+) -> bool:
+    """The Metropolis rule both annealing tuners use, on log-runtimes (so
+    it is scale-free).
+
+    An unmeasurable candidate is never accepted and an unmeasurable current
+    state is always left; otherwise a faster candidate is accepted outright
+    and a slower one with probability ``exp(delta / temperature)``, the
+    only case that draws from ``rng``.
+    """
+    if not math.isfinite(cand_time):
+        return False
+    if not math.isfinite(current_time):
+        return True
+    delta = math.log(current_time) - math.log(cand_time)
+    return delta >= 0 or rng.random() < math.exp(delta / max(temperature, 1e-6))
+
+
 class RandomSearchTuner(Tuner):
     """Uniform random sampling of the configuration space."""
 
@@ -101,18 +120,8 @@ class SimulatedAnnealingTuner(Tuner):
         while self._remaining(result) > 0:
             candidate = self.space.neighbor(current, self.rng)
             (record,) = yield [candidate]
-            cand_time = record.time_seconds
-            if not math.isfinite(cand_time):
-                temperature *= self.cooling
-                continue
-            if not math.isfinite(current_time):
-                accept = True
-            else:
-                # Work with log-runtimes so the acceptance rule is scale-free.
-                delta = math.log(current_time) - math.log(cand_time)
-                accept = delta >= 0 or self.rng.random() < math.exp(delta / max(temperature, 1e-6))
-            if accept:
-                current, current_time = candidate, cand_time
+            if _metropolis_accept(current_time, record.time_seconds, temperature, self.rng):
+                current, current_time = candidate, record.time_seconds
             temperature *= self.cooling
 
 
@@ -173,16 +182,6 @@ class ParallelTemperingSATuner(Tuner):
         ]
         self._swap_rng = random.Random(self.seed ^ 0x5CA1AB1E)
 
-    # ------------------------------------------------------------------ #
-    def _accept(self, current_time: float, cand_time: float, temperature: float, rng) -> bool:
-        """Single-chain Metropolis rule on log-runtimes (scale-free)."""
-        if not math.isfinite(cand_time):
-            return False
-        if not math.isfinite(current_time):
-            return True
-        delta = math.log(current_time) - math.log(cand_time)
-        return delta >= 0 or rng.random() < math.exp(delta / max(temperature, 1e-6))
-
     def _search(self, result: TuningResult) -> SearchGenerator:
         k = min(self.chains, self.max_measurements)
 
@@ -198,7 +197,7 @@ class ParallelTemperingSATuner(Tuner):
             ]
             records = yield proposals
             for i in range(live):
-                if self._accept(
+                if _metropolis_accept(
                     times[i],
                     records[i].time_seconds,
                     self.temperatures[i],

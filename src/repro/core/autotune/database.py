@@ -9,15 +9,16 @@ recorded once and every later tuning request for the same triple — in the
 same process or after a persistence round trip — is answered from the
 database instead of re-running the search.
 
-The database itself is a thin coordination façade: all state lives in one
-:class:`~repro.core.autotune.store.LogStore` (see ``store.py``), in memory
-when the database has no path, and otherwise in an append-only log at the
-path, with compaction and crash recovery, so every put is on disk as soon
-as it is made.  A whole-file JSON map is only an import and export format
-(:meth:`load`, ``save(path)``); a map found at the database's own path is
-converted to a log in place.  The façade adds the request-level semantics:
-budget/conditions-aware :meth:`lookup`, hit/miss accounting, and the
-:meth:`put` / :meth:`apply` write path.
+One class is the whole record store: :class:`TuningDatabase` keeps the
+keep-better record map, the revision counter and change log the streaming
+worker pool syncs on, and a copy-on-write map that
+:meth:`TuningDatabase.lookup` reads without taking a lock.  It lives in
+memory when the database has no path; otherwise it is a fold over an
+append-only log at the path (``store.py`` owns the file work), with
+compaction and crash recovery, so every put is on disk as soon as it is
+made.  A whole-file JSON map is only an import and export format
+(:meth:`TuningDatabase.load`, ``save(path)``); a map found at the
+database's own path is converted to a log in place.
 
 The :class:`~repro.core.autotune.engine.AutoTuningEngine` consults an attached
 database at the start of :meth:`~repro.core.autotune.engine.AutoTuningEngine.tune`
@@ -32,18 +33,21 @@ import contextlib
 import dataclasses
 import math
 import os
-from typing import Dict, Iterable, List, Optional, Union
+import threading
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ...conv.tensor import ConvParams
 from ...gpusim.spec import GPUSpec
 from ...obs.metrics import NULL_COUNTER, NULL_GAUGE, Counter
 from .store import (
-    LogStore,
+    AppendLog,
     TuningDatabaseError,
     TuningRecord,
+    _convert_map_file,
     _gpu_name,
     _params_key,
     read_map_file,
+    resolve_record,
     write_map_file,
 )
 
@@ -73,6 +77,11 @@ def default_database_path() -> str:
     cache_home = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
     return os.path.join(cache_home, "repro-tuning.json")
 
+
+#: retained change-log tail; the change log compacts once it reaches twice this.
+_CHANGE_LOG_CAP = 4096
+
+_EMPTY_BUCKET: Mapping[Tuple, TuningRecord] = {}
 
 #: wire-format version of :class:`RecordEnvelope`.
 _ENVELOPE_VERSION = 1
@@ -134,33 +143,91 @@ class RecordEnvelope:
 
 
 class TuningDatabase:
-    """Keep-better record map over one :class:`LogStore`.
+    """Keep-better record map, in memory or on a record log.
 
-    ``hits``/``misses`` count :meth:`lookup` outcomes so callers (tests, the
-    model runner) can verify that repeated layers reuse tuning work instead
-    of re-measuring.
-
-    The façade holds no state of its own beyond the hit/miss counters: the
-    record map, revision counter and change log live in the store, whose
-    internal lock makes every write safe to share between a
+    **In memory.**  Problem key -> {measurement conditions -> record}; every
+    put goes through the keep-better fold (:func:`resolve_record`), a
+    revision counter bumps once per *effective* put, and a bounded change
+    log feeds :meth:`changes_since`.  Every write happens under
+    ``self._lock``, so one database is safe to share between a
     :class:`~repro.service.TuningService` driver thread and submitting
-    threads.  Reads (:meth:`lookup`, :meth:`contains`) go through the
-    store's lock-free read-copy hot tier, so serving never contends with
-    writers.  :meth:`apply` is the single documented write path for record
-    batches; :meth:`put` is its one-record primitive.
+    threads.  Bucket dicts are **copy-on-write** (changed as fresh copies,
+    then published into the map by a single dict store), so :meth:`lookup`
+    reads without taking the lock, never stalls behind a writer and never
+    observes a half-applied update.  ``hits``/``misses`` count
+    :meth:`lookup` outcomes so callers (tests, the model runner) can verify
+    that repeated layers reuse tuning work instead of re-measuring.
+    :meth:`apply` is the single documented write path for record batches;
+    :meth:`put` is its one-record primitive.  Without a ``path`` that is
+    all there is: a put does no file work.
 
-    Without a ``path`` the records live in memory only.  With one, the
-    database opens the record log there (creating it when missing, and
-    converting a JSON map in place), and every effective put is appended
-    to it.
+    **On a log** (with a ``path``, created when missing): a fold over an
+    :class:`~repro.core.autotune.store.AppendLog` of kind ``log``.  The
+    header line ``{"format": 1, "kind": "log", "snapshot_revision": R}`` is
+    followed by one line per effective put ``{"rev": n, "record": {...}}``
+    (the surviving *winner* is logged, so replay needs no budget-merge
+    reconstruction); the ``log-snapshot`` holds the live ``records`` and
+    their ``revision``.
+
+    * **Puts** are O(1): one flushed line per effective put.  The map
+      publishes before the line is written: a put is not an
+      acknowledgement, so a put whose line fails to write stays served from
+      memory until the next recovery.
+    * **Compaction** triggers when the log holds at least
+      :attr:`COMPACT_MIN_ENTRIES` lines and the dead-record ratio
+      ``dead / (dead + live)`` reaches :attr:`COMPACT_DEAD_RATIO`: the live
+      set becomes the fsync'd snapshot and the log is reset to a bare
+      header.  The rewrite costs O(live) but needs >= live dead entries to
+      trigger, so durable puts stay O(1) amortised.  It runs after the
+      put's line is written, so a compaction that raises ``OSError`` (disk
+      full, a failed fsync) does not fail that put: it is counted in
+      ``describe()["snapshot_failures"]`` and retried at the next effective
+      put.  An explicit :meth:`save` raises.
+    * **Recovery** folds the snapshot, then replays the log tail in order
+      through the same keep-better fold (idempotent, so replaying entries
+      the snapshot already covers is safe); a crash mid-append loses only
+      that put (see :class:`~repro.core.autotune.store.AppendLog`).
+    * **A JSON map at the path** (a non-empty file whose first line is not
+      a log header, such as a ``save(path)`` export or a file an older
+      build saved) is converted to a log in place before recovery.
     """
+
+    #: compaction thresholds of a database on a log (see the class docstring).
+    COMPACT_DEAD_RATIO = 0.5
+    COMPACT_MIN_ENTRIES = 1024
 
     def __init__(
         self,
         records: Iterable[TuningRecord] = (),
         path: Optional[Union[str, os.PathLike]] = None,
     ) -> None:
-        self._store = LogStore(path)
+        #: problem key -> {measurement conditions -> record}; records for the
+        #: same problem measured under different conditions coexist, so two
+        #: runners with different executors never evict each other's entries.
+        #: Read-copy: buckets are immutable-by-convention once published.
+        self._hot: Dict[Tuple, Dict[Tuple, TuningRecord]] = {}
+        self._live = 0
+        #: monotonic change counter: bumped once per *effective* put (an
+        #: insert, a faster record, or a budget upgrade; a losing or equal
+        #: record leaves it untouched).  ``_change_log`` appends the changed
+        #: (problem, conditions) slot per bump, so :meth:`changes_since` can
+        #: stream exactly the records that moved by slicing the tail — the
+        #: primitive the worker pool's cross-shard exchange is built on —
+        #: without rescanning the whole map every round.  The change log is
+        #: compacted once it doubles ``_CHANGE_LOG_CAP`` (``_log_base``
+        #: tracks the revision of its first retained entry); a checkpoint
+        #: older than the retained tail falls back to over-delivering the
+        #: whole map, which keep-better apply makes safe.
+        self._revision = 0
+        self._log_base = 0
+        self._change_log: List[Tuple[Tuple, Tuple]] = []
+        self._lock = threading.RLock()
+        self._path = None if path is None else os.fspath(path)
+        self._log = None if self._path is None else AppendLog(self._path, "log")
+        #: the slots the log tail holds lines for since the last compaction;
+        #: every other tail line is dead (see :meth:`_dead_locked`).
+        self._logged_slots: set = set()
+        self._snapshot_failures = 0
         self._hits = Counter("db.serve_hits")
         self._misses = Counter("db.serve_misses")
         # Telemetry mirrors (null no-ops until attach_metrics binds real
@@ -171,18 +238,24 @@ class TuningDatabase:
         self._m_serve_hits = NULL_COUNTER
         self._m_serve_misses = NULL_COUNTER
         self._m_revision = NULL_GAUGE
+        self._m_recoveries = NULL_COUNTER
+        self._m_recovered_records = NULL_COUNTER
+        self._m_live = NULL_GAUGE
+        self._m_log_appends = NULL_COUNTER
+        self._m_compactions = NULL_COUNTER
+        self._m_compaction_records = NULL_COUNTER
+        self._m_snapshot_failures = NULL_COUNTER
+        self._m_log_entries = NULL_GAUGE
+        self._m_dead = NULL_GAUGE
+        if self._log is not None:
+            self.recover()
         for record in records:
             self.put(record)
 
     @property
-    def store(self) -> LogStore:
-        """The record store this façade coordinates (read-only)."""
-        return self._store
-
-    @property
     def path(self) -> Optional[str]:
         """The record log's path (None for an in-memory database); read-only."""
-        return self._store.path
+        return self._path
 
     @property
     def hits(self) -> int:
@@ -197,18 +270,37 @@ class TuningDatabase:
 
         Records ``puts_total`` vs ``puts_effective`` (keep-better inserts
         that actually changed a slot), ``serve_hits``/``serve_misses``
-        (lookup outcomes) and the ``revision`` growth gauge, and wires the
-        store under the nested ``store`` scope (``db.store.*``: appends,
-        compactions, recoveries — see :meth:`LogStore.attach_metrics`).
+        (lookup outcomes) and the ``revision`` growth gauge.  The record
+        keeping goes under the nested ``store`` scope: ``recoveries``,
+        ``recovered_records`` and the ``live_records`` gauge; a database on
+        a log adds ``log_appends`` (lines written), ``compactions`` /
+        ``compaction_records`` (rewrites and the live records they
+        carried), ``snapshot_failures`` (automatic compactions that raised)
+        and the ``log_entries`` / ``dead_entries`` tail gauges.
         Observability never alters database state: instruments are written
-        on the same code paths that already mutate the map, nothing more.
+        on the same code paths that already change the map, nothing more.
         """
-        self._m_puts = metrics.counter("puts_total")
-        self._m_puts_effective = metrics.counter("puts_effective")
+        # lookup() takes no lock, so its instruments are bound outside it.
         self._m_serve_hits = metrics.counter("serve_hits")
         self._m_serve_misses = metrics.counter("serve_misses")
-        self._m_revision = metrics.gauge("revision")
-        self._store.attach_metrics(metrics.scope("store"))
+        store = metrics.scope("store")
+        with self._lock:
+            self._m_puts = metrics.counter("puts_total")
+            self._m_puts_effective = metrics.counter("puts_effective")
+            self._m_revision = metrics.gauge("revision")
+            self._m_recoveries = store.counter("recoveries")
+            self._m_recovered_records = store.counter("recovered_records")
+            self._m_live = store.gauge("live_records")
+            self._m_live.set(self._live)
+            if self._log is not None:
+                self._m_log_appends = store.counter("log_appends")
+                self._m_compactions = store.counter("compactions")
+                self._m_compaction_records = store.counter("compaction_records")
+                self._m_snapshot_failures = store.counter("snapshot_failures")
+                self._m_log_entries = store.gauge("log_entries")
+                self._m_dead = store.gauge("dead_entries")
+                self._m_log_entries.set(self._log.lines)
+                self._m_dead.set(self._dead_locked())
 
     # -- construction at the edges --------------------------------------- #
     @classmethod
@@ -254,10 +346,13 @@ class TuningDatabase:
 
     # -- core map ------------------------------------------------------- #
     def __len__(self) -> int:
-        return len(self._store)
+        with self._lock:
+            return self._live
 
     def records(self) -> List[TuningRecord]:
-        return self._store.scan()
+        """Every live record (one list, point-in-time consistent)."""
+        with self._lock:
+            return [r for bucket in self._hot.values() for r in bucket.values()]
 
     def put(self, record: TuningRecord) -> TuningRecord:
         """Insert a record; the faster one wins among same-conditions records.
@@ -271,28 +366,7 @@ class TuningDatabase:
         search also satisfies requests at that search's budget.  This is
         the one-record primitive behind :meth:`apply`, the documented write
         path for record batches."""
-        self._m_puts.inc()
-        winner, effective = self._store.append(record)
-        if effective:
-            self._m_puts_effective.inc()
-            self._m_revision.set(self._store.revision)
-        return winner
-
-    @property
-    def revision(self) -> int:
-        """Monotonic change counter (see :meth:`changes_since`)."""
-        return self._store.revision
-
-    def changes_since(self, revision: int) -> List[TuningRecord]:
-        """Records whose slot changed after ``revision``, oldest change first.
-
-        ``db.changes_since(checkpoint)`` with a ``checkpoint`` captured from
-        :attr:`revision` is an incremental diff: applying the returned
-        records to a replica that already saw ``checkpoint`` brings it up to
-        date (keep-better apply is idempotent and order-independent, so
-        over-delivery is always safe).
-        """
-        return self._store.changes_since(revision)
+        return self._put(record)[0]
 
     def apply(
         self,
@@ -312,16 +386,89 @@ class TuningDatabase:
         """
         if isinstance(records, TuningDatabase):
             records = records.records()
-        applied: List[TuningRecord] = []
-        for record in records:
+        return [winner for winner, effective in map(self._put, records) if effective]
+
+    def _put(self, record: TuningRecord) -> Tuple[TuningRecord, bool]:
+        """Keep-better insert; returns ``(surviving record, effective?)``.
+
+        ``effective`` is True when the slot actually changed (an insert, a
+        faster record, or a budget upgrade); only effective puts bump the
+        revision, enter the change log, and reach the log on disk.  A
+        losing (or identical) record leaves everything untouched, which is
+        what keeps record exchange loop-free: re-applying a record the
+        database already holds never re-broadcasts it and never grows the
+        log.
+        """
+        with self._lock:
             self._m_puts.inc()
-            winner, effective = self._store.append(record)
-            if effective:
-                self._m_puts_effective.inc()
-                applied.append(winner)
-        if applied:
-            self._m_revision.set(self._store.revision)
-        return applied
+            winner, slot = self._publish_locked(record)
+            if slot is None:
+                return winner, False
+            self._revision += 1
+            self._change_log.append(slot)
+            if len(self._change_log) >= 2 * _CHANGE_LOG_CAP:
+                # Amortised O(1) compaction keeps a daemon-lifetime change
+                # log bounded; stale checkpoints fall back to safe
+                # over-delivery in changes_since().
+                del self._change_log[:_CHANGE_LOG_CAP]
+                self._log_base += _CHANGE_LOG_CAP
+            self._m_puts_effective.inc()
+            self._m_revision.set(self._revision)
+            self._m_live.set(self._live)
+            if self._log is not None:
+                self._log_locked(winner, slot)
+            return winner, True
+
+    def _publish_locked(self, record: TuningRecord) -> Tuple[TuningRecord, Optional[Tuple]]:
+        """(lock held) Keep-better fold of ``record`` into its bucket;
+        returns the survivor and the changed ``(key, conditions)`` slot, or
+        None when nothing changed.  Recovery folds through it too, bumping
+        no revision: it reconstructs state, it creates no changes."""
+        key = record.key()
+        cond = record.conditions()
+        bucket = self._hot.get(key)
+        existing = bucket.get(cond) if bucket else None
+        winner = resolve_record(record, existing)
+        if winner is existing:
+            return existing, None
+        # Copy-on-write publish: lock-free lookup() readers see the old
+        # bucket until the single dict store below lands the new one.
+        new_bucket = dict(bucket) if bucket else {}
+        new_bucket[cond] = winner
+        self._hot[key] = new_bucket
+        if existing is None:
+            self._live += 1
+        return winner, (key, cond)
+
+    @property
+    def revision(self) -> int:
+        """Monotonic change counter (see :meth:`changes_since`)."""
+        with self._lock:
+            return self._revision
+
+    def changes_since(self, revision: int) -> List[TuningRecord]:
+        """Records whose slot changed after ``revision``, oldest change first.
+
+        ``db.changes_since(checkpoint)`` with a ``checkpoint`` captured from
+        :attr:`revision` is an incremental diff: applying the returned
+        records to a replica that already saw ``checkpoint`` brings it up to
+        date (keep-better apply is idempotent and order-independent, so
+        over-delivery is always safe).
+        """
+        with self._lock:
+            if revision < self._log_base:
+                # The checkpoint predates the retained change-log tail
+                # (compacted away): over-deliver everything — idempotent
+                # keep-better apply makes that merely redundant, never wrong.
+                return self.records()
+            seen: set = set()
+            changed: List[TuningRecord] = []
+            for slot in self._change_log[max(revision - self._log_base, 0):]:
+                if slot not in seen:
+                    seen.add(slot)
+                    key, cond = slot
+                    changed.append(self._hot[key][cond])
+            return changed
 
     def lookup(
         self,
@@ -345,9 +492,14 @@ class TuningDatabase:
           conditions serve any caller; a caller with unknown conditions is
           served the fastest record on file.
 
-        Runs entirely on the store's lock-free read-copy hot tier, so a
-        million lookups a second never stall behind a writer."""
-        bucket = self._store.serve((_params_key(params), _gpu_name(spec), algorithm))
+        Runs entirely on the lock-free read-copy map, so a million lookups a
+        second never stall behind a writer."""
+        key = (_params_key(params), _gpu_name(spec), algorithm)
+        # Read-copy map: buckets are copy-on-write and published atomically,
+        # so the unlocked read below sees a consistent snapshot; serving must
+        # never contend with writers.
+        # reprolint: disable=REPRO201 - lock-free read of published bucket
+        bucket = self._hot.get(key, _EMPTY_BUCKET)
         if noise is None:
             candidates = list(bucket.values())
         else:
@@ -367,13 +519,49 @@ class TuningDatabase:
         self._m_serve_hits.inc()
         return min(candidates, key=lambda r: r.time_seconds)
 
-    def contains(
-        self, params: ConvParams, spec: Union[GPUSpec, str], algorithm: str
-    ) -> bool:
-        """Membership probe that does not touch the hit/miss counters."""
-        return bool(self._store.serve((_params_key(params), _gpu_name(spec), algorithm)))
+    # -- durability ------------------------------------------------------ #
+    def _log_locked(self, winner: TuningRecord, slot: Tuple) -> None:
+        """(lock held) Append one effective record to the log; compact when
+        the dead ratio crosses the threshold.
 
-    # -- persistence ---------------------------------------------------- #
+        The line is written first, so the put has happened: a compaction
+        that fails after it is counted and left for the next effective put
+        to retry.  A failure that closed the log still shows in
+        ``describe()["closed"]``, and the next put raises."""
+        self._log.append({"rev": self._revision, "record": winner.to_dict()})
+        self._logged_slots.add(slot)
+        dead = self._dead_locked()
+        self._m_log_appends.inc()
+        self._m_log_entries.set(self._log.lines)
+        self._m_dead.set(dead)
+        if self._log.lines >= self.COMPACT_MIN_ENTRIES and (
+            dead >= self.COMPACT_DEAD_RATIO * (dead + self._live)
+        ):
+            try:
+                self._compact_locked()
+            except OSError:
+                self._snapshot_failures += 1
+                self._m_snapshot_failures.inc()
+
+    def _dead_locked(self) -> int:
+        """(lock held) Tail lines superseded by a later line for the same
+        slot: each tail line either logs a new slot or is dead."""
+        return self._log.lines - len(self._logged_slots)
+
+    def _compact_locked(self) -> None:
+        """(lock held) Snapshot the live set, then reset the log (crash
+        windows: :meth:`AppendLog.snapshot`)."""
+        records = self.records()
+        self._log.snapshot(
+            {"revision": self._revision, "records": [r.to_dict() for r in records]},
+            header={"snapshot_revision": self._revision},
+        )
+        self._logged_slots = set()
+        self._m_compactions.inc()
+        self._m_compaction_records.inc(len(records))
+        self._m_log_entries.set(0)
+        self._m_dead.set(0)
+
     def save(self, path: Optional[Union[str, os.PathLike]] = None) -> str:
         """Persist; returns the path written.
 
@@ -392,8 +580,10 @@ class TuningDatabase:
         )
         if not own:
             return write_map_file(path, self.records())
-        if self._store.snapshot() is None:
-            raise ValueError("no path given and the database has no path of its own")
+        with self._lock:
+            if self._log is None:
+                raise ValueError("no path given and the database has no path of its own")
+            self._compact_locked()
         return self.path
 
     @classmethod
@@ -406,19 +596,89 @@ class TuningDatabase:
         opens a file to keep writing to it instead."""
         return cls(read_map_file(path))
 
+    def recover(self) -> int:
+        """Rebuild memory from the path: convert a JSON map in place, fold
+        the snapshot, replay the log tail (see the class docstring) and
+        reopen the log for puts; returns the number of live records.
+        Idempotent: recovering twice yields the same record set and
+        revision.  A database without a path raises
+        :class:`TuningDatabaseError`."""
+        with self._lock:
+            if self._log is None:
+                raise TuningDatabaseError(
+                    "a TuningDatabase without a path has nothing to recover from"
+                )
+            _convert_map_file(self._log.path)
+            self._hot = {}
+            self._live = 0
+            self._revision = 0
+            self._log_base = 0
+            self._change_log = []
+            self._logged_slots = set()
+            # self._revision tracks the highest revision seen until the end
+            # pins it.
+            header = self._log.recover(
+                self._fold_snapshot_locked,
+                self._fold_line_locked,
+                fresh_header=lambda: {"snapshot_revision": self._revision},
+            )
+            # Pin the revision where the empty change log starts, so a stale
+            # replica checkpoint over-delivers (safe) rather than misses
+            # changes.
+            self._revision = max(
+                self._revision, int(header.get("snapshot_revision", 0)), self._live
+            )
+            self._log_base = self._revision
+            self._m_recoveries.inc()
+            self._m_recovered_records.inc(self._live)
+            self._m_live.set(self._live)
+            self._m_log_entries.set(self._log.lines)
+            self._m_dead.set(self._dead_locked())
+            return self._live
+
+    def _fold_snapshot_locked(self, payload: Dict[str, object]) -> None:
+        """(lock held) Fold the snapshot's live records and its revision."""
+        for d in payload.get("records", []):
+            self._publish_locked(TuningRecord.from_dict(d))
+        self._revision = int(payload.get("revision", 0))
+
+    def _fold_line_locked(self, entry: Dict[str, object]) -> None:
+        """(lock held) Replay one log line through the keep-better fold."""
+        record = TuningRecord.from_dict(entry["record"])
+        rev = int(entry.get("rev", 0))
+        self._publish_locked(record)
+        self._logged_slots.add((record.key(), record.conditions()))
+        self._revision = max(self._revision, rev)
+
     def close(self) -> None:
-        """Release the record log's file handle; idempotent."""
-        self._store.close()
+        """Release the record log's file handle (idempotent); a closed
+        database keeps serving lookups, and :meth:`recover` reopens it."""
+        with self._lock:
+            if self._log is not None:
+                self._log.close()
 
     # -- introspection --------------------------------------------------- #
     def describe(self) -> Dict[str, object]:
         """JSON-native status snapshot (serve it over the wire, or render
-        with :func:`repro.obs.format_describe` for humans)."""
-        return {
-            "kind": "TuningDatabase",
-            "records": len(self),
-            "hits": self.hits,
-            "misses": self.misses,
-            "revision": self.revision,
-            "store": self._store.describe(),
-        }
+        with :func:`repro.obs.format_describe` for humans): ``store`` is
+        ``"memory"`` without a path and ``"log"`` with one, which adds the
+        log's fields."""
+        with self._lock:
+            info: Dict[str, object] = {
+                "kind": "TuningDatabase",
+                "store": "memory" if self._log is None else "log",
+                "records": self._live,
+                "hits": self.hits,
+                "misses": self.misses,
+                "revision": self._revision,
+            }
+            if self._log is not None:
+                info.update(
+                    path=self.path,
+                    snapshot_path=self._log.snapshot_path,
+                    log_entries=self._log.lines,
+                    dead_entries=self._dead_locked(),
+                    snapshot_failures=self._snapshot_failures,
+                    closed=self._log.closed,
+                )
+            return info

@@ -30,10 +30,10 @@ counter, cost model) and consumes measurements in exactly the order it
 proposed them, any driver that feeds back faithful measurements reproduces
 the synchronous path bit-for-bit.
 
-Model retraining featurises the dataset incrementally: a
-:class:`~repro.core.autotune.features.FeatureCache` keeps the per-config
-feature rows, so each iteration appends the rows of the newly measured
-configurations instead of rebuilding the whole matrix.
+Model retraining featurises the dataset incrementally: each iteration
+featurises only the newly measured valid configurations, with one
+column-wise :func:`~repro.core.autotune.features.feature_matrix` call, and
+appends those rows to the training matrix instead of rebuilding it.
 
 An optional :class:`~repro.core.autotune.database.TuningDatabase` lets the
 engine skip tuning entirely for ``(ConvParams, GPUSpec, algorithm)`` triples
@@ -50,10 +50,10 @@ import numpy as np
 from ...conv.tensor import ConvParams
 from ...gpusim.spec import GPUSpec
 from ...obs.metrics import NULL_COUNTER
-from .config import Configuration, Measurer
+from .config import ConfigArray, Configuration, Measurer
 from .cost_model import CostModel
 from .explorer import ExplorerConfig, ParallelRandomWalkExplorer
-from .features import FeatureCache
+from .features import FEATURE_NAMES, feature_matrix
 from .session import SearchGenerator, TrialRecord, Tuner, TuningResult, TuningSession
 from .store import TuningRecord
 
@@ -109,13 +109,9 @@ class AutoTuningEngine(Tuner):
         self.patience = patience
         self.initial_random = initial_random
         self.cost_model = cost_model if cost_model is not None else CostModel(seed=seed)
-        #: per-config feature rows, shared between retraining and the
-        #: explorer so each configuration is featurised exactly once.
-        self.features = FeatureCache(params, spec)
         explorer_cls = explorer_cls or ParallelRandomWalkExplorer
         self.explorer = explorer_cls(
-            self.space, params, spec, config=explorer_config, seed=seed,
-            feature_cache=self.features,
+            self.space, params, spec, config=explorer_config, seed=seed
         )
         self.database = database
         # Telemetry mirrors (null no-ops until attach_metrics binds real
@@ -127,14 +123,12 @@ class AutoTuningEngine(Tuner):
         """Bind engine telemetry to a metrics scope (see ``repro.obs``).
 
         Records ``proposals`` (session proposal batches) and ``retrains``
-        (cost-model refits), and forwards a ``feature_cache`` sub-scope to
-        :meth:`~repro.core.autotune.features.FeatureCache.attach_metrics`.
-        Observability is write-only: nothing recorded here feeds back into
-        the session RNG, the explorer, or the cost model.
+        (cost-model refits).  Observability is write-only: nothing recorded
+        here feeds back into the session RNG, the explorer, or the cost
+        model.
         """
         self._m_proposals = metrics.counter("proposals")
         self._m_retrains = metrics.counter("retrains")
-        self.features.attach_metrics(metrics.scope("feature_cache"))
 
     # ------------------------------------------------------------------ #
     @property
@@ -162,20 +156,23 @@ class AutoTuningEngine(Tuner):
             yield init
             best_time = _best_valid_time(result)
         stale = 0
-        # Incremental featurisation of the measured dataset: rows are
-        # appended as trials arrive (via the FeatureCache), never rebuilt.
-        rows: List[np.ndarray] = []
+        # Incremental featurisation of the measured dataset: the rows of
+        # each iteration's new valid trials are appended, never rebuilt.
+        features = np.zeros((0, len(FEATURE_NAMES)), dtype=np.float64)
         times: List[float] = []
         featurised = 0
         while self._remaining(result) > 0:
             # Stage 1: refit the cost model on the new valid trials.
-            for t in result.trials[featurised:]:
-                if t.valid:
-                    rows.append(self.features.vector(t.config))
-                    times.append(t.time_seconds)
+            new = [t for t in result.trials[featurised:] if t.valid]
             featurised = len(result.trials)
-            if rows:
-                self.cost_model.fit(np.stack(rows), times)
+            if new:
+                configs = ConfigArray.from_configs([t.config for t in new])
+                features = np.concatenate(
+                    [features, feature_matrix(configs, self.params, self.spec)]
+                )
+                times.extend(t.time_seconds for t in new)
+            if times:
+                self.cost_model.fit(features, times)
                 self._m_retrains.inc()
             # Stage 2: the explorer proposes from the best trials so far.
             seeds = [

@@ -10,9 +10,11 @@ all walkers are returned as the next measurement batch.
 Two implementations share that algorithm:
 
 * :class:`ScalarRandomWalkExplorer` — one ``Configuration`` object at a time
-  through ``space.neighbor`` / per-row features / a scalar Metropolis loop.
-  It is the quality reference: simple to audit, and the vectorised explorer
-  is property-tested to find configurations at least as good at equal budget.
+  through ``space.neighbor`` / per-row features (memoised in its own
+  :class:`~repro.core.autotune.features.FeatureCache`) / a scalar Metropolis
+  loop.  It is the quality reference: simple to audit, and the vectorised
+  explorer is property-tested to find configurations at least as good at
+  equal budget.
 * :class:`ParallelRandomWalkExplorer` — the search-side hot path.  All
   walkers advance in lock-step over a
   :class:`~repro.core.autotune.config.ConfigArray`: one batched
@@ -104,16 +106,14 @@ class ScalarRandomWalkExplorer:
         spec: GPUSpec,
         config: Optional[ExplorerConfig] = None,
         seed: int = 0,
-        feature_cache: Optional[FeatureCache] = None,
     ) -> None:
         self.space = space
         self.params = params
         self.spec = spec
         self.config = config or ExplorerConfig()
         self.rng = random.Random(seed)
-        #: walkers revisit configurations across proposals; cache their rows
-        #: (pass the engine's cache in so measured configs featurise once).
-        self._features = feature_cache or FeatureCache(params, spec)
+        #: walkers revisit configurations across proposals; cache their rows.
+        self._features = FeatureCache(params, spec)
 
     # ------------------------------------------------------------------ #
     def _score(self, model: Optional[CostModel], configs: Sequence[Configuration]) -> np.ndarray:
@@ -215,17 +215,12 @@ class ParallelRandomWalkExplorer:
         spec: GPUSpec,
         config: Optional[ExplorerConfig] = None,
         seed: int = 0,
-        feature_cache: Optional[FeatureCache] = None,
     ) -> None:
         self.space = space
         self.params = params
         self.spec = spec
         self.config = config or ExplorerConfig()
         self.seed = seed
-        #: kept for API compatibility with the scalar explorer (the measured
-        #: dataset shares rows through it); the lock-step scoring path
-        #: featurises whole ConfigArray columns instead.
-        self._features = feature_cache or FeatureCache(params, spec)
         children = np.random.SeedSequence(seed).spawn(2 + self.config.num_walkers)
         self._fill_rng = np.random.default_rng(children[0])
         self._score_rng = np.random.default_rng(children[1])

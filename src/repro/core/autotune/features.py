@@ -30,7 +30,7 @@ import numpy as np
 
 from ...conv.tensor import ConvParams, Layout
 from ...gpusim.spec import GPUSpec
-from ...obs.metrics import NULL_COUNTER, MetricsRegistry
+from ...obs.metrics import MetricsRegistry
 from ..dataflow.common import OutputTile, ceil_div
 from ..dataflow.direct import direct_dataflow_io
 from ..dataflow.winograd import winograd_dataflow_io
@@ -257,17 +257,17 @@ def feature_matrix(
 class FeatureCache:
     """Memoised :func:`feature_vector` for one ``(params, spec)`` problem.
 
-    A tuning run featurises the same configurations many times — every
-    retraining iteration rebuilds the feature matrix of the whole measured
-    dataset, and the explorer re-scores configurations its walkers revisit.
+    The scalar reference explorer
+    (:class:`~repro.core.autotune.explorer.ScalarRandomWalkExplorer`)
+    re-scores the configurations its walkers revisit, one row at a time.
     The cache computes each configuration's vector once (keyed by
-    :meth:`Configuration.key`) and reuses the stored row, so a growing
-    dataset only pays for its *new* rows.  ``matrix`` stacks the cached rows
-    exactly like :func:`feature_matrix`, hence bit-identical features.
+    :meth:`Configuration.key`) and reuses the stored row.  ``matrix`` stacks
+    the cached rows exactly like :func:`feature_matrix`, hence bit-identical
+    features.
 
-    A cache lives for one tuning run (the engine that owns it is built per
-    run), so it holds one row per distinct configuration the run has seen.
-    ``hits`` / ``misses`` count cache traffic for service telemetry.
+    A cache lives as long as the explorer that owns it, so it holds one row
+    per distinct configuration that explorer has scored.  ``hits`` /
+    ``misses`` count cache traffic.
     """
 
     def __init__(self, params: ConvParams, spec: GPUSpec) -> None:
@@ -276,15 +276,10 @@ class FeatureCache:
         self._rows: Dict[Tuple, np.ndarray] = {}
         # Per-cache traffic counters live on a private metrics registry (the
         # counters are thread-safe and snapshot-able); ``hits``/``misses``
-        # stay available as read-only views.  attach_metrics binds
-        # additional fleet mirrors (null no-ops until then) so service runs
-        # aggregate cache traffic across engines without disturbing the
-        # exact per-cache counts the tests assert on.
+        # stay available as read-only views.
         self._metrics = MetricsRegistry()
         self._c_hits = self._metrics.counter("feature_cache.hits")
         self._c_misses = self._metrics.counter("feature_cache.misses")
-        self._m_hits = NULL_COUNTER
-        self._m_misses = NULL_COUNTER
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -297,22 +292,15 @@ class FeatureCache:
     def misses(self) -> int:
         return self._c_misses.value
 
-    def attach_metrics(self, metrics) -> None:
-        """Mirror cache traffic into a shared metrics scope (see ``repro.obs``)."""
-        self._m_hits = metrics.counter("hits")
-        self._m_misses = metrics.counter("misses")
-
     def vector(self, config: Configuration) -> np.ndarray:
         key = config.key()
         row = self._rows.get(key)
         if row is None:
             self._c_misses.inc()
-            self._m_misses.inc()
             row = feature_vector(config, self.params, self.spec)
             self._rows[key] = row
         else:
             self._c_hits.inc()
-            self._m_hits.inc()
         return row
 
     def matrix(self, configs: Sequence[Configuration]) -> np.ndarray:

@@ -1,34 +1,26 @@
-"""The record store behind :class:`TuningDatabase`, and its file formats.
+"""The tuning database's records and file formats.
 
-The tuning database is the system of record for every configuration the
-tuner has found, so its persistence and serving surface lives here, behind
-one class:
+The tuning database (:class:`~repro.core.autotune.database.TuningDatabase`)
+is the system of record for every configuration the tuner has found; this
+module holds what it stores and all of its file work:
 
-* :class:`LogStore` — the one record store.  It owns the keep-better
-  record map, the revision counter and change log (the replication
-  primitive the streaming worker pool syncs on), and a **read-copy hot
-  tier**: bucket dicts are copy-on-write and published into a top-level
-  dict under the store lock, so :meth:`LogStore.serve` reads without
-  taking the lock and million-record serving never contends with writers.
-  Without a path it keeps its records in memory only; with one, every
-  *effective* append (an insert, a faster record, or a budget upgrade)
-  writes one line to an append-only log, so a durable put is O(1)
-  amortised, and a dead-record ratio threshold triggers compaction (the
-  live set becomes the snapshot).  A JSON map found at the path is
-  converted to a log in place.
+* :class:`TuningRecord` — one problem's best known configuration, and
+  :func:`resolve_record`, the keep-better fold every collision goes
+  through, so the surviving record set is a deterministic function of the
+  record *set*, not of arrival order or storage layout.
 * :class:`AppendLog` — the one durable append-only JSON-lines log: an
   atomically installed format-1 header, one flushed (optionally fsync'd)
   all-or-nothing line per append, an fsync'd snapshot followed by a log
   reset, and recovery that folds the snapshot, replays the tail and
-  truncates exactly one torn trailing line.  :class:`LogStore` and the
-  daemon's request journal are folds over it.
+  truncates exactly one torn trailing line.  The tuning database on a path
+  and the daemon's request journal are folds over it.
 * :func:`write_map_file` / :func:`read_map_file` — the whole-file JSON map,
-  the portable export and import format (and what older builds saved).
+  the portable export and import format (and what older builds saved), and
+  the in-place conversion of a map found where a record log belongs.
 
-Every collision goes through the same keep-better fold
-(:func:`resolve_record`), so the surviving record set is a deterministic
-function of the record *set*, not of arrival order or storage layout, and
-whether a store has a path changes no tuning trajectory.
+Only this module makes file-durability calls in ``src/`` (reprolint
+REPRO801), so the crash windows are written, and fault-injection tested,
+once.
 """
 
 from __future__ import annotations
@@ -38,19 +30,16 @@ import dataclasses
 import json
 import os
 import stat
-import threading
-from typing import IO, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import IO, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ...conv.tensor import ConvParams, Layout
 from ...gpusim.spec import GPUSpec
-from ...obs.metrics import NULL_COUNTER, NULL_GAUGE
 from .config import Configuration
 from .session import TrialRecord, TuningResult
 
 __all__ = [
     "FORMAT_VERSION",
     "AppendLog",
-    "LogStore",
     "TuningDatabaseError",
     "TuningRecord",
     "read_map_file",
@@ -63,9 +52,6 @@ __all__ = [
 #: format loudly, naming the version — a file from a future build must
 #: never be silently misread or clobbered.
 FORMAT_VERSION = 1
-
-#: retained change-log tail; the log compacts once it reaches twice this.
-_CHANGE_LOG_CAP = 4096
 
 
 class TuningDatabaseError(ValueError):
@@ -368,11 +354,11 @@ def _check_format(payload: object, path: Union[str, os.PathLike], kind: str) -> 
 class AppendLog:
     """One durable append-only JSON-lines log with snapshot compaction.
 
-    The file work behind :class:`LogStore` and the daemon's request
-    journal, each of which is a fold over it.  On disk, ``path`` holds an
-    atomically installed header line ``{"format": 1, "kind": <kind>, ...}``
-    followed by one JSON object per line, and ``path + ".snap"`` holds the
-    compaction snapshot (kind ``<kind>-snapshot``).
+    The file work behind the tuning database on a path and the daemon's
+    request journal, each of which is a fold over it.  On disk, ``path``
+    holds an atomically installed header line ``{"format": 1, "kind":
+    <kind>, ...}`` followed by one JSON object per line, and ``path +
+    ".snap"`` holds the compaction snapshot (kind ``<kind>-snapshot``).
 
     * **Appends** write one line, flushed always and fsync'd when
       ``fsync_appends`` is set.  A failed append is cut back off the file,
@@ -609,9 +595,6 @@ def read_map_file(path: Union[str, os.PathLike]) -> List[TuningRecord]:
         ) from exc
 
 
-_EMPTY_BUCKET: Mapping[Tuple, TuningRecord] = {}
-
-
 def _is_log_header(line: str) -> bool:
     """True when ``line`` decodes to a record log's header."""
     try:
@@ -621,393 +604,26 @@ def _is_log_header(line: str) -> bool:
     return isinstance(header, dict) and header.get("kind") == "log"
 
 
-class LogStore:
-    """The tuning database's record store: a keep-better map in memory,
-    backed by an append-only log when the store has a ``path``.
+def _convert_map_file(path: str) -> None:
+    """Replace a JSON map at ``path`` by a record log holding its records.
 
-    **In memory.**  Problem key -> {measurement conditions -> record}; every
-    append goes through the keep-better fold (:func:`resolve_record`), a
-    revision counter bumps once per *effective* append, and a bounded
-    change log feeds :meth:`changes_since`.  Every mutation happens under
-    ``self._lock``; bucket dicts are **copy-on-write** (mutated as fresh
-    copies, then published into ``self._hot`` by a single dict store), so
-    :meth:`serve` — the million-record hot path — reads without taking the
-    lock and never observes a half-applied update.  Without a ``path`` that
-    is all there is: an append does no file work, :meth:`snapshot` returns
-    None and :meth:`recover` raises.
-
-    **On disk** (with a ``path``): a fold over an :class:`AppendLog` of kind
-    ``log``.  The header line ``{"format": 1, "kind": "log",
-    "snapshot_revision": R}`` is followed by one line per effective append
-    ``{"rev": n, "record": {...}}`` (the surviving *winner* is logged, so
-    replay needs no budget-merge reconstruction); the ``log-snapshot``
-    holds the live ``records`` and their ``revision``.
-
-    * **Appends** are O(1): one line per effective append, flushed always
-      and fsync'd when ``fsync_appends`` is set (snapshots always fsync).
-      The hot tier publishes before the line is written: a put is not an
-      acknowledgement, so a put whose line fails to write stays served
-      from memory until the next recovery.
-    * **Compaction** triggers when the log holds at least
-      ``compact_min_entries`` entries and the dead-record ratio
-      ``dead / (dead + live)`` reaches ``compact_dead_ratio``: the live
-      set becomes the snapshot and the log is reset to a bare header.
-      The rewrite costs O(live) but needs >= live dead entries to trigger,
-      so durable appends stay O(1) amortised.
-    * **Recovery** folds the snapshot, then replays the log tail in order
-      through the same keep-better fold (idempotent, so replaying entries
-      the snapshot already covers is safe); a crash mid-append loses only
-      that put (see :class:`AppendLog`).
-    * **A JSON map at the path** (a non-empty file whose first line is not
-      a log header, such as a :func:`write_map_file` export or a file an
-      older build saved) is converted in place before recovery: it is read
-      with :func:`read_map_file`, whose errors leave it untouched, and one
-      atomic replace installs a log whose lines carry its records.  A crash
-      before the replace leaves the map byte-identical; one after it
-      leaves a log that holds every record.
+    A missing or empty file, or one whose first line is a log header, is
+    left alone.  The map is read with :func:`read_map_file`, whose errors
+    leave it untouched, and one atomic replace installs the log: a crash
+    before the replace leaves the map byte-identical, one after it leaves a
+    log that holds every record.
     """
-
-    def __init__(
-        self,
-        path: Optional[Union[str, os.PathLike]] = None,
-        records: Iterable[TuningRecord] = (),
-        *,
-        compact_dead_ratio: float = 0.5,
-        compact_min_entries: int = 1024,
-        fsync_appends: bool = False,
-    ) -> None:
-        if not 0.0 < compact_dead_ratio <= 1.0:
-            raise ValueError(
-                f"compact_dead_ratio must be in (0, 1], got {compact_dead_ratio}"
-            )
-        #: problem key -> {measurement conditions -> record}; records for the
-        #: same problem measured under different conditions coexist, so two
-        #: runners with different executors never evict each other's entries.
-        #: Read-copy: buckets are immutable-by-convention once published.
-        self._hot: Dict[Tuple, Dict[Tuple, TuningRecord]] = {}
-        self._live = 0
-        #: monotonic change counter: bumped once per *effective* append (an
-        #: insert, a faster record, or a budget upgrade; a losing or equal
-        #: record leaves it untouched).  ``_change_log`` appends the changed
-        #: (problem, conditions) slot per bump, so :meth:`changes_since` can
-        #: stream exactly the records that moved by slicing the tail — the
-        #: primitive the worker pool's cross-shard exchange is built on —
-        #: without rescanning the whole map every round.  The change log is
-        #: compacted once it doubles ``_CHANGE_LOG_CAP`` (``_log_base``
-        #: tracks the revision of its first retained entry); a checkpoint
-        #: older than the retained tail falls back to over-delivering the
-        #: whole map, which keep-better apply makes safe.
-        self._revision = 0
-        self._log_base = 0
-        self._change_log: List[Tuple[Tuple, Tuple]] = []
-        self._lock = threading.RLock()
-        self.path = os.fspath(path) if path is not None else None
-        self._log = (
-            None
-            if self.path is None
-            else AppendLog(self.path, "log", fsync_appends=fsync_appends)
-        )
-        self.snapshot_path = None if self._log is None else self._log.snapshot_path
-        self._compact_dead_ratio = float(compact_dead_ratio)
-        self._compact_min_entries = int(compact_min_entries)
-        #: the slots the log tail holds lines for since the last compaction;
-        #: every other tail line is dead (see :meth:`_dead_locked`).
-        self._logged_slots: set = set()
-        # Telemetry mirrors (null no-ops until attach_metrics binds real
-        # ones); the store sits in the REPRO601 no-wall-clock scope, so
-        # only counts and levels are recorded.
-        self._m_appends = NULL_COUNTER
-        self._m_appends_effective = NULL_COUNTER
-        self._m_recoveries = NULL_COUNTER
-        self._m_recovered_records = NULL_COUNTER
-        self._m_live = NULL_GAUGE
-        self._m_log_appends = NULL_COUNTER
-        self._m_compactions = NULL_COUNTER
-        self._m_compaction_records = NULL_COUNTER
-        self._m_log_entries = NULL_GAUGE
-        self._m_dead = NULL_GAUGE
-        if self._log is not None:
-            self.recover()
-        for record in records:
-            self.append(record)
-
-    def attach_metrics(self, metrics) -> None:
-        """Bind store telemetry to a metrics scope (see ``repro.obs``).
-
-        The database façade wires this under its own scope as ``db.store``,
-        so the full names are ``db.store.appends_total``,
-        ``db.store.appends_effective``, ``db.store.recoveries``,
-        ``db.store.recovered_records`` and the ``db.store.live_records``
-        gauge.  A store with a path adds ``log_appends`` (lines written),
-        ``compactions`` / ``compaction_records`` (rewrites and the live
-        records they carried), and the ``log_entries`` / ``dead_entries``
-        tail gauges.  Observability never alters store state: instruments
-        are written on the same code paths that already mutate the map,
-        nothing more.
-        """
-        with self._lock:
-            self._m_appends = metrics.counter("appends_total")
-            self._m_appends_effective = metrics.counter("appends_effective")
-            self._m_recoveries = metrics.counter("recoveries")
-            self._m_recovered_records = metrics.counter("recovered_records")
-            self._m_live = metrics.gauge("live_records")
-            self._m_live.set(self._live)
-            if self._log is not None:
-                self._m_log_appends = metrics.counter("log_appends")
-                self._m_compactions = metrics.counter("compactions")
-                self._m_compaction_records = metrics.counter("compaction_records")
-                self._m_log_entries = metrics.gauge("log_entries")
-                self._m_dead = metrics.gauge("dead_entries")
-                self._m_log_entries.set(self._log.lines)
-                self._m_dead.set(self._dead_locked())
-
-    # -- in-memory tier -------------------------------------------------- #
-    def __len__(self) -> int:
-        with self._lock:
-            return self._live
-
-    def scan(self) -> List[TuningRecord]:
-        """Every live record (one list, point-in-time consistent)."""
-        with self._lock:
-            return [r for bucket in self._hot.values() for r in bucket.values()]
-
-    def serve(self, key: Tuple) -> Mapping[Tuple, TuningRecord]:
-        """The conditions bucket for a problem key — the lock-free hot path.
-
-        Returns the published (immutable-by-convention) bucket dict, or an
-        empty mapping.  Safe without the lock because buckets are
-        copy-on-write and publication is a single atomic dict store: a
-        reader sees either the pre-update or the post-update bucket, never
-        a partially-applied one.
-        """
-        # Read-copy hot tier: buckets are copy-on-write and published
-        # atomically, so the unlocked read below sees a consistent snapshot;
-        # serving must never contend with writers.
-        # reprolint: disable=REPRO201 - lock-free read of published bucket
-        return self._hot.get(key, _EMPTY_BUCKET)
-
-    def append(self, record: TuningRecord) -> Tuple[TuningRecord, bool]:
-        """Keep-better insert; returns ``(surviving record, effective?)``.
-
-        ``effective`` is True when the slot actually changed (an insert, a
-        faster record, or a budget upgrade); only effective appends bump
-        the revision, enter the change log, and reach the log on disk.  A
-        losing (or identical) record leaves everything untouched, which is
-        what keeps record exchange loop-free: re-applying a record the
-        store already holds never re-broadcasts it and never grows the
-        on-disk log.
-        """
-        with self._lock:
-            self._m_appends.inc()
-            winner, slot = self._publish_locked(record)
-            if slot is None:
-                return winner, False
-            self._revision += 1
-            self._change_log.append(slot)
-            if len(self._change_log) >= 2 * _CHANGE_LOG_CAP:
-                # Amortised O(1) compaction keeps a daemon-lifetime change
-                # log bounded; stale checkpoints fall back to safe
-                # over-delivery in changes_since().
-                del self._change_log[:_CHANGE_LOG_CAP]
-                self._log_base += _CHANGE_LOG_CAP
-            self._m_appends_effective.inc()
-            self._m_live.set(self._live)
-            if self._log is not None:
-                self._log_locked(winner, slot)
-            return winner, True
-
-    @property
-    def revision(self) -> int:
-        """Monotonic change counter (see :meth:`changes_since`)."""
-        with self._lock:
-            return self._revision
-
-    def changes_since(self, revision: int) -> List[TuningRecord]:
-        """Records whose slot changed after ``revision``, oldest change first.
-
-        ``store.changes_since(checkpoint)`` with a ``checkpoint`` captured
-        from :attr:`revision` is an incremental diff: applying the returned
-        records to a replica that already saw ``checkpoint`` brings it up
-        to date (keep-better apply is idempotent and order-independent, so
-        over-delivery is always safe).
-        """
-        with self._lock:
-            if revision < self._log_base:
-                # The checkpoint predates the retained log tail (compacted
-                # away): over-deliver everything — idempotent keep-better
-                # apply makes that merely redundant, never wrong.
-                return self.scan()
-            seen: set = set()
-            changed: List[TuningRecord] = []
-            for slot in self._change_log[max(revision - self._log_base, 0):]:
-                if slot not in seen:
-                    seen.add(slot)
-                    key, cond = slot
-                    changed.append(self._hot[key][cond])
-            return changed
-
-    def _publish_locked(self, record: TuningRecord) -> Tuple[TuningRecord, Optional[Tuple]]:
-        """(lock held) Keep-better fold of ``record`` into its bucket;
-        returns the survivor and the changed ``(key, conditions)`` slot, or
-        None when nothing changed.  Recovery folds through it too, bumping
-        no revision: it reconstructs state, it creates no changes."""
-        key = record.key()
-        cond = record.conditions()
-        bucket = self._hot.get(key)
-        existing = bucket.get(cond) if bucket else None
-        winner = resolve_record(record, existing)
-        if winner is existing:
-            return existing, None
-        # Copy-on-write publish: lock-free serve() readers see the old
-        # bucket until the single dict store below lands the new one.
-        new_bucket = dict(bucket) if bucket else {}
-        new_bucket[cond] = winner
-        self._hot[key] = new_bucket
-        if existing is None:
-            self._live += 1
-        return winner, (key, cond)
-
-    # -- durability ------------------------------------------------------ #
-    def _log_locked(self, winner: TuningRecord, slot: Tuple) -> None:
-        """(lock held) Append one effective record to the log; compact when
-        the dead ratio crosses the threshold."""
-        self._log.append({"rev": self._revision, "record": winner.to_dict()})
-        self._logged_slots.add(slot)
-        dead = self._dead_locked()
-        self._m_log_appends.inc()
-        self._m_log_entries.set(self._log.lines)
-        self._m_dead.set(dead)
-        if self._log.lines >= self._compact_min_entries and (
-            dead >= self._compact_dead_ratio * (dead + self._live)
-        ):
-            self._compact_locked()
-
-    def _dead_locked(self) -> int:
-        """(lock held) Tail lines superseded by a later line for the same
-        slot: each tail line either logs a new slot or is dead."""
-        return self._log.lines - len(self._logged_slots)
-
-    def snapshot(self) -> Optional[str]:
-        """Compact now: fsync'd snapshot of the live set + log reset;
-        returns the snapshot's path (None for a store without a path).
-
-        Also the idle-time hook for bounding recovery: a long-lived daemon
-        can snapshot between traffic bursts so restart replays only a
-        short tail."""
-        with self._lock:
-            if self._log is None:
-                return None
-            self._compact_locked()
-            return self.snapshot_path
-
-    def _compact_locked(self) -> None:
-        """(lock held) Snapshot the live set, then reset the log (crash
-        windows: :meth:`AppendLog.snapshot`)."""
-        records = self.scan()
-        self._log.snapshot(
-            {"revision": self._revision, "records": [r.to_dict() for r in records]},
-            header={"snapshot_revision": self._revision},
-        )
-        self._logged_slots = set()
-        self._m_compactions.inc()
-        self._m_compaction_records.inc(len(records))
-        self._m_log_entries.set(0)
-        self._m_dead.set(0)
-
-    # -- recovery -------------------------------------------------------- #
-    def recover(self) -> int:
-        """Rebuild memory from the path: convert a JSON map in place, fold
-        the snapshot, replay the log tail (see the class docstring); returns
-        the number of live records.  Idempotent: recovering twice yields the
-        same record set and revision.  ``self._revision`` tracks the highest
-        revision seen until the end pins it."""
-        with self._lock:
-            if self._log is None:
-                raise TuningDatabaseError(
-                    "a LogStore without a path has nothing to recover from"
-                )
-            self._convert_map_locked()
-            self._hot = {}
-            self._live = 0
-            self._revision = 0
-            self._log_base = 0
-            self._change_log = []
-            self._logged_slots = set()
-            header = self._log.recover(
-                self._fold_snapshot_locked,
-                self._fold_line_locked,
-                fresh_header=lambda: {"snapshot_revision": self._revision},
-            )
-            # Pin the revision where the empty change log starts, so a stale
-            # replica checkpoint over-delivers (safe) rather than misses
-            # changes.
-            self._revision = max(
-                self._revision, int(header.get("snapshot_revision", 0)), self._live
-            )
-            self._log_base = self._revision
-            self._m_recoveries.inc()
-            self._m_recovered_records.inc(self._live)
-            self._m_live.set(self._live)
-            self._m_log_entries.set(self._log.lines)
-            self._m_dead.set(self._dead_locked())
-            return self._live
-
-    def _convert_map_locked(self) -> None:
-        """(lock held) Replace a JSON map at the path by a log holding its
-        records, in one atomic write (see the class docstring).  A missing
-        or empty file is a fresh log, not a map."""
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                first = fh.readline()
-        except FileNotFoundError:
-            return
-        if not first or _is_log_header(first):
-            return
-        header = {"format": FORMAT_VERSION, "kind": "log", "snapshot_revision": 0}
-        lines = [json.dumps(header, sort_keys=True) + "\n"]
-        lines += [
-            json.dumps({"rev": rev, "record": record.to_dict()}, sort_keys=True) + "\n"
-            for rev, record in enumerate(read_map_file(self.path), start=1)
-        ]
-        _atomic_write(self.path, lambda fh: fh.writelines(lines), fsync=True)
-
-    def _fold_snapshot_locked(self, payload: Dict[str, object]) -> None:
-        """(lock held) Fold the snapshot's live records and its revision."""
-        for d in payload.get("records", []):
-            self._publish_locked(TuningRecord.from_dict(d))
-        self._revision = int(payload.get("revision", 0))
-
-    def _fold_line_locked(self, entry: Dict[str, object]) -> None:
-        """(lock held) Replay one log line through the keep-better fold."""
-        record = TuningRecord.from_dict(entry["record"])
-        rev = int(entry.get("rev", 0))
-        self._publish_locked(record)
-        self._logged_slots.add((record.key(), record.conditions()))
-        self._revision = max(self._revision, rev)
-
-    def close(self) -> None:
-        """Release the log's file handle (idempotent); a closed store keeps
-        serving reads, and :meth:`recover` reopens it for appends."""
-        with self._lock:
-            if self._log is not None:
-                self._log.close()
-
-    def describe(self) -> Dict[str, object]:
-        """JSON-native introspection snapshot: ``kind`` is ``"memory"`` for
-        a store without a path and ``"log"`` for one with a path, which
-        adds the log's state."""
-        with self._lock:
-            info: Dict[str, object] = {
-                "kind": "memory" if self._log is None else "log",
-                "path": self.path,
-                "records": self._live,
-                "revision": self._revision,
-            }
-            if self._log is not None:
-                info.update(
-                    snapshot_path=self.snapshot_path,
-                    log_entries=self._log.lines,
-                    dead_entries=self._dead_locked(),
-                    closed=self._log.closed,
-                )
-            return info
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline()
+    except FileNotFoundError:
+        return
+    if not first or _is_log_header(first):
+        return
+    header = {"format": FORMAT_VERSION, "kind": "log", "snapshot_revision": 0}
+    lines = [json.dumps(header, sort_keys=True) + "\n"]
+    lines += [
+        json.dumps({"rev": rev, "record": record.to_dict()}, sort_keys=True) + "\n"
+        for rev, record in enumerate(read_map_file(path), start=1)
+    ]
+    _atomic_write(path, lambda fh: fh.writelines(lines), fsync=True)

@@ -26,7 +26,7 @@ trajectories with observability enabled vs. disabled is enforced by
 ``tests/test_observability.py``.
 """
 
-from .clock import NULL_CLOCK, Clock, FakeClock, MonotonicClock, NullClock, WallClock
+from .clock import NULL_CLOCK, Clock, FakeClock, MonotonicClock, NullClock
 from .export import (
     format_describe,
     metrics_jsonl,
@@ -74,7 +74,6 @@ __all__ = [
     "Scope",
     "Span",
     "SpanTracer",
-    "WallClock",
     "NULL_CLOCK",
     "NULL_COUNTER",
     "NULL_GAUGE",

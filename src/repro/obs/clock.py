@@ -14,8 +14,7 @@ the repository's determinism contracts:
   says so, making span durations and rate computations exact assertions
   instead of sleeps and tolerances;
 * **the edges read real time** — drivers, benchmarks and exporters construct
-  a :class:`MonotonicClock` (or :class:`WallClock` for absolute timestamps)
-  exactly once, at the boundary of the system.
+  a :class:`MonotonicClock` exactly once, at the boundary of the system.
 
 The generalised repo-wide rule is reprolint **REPRO701**: a direct
 ``time.time``/``time.monotonic``/``time.perf_counter``/``datetime.now`` read
@@ -32,7 +31,6 @@ __all__ = [
     "FakeClock",
     "MonotonicClock",
     "NullClock",
-    "WallClock",
     "NULL_CLOCK",
 ]
 
@@ -59,13 +57,6 @@ class MonotonicClock(Clock):
 
     def now(self) -> float:
         return time.perf_counter()
-
-
-class WallClock(Clock):
-    """Absolute epoch-seconds clock for exporter event timestamps."""
-
-    def now(self) -> float:
-        return time.time()
 
 
 class NullClock(Clock):

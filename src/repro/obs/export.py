@@ -39,8 +39,8 @@ def format_describe(info: object) -> str:
     """Render a ``describe()`` dict as a compact human one-liner.
 
     ``{"kind": "TuningDatabase", "records": 3, ...}`` becomes
-    ``TuningDatabase[records=3, ...]``; nested describe dicts (a database's
-    store, a service's database) render recursively.  Pure function over
+    ``TuningDatabase[records=3, ...]``; nested describe dicts (a service's
+    database, a daemon's journal) render recursively.  Pure function over
     JSON-native data — the inverse direction (parsing) is never needed,
     because the dict itself is the machine-readable form.
     """

@@ -9,13 +9,12 @@ batches:
   request pins down everything that determines a tuning outcome (search
   tuner and hyperparameters included), so equal requests are
   interchangeable.
-* :class:`RequestCoalescer` — identical in-flight requests share one run.
 * :class:`TuningService` — the scheduler: serves database hits at submit
-  time, drives every active run's step-wise session (the ATE engine *and*
-  every baseline tuner run the one
-  :class:`~repro.core.autotune.session.TuningSession` over their search
-  generators), and packs proposal batches from different requests into
-  shared executor calls
+  time, coalesces identical in-flight requests onto one run, drives every
+  active run's step-wise session (the ATE engine *and* every baseline
+  tuner run the one :class:`~repro.core.autotune.session.TuningSession`
+  over their search generators), and packs proposal batches from
+  different requests into shared executor calls
   (:meth:`~repro.gpusim.executor.GPUExecutor.run_batch_groups`).
 * :class:`SchedulingPolicy` — which runs propose each round: uniform
   (default), budget-weighted fair share, earliest-deadline-first.
@@ -72,7 +71,6 @@ algorithms side by side, packing their measurement batches together::
     results = [f.result() for f in futures]
 """
 
-from .coalescer import InFlightRun, RequestCoalescer
 from .daemon import DaemonStats, TuningDaemon
 from .daemonize import PidfileError, daemonize, serve_forever
 from .errors import (
@@ -124,13 +122,11 @@ __all__ = [
     "EarliestDeadlinePolicy",
     "FairSharePolicy",
     "FakeTransport",
-    "InFlightRun",
     "NotReady",
     "Overloaded",
     "PidfileError",
     "PoolStats",
     "RequestCancelled",
-    "RequestCoalescer",
     "RequestError",
     "RequestFailed",
     "RequestJournal",

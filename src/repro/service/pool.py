@@ -176,23 +176,6 @@ def _shard_for_request(request: TuningRequest, num_shards: int) -> int:
     return int(request_id(request)[:8], 16) % num_shards
 
 
-def _covering_record(
-    database: TuningDatabase, request: TuningRequest
-) -> Optional[TuningRecord]:
-    """The record ``database`` serves ``request`` from, exactly as
-    :meth:`TuningService.submit` looks it up (pruned requests only)."""
-    if not request.pruned:
-        return None
-    return database.lookup(
-        request.params,
-        request.spec,
-        request.algorithm,
-        budget=request.max_measurements,
-        noise=request.noise,
-        noise_seed=request.noise_seed,
-    )
-
-
 def _decode_envelope(wire: object) -> Optional[RecordEnvelope]:
     """Decode a wire payload; ``None`` for poisoned envelopes (never raises)."""
     try:
@@ -273,16 +256,15 @@ class _ShardRunner:
         """
         while self.pending:
             ticket, head = self.pending[0]
-            coalesces = self.service.coalescer.get(head) is not None
             if (
-                not coalesces
+                not self.service.in_flight(head)
                 and self.admit_window > 0
                 and self.service.num_active >= self.admit_window
             ):
                 break
             self.pending.popleft()
             self._submit(ticket, head)
-            if self.service.coalescer.get(head) is not None:
+            if self.service.in_flight(head):
                 # The request is now in flight: pull its backlog duplicates
                 # forward so they ride the run instead of re-tuning after
                 # it retires.
@@ -669,7 +651,7 @@ class TuningWorkerPool:
         results: List[Optional[TuningResult]] = [None] * len(requests)
         pending: List[int] = []
         for i, request in enumerate(requests):
-            record = _covering_record(exchange, request)
+            record = request.lookup(exchange)
             if record is None:
                 pending.append(i)
             else:
@@ -807,7 +789,7 @@ class TuningWorkerPool:
         if not self._serving:
             raise RuntimeError("pool is not serving; call start() first")
         self._c_requests.inc()
-        record = _covering_record(self._serve_exchange, request)
+        record = request.lookup(self._serve_exchange)
         if record is not None:
             self._c_pre_served.inc()
             future = TuningFuture(request)

@@ -29,6 +29,7 @@ from ..core.autotune.baselines import (
     TVMStyleTuner,
 )
 from ..core.autotune.config import Measurer
+from ..core.autotune.database import TuningDatabase, TuningRecord
 from ..core.autotune.engine import AutoTuningEngine
 from ..core.autotune.session import Tuner, TuningResult, TuningSession
 from ..gpusim.spec import GPUSpec
@@ -122,6 +123,24 @@ class TuningRequest:
         """Measurement-compatibility key: requests in the same group may be
         packed into one executor call (same device, same noise conditions)."""
         return (self.spec, self.noise, self.noise_seed)
+
+    def lookup(self, database: TuningDatabase) -> Optional[TuningRecord]:
+        """The record ``database`` answers this request with, or None.
+
+        Only pruned requests are served from a database, and only by a
+        record that covers the request's budget and measurement conditions
+        (see :meth:`~repro.core.autotune.database.TuningDatabase.lookup`).
+        """
+        if not self.pruned:
+            return None
+        return database.lookup(
+            self.params,
+            self.spec,
+            self.algorithm,
+            budget=self.max_measurements,
+            noise=self.noise,
+            noise_seed=self.noise_seed,
+        )
 
     def make_measurer(self) -> Measurer:
         return Measurer(self.params, self.spec, noise=self.noise, seed=self.noise_seed)

@@ -18,8 +18,10 @@ remove the redundancy a naive per-request loop would pay:
    storage; records carry the producing tuner's name.
 2. **Request coalescing** — identical requests (tuner and hyperparameters
    included in the key) that arrive while a matching run is in flight attach
-   to it instead of starting their own (:mod:`repro.service.coalescer`); N
-   concurrent requests for the same search cost exactly one run.
+   to it instead of starting their own: the service keeps one run per
+   distinct request (the request *is* the key, see ``request.py``), and the
+   run carries every future waiting on it, so N concurrent requests for the
+   same search cost exactly one run.
 3. **Cross-request measurement batching** — every scheduling round
    (:meth:`TuningService.step`) collects the next proposal batch of each
    *scheduled* tuning session, lowers each with its own
@@ -68,7 +70,6 @@ from ..obs import (
     MetricsSnapshot,
     Observability,
 )
-from .coalescer import RequestCoalescer
 from .errors import DeadlineExpired, RequestCancelled
 from .futures import TuningFuture
 from .policy import SchedulingPolicy, make_policy
@@ -119,15 +120,18 @@ class ServiceStats:
 
 @dataclass
 class _ActiveRun:
-    """One scheduled tuning run and its step-wise session.
+    """One scheduled tuning run, its step-wise session and its futures.
 
     ``tuner`` is whatever the request named and only matters as the owner of
-    the measurer the session's proposals are lowered with.
+    the measurer the session's proposals are lowered with.  ``futures``
+    holds every future waiting on the run: the first is the submission that
+    started it, the rest coalesced onto it.
     """
 
     request: TuningRequest
     tuner: Tuner
     session: TuningSession
+    futures: List[TuningFuture]
 
     @property
     def measurer(self) -> Measurer:
@@ -167,7 +171,6 @@ class TuningService:
         #: shared across all requests; pruned-domain results are stored here
         #: and repeat requests are answered from it.
         self.database = database if database is not None else TuningDatabase()
-        self.coalescer = RequestCoalescer()
         self.policy = make_policy(policy)
         self.obs = obs if obs is not None else NULL_OBS
         # Always-live accounting registry: one counter per ServiceStats
@@ -202,7 +205,8 @@ class TuningService:
         self._clock = self.obs.clock
         if self.obs.enabled:
             self.database.attach_metrics(reg.scope("db"))
-        self._active: List[_ActiveRun] = []
+        #: the in-flight runs, one per distinct request, in submission order.
+        self._runs: Dict[TuningRequest, _ActiveRun] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -246,7 +250,13 @@ class TuningService:
     @property
     def num_active(self) -> int:
         with self._lock:
-            return len(self._active)
+            return len(self._runs)
+
+    def in_flight(self, request: TuningRequest) -> bool:
+        """Whether a run for ``request`` is in flight, so that submitting
+        the request again would coalesce onto it."""
+        with self._lock:
+            return request in self._runs
 
     def submit(self, request: TuningRequest) -> TuningFuture:
         """Accept a request; returns immediately with a future.
@@ -268,32 +278,24 @@ class TuningService:
                     f"(now {self._clock.now()}); rejected up front, not admitted"
                 )
             self._c_requests.inc()
-            entry = self.coalescer.get(request)
-            if entry is not None:
-                self.coalescer.join(future)
+            run = self._runs.get(request)
+            if run is not None:
+                future.coalesced = True
+                run.futures.append(future)
                 self._c_coalesced.inc()
                 return future
-            if request.pruned:
-                record = self.database.lookup(
-                    request.params,
-                    request.spec,
-                    request.algorithm,
-                    budget=request.max_measurements,
-                    noise=request.noise,
-                    noise_seed=request.noise_seed,
-                )
-                if record is not None:
-                    self._c_database_hits.inc()
-                    future.from_database = True
-                    future._set_result(record.as_result())
-                    return future
+            record = request.lookup(self.database)
+            if record is not None:
+                self._c_database_hits.inc()
+                future.from_database = True
+                future._set_result(record.as_result())
+                return future
             # The session consults no database itself — lookups and stores
             # are the service's job, so an in-flight run is never pre-empted.
             # It is built before the run is registered: a request that cannot
-            # start raises here and leaves no in-flight entry for its
+            # start raises here and leaves no in-flight run for its
             # duplicates to coalesce onto.
             tuner, session = request.make_session()
-            self.coalescer.join(future)
             if self.obs.enabled:
                 # Fleet-aggregated telemetry for the run's measurement and
                 # search machinery; attached before the first proposal so
@@ -302,8 +304,8 @@ class TuningService:
                 if run_tuner_attach is not None:
                     run_tuner_attach(self.obs.scope("engine"))
                 tuner.measurer.attach_metrics(self.obs.scope("measurer"))
-            self._active.append(
-                _ActiveRun(request=request, tuner=tuner, session=session)
+            self._runs[request] = _ActiveRun(
+                request=request, tuner=tuner, session=session, futures=[future]
             )
             self._c_tuning_runs.inc()
         return future
@@ -343,25 +345,26 @@ class TuningService:
         per ``(GPU, noise conditions)`` through single packed executor calls.
         """
         with self._lock:
-            if not self._active:
+            if not self._runs:
                 return False
             self._c_rounds.inc()
-            with self._tracer.span("service.step", active=len(self._active)):
+            runs = list(self._runs.values())
+            with self._tracer.span("service.step", active=len(runs)):
                 # Phase 0: the policy picks this round's runs.  Deduplicate,
                 # drop anything the policy invented, and never accept an empty
                 # selection — a policy bug must not stall the service.
-                active = {id(run): run for run in self._active}
+                active = {id(run): run for run in runs}
                 selected: List[_ActiveRun] = []
                 seen: set = set()
                 select_start = self._clock.now()
-                picked = self.policy.select(list(self._active))
+                picked = self.policy.select(list(runs))
                 self._h_policy_select.observe(self._clock.now() - select_start)
                 for run in picked:
                     if id(run) in active and id(run) not in seen:
                         seen.add(id(run))
                         selected.append(run)
                 if not selected:
-                    selected = list(self._active)
+                    selected = runs
 
                 # Phase 1: collect proposals; finalise finished sessions.
                 work: List[Tuple[_ActiveRun, list, object]] = []
@@ -428,16 +431,13 @@ class TuningService:
         Returns False when no active run matches ``request``.
         """
         with self._lock:
-            for run in self._active:
-                if run.request == request:
-                    error = (
-                        exc
-                        if exc is not None
-                        else RequestCancelled(f"cancelled: {request.describe()}")
-                    )
-                    self._fail(run, error)
-                    return True
-            return False
+            run = self._runs.get(request)
+            if run is None:
+                return False
+            if exc is None:
+                exc = RequestCancelled(f"cancelled: {request.describe()}")
+            self._fail(run, exc)
+            return True
 
     def drain(self) -> None:
         """Run scheduling rounds until every submitted request is answered."""
@@ -452,7 +452,7 @@ class TuningService:
         """Abrupt stop: fail every active run's futures with
         :class:`~repro.service.errors.RequestCancelled`."""
         with self._lock:
-            for run in list(self._active):
+            for run in list(self._runs.values()):
                 self._fail(run, RequestCancelled("service terminated"))
 
     def tune(self, requests: Sequence[TuningRequest]) -> List[TuningResult]:
@@ -465,13 +465,11 @@ class TuningService:
     def _finalize(self, run: _ActiveRun) -> None:
         """Store, answer and retire a finished run (lock held).
 
-        The coalescer entry is popped only after every future is answered, so
-        that a failure partway through (a raising database, say) leaves the
-        entry reachable for :meth:`_fail` to answer the remaining futures
-        with the exception.
+        The run is retired only after every future is answered, so that a
+        failure partway through (a raising database, say) leaves it for
+        :meth:`_fail` to answer the remaining futures with the exception.
         """
         result = run.session.result
-        entry = self.coalescer.get(run.request)
         request = run.request
         stored = False
         if request.pruned and any(t.valid for t in result.trials):
@@ -485,46 +483,35 @@ class TuningService:
                 )
             )
             stored = True
-        entry.primary._set_result(result)
-        for future in entry.attached:
-            if stored:
-                # Sequential shared-database semantics: a later identical
-                # request would have been served the stored record.
-                record = self.database.lookup(
-                    request.params,
-                    request.spec,
-                    request.algorithm,
-                    budget=request.max_measurements,
-                    noise=request.noise,
-                    noise_seed=request.noise_seed,
-                )
-                if record is not None:
-                    future.from_database = True
-                    future._set_result(record.as_result())
-                    continue
-            future._set_result(result)
-        self.coalescer.discard(request)
-        self._active.remove(run)
+        primary, *attached = run.futures
+        primary._set_result(result)
+        for future in attached:
+            # Sequential shared-database semantics: a later identical
+            # request would have been served the stored record.
+            record = request.lookup(self.database) if stored else None
+            if record is not None:
+                future.from_database = True
+                future._set_result(record.as_result())
+            else:
+                future._set_result(result)
+        del self._runs[request]
         self._c_measurements.inc(run.measurer.num_measurements)
         self._c_completed_runs.inc()
 
     def _fail(self, run: _ActiveRun, exc: BaseException) -> None:
-        """Propagate a run's failure to all of its futures (lock held).
+        """Propagate a run's failure to all of its futures and retire it
+        (lock held).
 
         Also reached when :meth:`_finalize` itself raises (e.g. a failing
-        user-supplied database), so it must tolerate a run whose coalescer
-        entry was already popped or whose futures are partially answered.
+        user-supplied database), so it answers only the futures that are
+        not answered yet.
         """
         self._c_completed_runs.inc()
         self._c_measurements.inc(run.measurer.num_measurements)
-        entry = self.coalescer.get(run.request)
-        if entry is not None:
-            self.coalescer.discard(run.request)
-            for future in entry.futures:
-                if not future.done():
-                    future._set_exception(exc)
-        if run in self._active:
-            self._active.remove(run)
+        self._runs.pop(run.request, None)
+        for future in run.futures:
+            if not future.done():
+                future._set_exception(exc)
 
     def describe(self) -> Dict[str, object]:
         """JSON-native status snapshot (see the satellite redesign: the

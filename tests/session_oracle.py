@@ -4,9 +4,11 @@
 Figure 8 loop ran as before it became the ``records = yield configs``
 generator ``AutoTuningEngine._search`` behind the one
 :class:`repro.core.autotune.session.TuningSession`.  It is kept verbatim
-apart from the class name and the engine's result name (``engine.name``, once
-``engine.result_name``), and it takes ``initial_random`` as an argument
-because the engine no longer does.  ``tests/test_session_oracle.py`` drives
+apart from the class name, the engine's result name (``engine.name``, once
+``engine.result_name``) and its feature rows, which it computes one at a
+time with ``feature_vector`` because the engine no longer keeps a feature
+cache; it takes ``initial_random`` as an argument because the engine no
+longer does.  ``tests/test_session_oracle.py`` drives
 identical engines through it and through ``engine.session()`` and compares
 the results' wire forms.
 """
@@ -18,6 +20,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from repro.core.autotune.config import Configuration
+from repro.core.autotune.features import feature_vector
 from repro.core.autotune.session import TuningResult, record_trial
 from repro.gpusim.executor import ExecutionResult
 
@@ -63,8 +66,8 @@ class OracleSession:
         self._init_pending = True  # the next update() is the random-init batch
         self._best_time = float("inf")
         self._stale_iterations = 0
-        # Incremental featurisation of the measured dataset: rows are appended
-        # as trials arrive (via the engine's FeatureCache), never rebuilt.
+        # Incremental featurisation of the measured dataset: one row per new
+        # valid trial is appended as trials arrive, never rebuilt.
         self._trained_rows: List[np.ndarray] = []
         self._trained_times: List[float] = []
         self._featurised = 0  # trials already scanned into the rows above
@@ -167,10 +170,10 @@ class OracleSession:
     def _retrain(self) -> None:
         """Refit the cost model, featurising only the new valid trials."""
         trials = self.result.trials
-        cache = self.engine.features
+        engine = self.engine
         for t in trials[self._featurised :]:
             if t.valid:
-                self._trained_rows.append(cache.vector(t.config))
+                self._trained_rows.append(feature_vector(t.config, engine.params, engine.spec))
                 self._trained_times.append(t.time_seconds)
         self._featurised = len(trials)
         if not self._trained_rows:

@@ -1,11 +1,12 @@
 """One fault-injection suite for the durable append-only log.
 
 :class:`~repro.core.autotune.store.AppendLog` does the file work behind two
-folds: :class:`~repro.core.autotune.store.LogStore` (the record store) and
-:class:`~repro.service.journal.RequestJournal` (the daemon's request
-journal).  Every case runs against both through a small adapter that opens
-the fold, appends its ``i``-th item and reads its state, and compares with a
-reference fold that appended the same items and never crashed:
+folds: :class:`~repro.core.autotune.database.TuningDatabase` on a path (the
+record store) and :class:`~repro.service.journal.RequestJournal` (the
+daemon's request journal).  Every case runs against both through a small
+adapter that opens the fold, appends its ``i``-th item and reads its state,
+and compares with a reference fold that appended the same items and never
+crashed:
 
 * a torn tail, cut at every byte offset of the final line (the
   newline-only cut included), recovers, takes one more append and
@@ -27,7 +28,7 @@ import random
 import pytest
 
 from repro.conv import ConvParams
-from repro.core.autotune import LogStore, SearchSpace, TuningDatabaseError, TuningRecord
+from repro.core.autotune import SearchSpace, TuningDatabase, TuningDatabaseError, TuningRecord
 from repro.core.autotune.store import FORMAT_VERSION
 from repro.gpusim import V100
 from repro.service import RequestJournal
@@ -38,8 +39,14 @@ CONFIG = SearchSpace(LAYER, V100, "direct", pruned=True).random_configuration(
 )
 
 
+class RecordLog(TuningDatabase):
+    """A database on a log, with the journal's name for compacting now."""
+
+    snapshot = TuningDatabase.save
+
+
 class StoreFold:
-    """LogStore items: records over five slots, so items 5+ supersede."""
+    """Database items: records over five slots, so items 5+ supersede."""
 
     name = "store"
     kind = "log"
@@ -48,11 +55,15 @@ class StoreFold:
     #: acknowledgements); the journal stores an event only once written.
     publishes_first = True
 
-    def make(self, path, **kwargs):
-        return LogStore(path, **kwargs)
+    def make(self, path, fsync_appends=False):
+        db = RecordLog(path=path)
+        # Only the journal offers fsync'd appends; the failed-append cases
+        # fail the fsync after the whole line is written.
+        db._log._fsync_appends = fsync_appends
+        return db
 
     def add(self, store, i):
-        store.append(
+        store.put(
             TuningRecord(
                 params=LAYER.with_batch(i % 5 + 1),
                 gpu="V100",
@@ -64,7 +75,7 @@ class StoreFold:
         )
 
     def state(self, store):
-        return sorted((r.key(), r.time_seconds) for r in store.scan())
+        return sorted((r.key(), r.time_seconds) for r in store.records())
 
 
 #: the journal's items; transitions only touch rids accepted by items the
@@ -217,7 +228,7 @@ def test_crash_between_snapshot_install_and_log_reset(fold, path, tmp_path, monk
     with pytest.raises(OSError):
         log.snapshot()
     monkeypatch.undo()
-    assert os.path.exists(log.snapshot_path)
+    assert path.with_name(path.name + ".snap").exists()
     log.close()  # the process dies here
     recovered = fold.make(path)
     assert fold.state(recovered) == before

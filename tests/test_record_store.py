@@ -1,7 +1,7 @@
-"""Tests for the LogStore record store behind TuningDatabase.
+"""Tests for the record store inside TuningDatabase.
 
-Covers the store contract (append/scan/serve/changes_since) in memory and
-on a log, the log's durability + compaction (its crash recovery is in
+Covers the store contract (put/apply/records/lookup/changes_since) in memory
+and on a log, the log's durability + compaction (its crash recovery is in
 ``test_append_log.py``, shared with the request journal), the format-1
 header versioning and the in-place conversion of a JSON map, the removed
 shims, structured ``describe()``, and the acceptance property that a
@@ -9,6 +9,8 @@ log-backed database changes no tuning trajectory for the service or the
 streaming pool.
 """
 
+import dataclasses
+import errno
 import json
 import os
 import random
@@ -20,7 +22,6 @@ import pytest
 
 from repro.conv import ConvParams
 from repro.core.autotune import (
-    LogStore,
     SearchSpace,
     TuningDatabase,
     TuningDatabaseError,
@@ -58,110 +59,118 @@ def _records(n, time_seconds=1e-3):
     ]
 
 
-def _canonical(store_or_db):
-    records = (
-        store_or_db.scan()
-        if hasattr(store_or_db, "scan")
-        else store_or_db.records()
-    )
+def _canonical(db):
     return sorted(
         (r.key(), r.conditions(), r.time_seconds, r.config.key(), r.budget)
-        for r in records
+        for r in db.records()
     )
 
 
-def _make_store(kind, tmp_path, **kw):
+def _make_db(kind, tmp_path):
     if kind == "memory":
-        return LogStore(**kw)
-    return LogStore(tmp_path / "db.log", **kw)
+        return TuningDatabase()
+    return TuningDatabase(path=tmp_path / "db.log")
+
+
+def _fail_next_fsync(monkeypatch):
+    """Make the next ``os.fsync`` fail once, as a full disk would."""
+    real_fsync = os.fsync
+    failures = []
+
+    def fsync_fails_once(fd):
+        if not failures:
+            failures.append(fd)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_fails_once)
 
 
 @pytest.mark.parametrize("kind", ["memory", "log"])
 class TestRecordStoreProtocol:
-    def test_append_scan_len(self, kind, tmp_path):
-        store = _make_store(kind, tmp_path)
+    def test_put_records_len(self, kind, tmp_path):
+        db = _make_db(kind, tmp_path)
         record = _record()
-        winner, effective = store.append(record)
-        assert winner is record and effective
-        assert len(store) == 1
-        assert store.scan() == [record]
-        store.close()
+        assert db.put(record) is record
+        assert len(db) == 1
+        assert db.records() == [record]
+        db.close()
 
-    def test_append_keep_better_is_effective_only_on_change(self, kind, tmp_path):
-        store = _make_store(kind, tmp_path)
+    def test_put_keep_better_is_effective_only_on_change(self, kind, tmp_path):
+        db = _make_db(kind, tmp_path)
         slow, fast = _record(time_seconds=2e-3), _record(time_seconds=1e-3)
-        assert store.append(slow) == (slow, True)
-        winner, effective = store.append(fast)
-        assert winner is fast and effective
+        assert db.apply([slow]) == [slow]
+        assert db.apply([fast]) == [fast]
         # A losing record changes nothing and is not effective.
-        assert store.append(slow) == (fast, False)
-        assert len(store) == 1
-        store.close()
+        assert db.apply([slow]) == []
+        assert db.put(slow) is fast
+        assert len(db) == 1
+        db.close()
 
     def test_budget_upgrade_is_effective(self, kind, tmp_path):
-        store = _make_store(kind, tmp_path)
-        store.append(_record(time_seconds=1e-3, budget=10))
-        winner, effective = store.append(_record(time_seconds=2e-3, budget=99))
-        assert effective and winner.budget == 99
+        db = _make_db(kind, tmp_path)
+        db.put(_record(time_seconds=1e-3, budget=10))
+        (winner,) = db.apply([_record(time_seconds=2e-3, budget=99)])
+        assert winner.budget == 99
         assert winner.time_seconds == 1e-3  # faster record survived
-        store.close()
+        db.close()
 
-    def test_serve_returns_published_bucket(self, kind, tmp_path):
-        store = _make_store(kind, tmp_path)
+    def test_lookup_reads_the_published_bucket(self, kind, tmp_path):
+        db = _make_db(kind, tmp_path)
         record = _record()
-        store.append(record)
-        bucket = store.serve(record.key())
-        assert bucket[record.conditions()] is record
-        assert store.serve(("missing", "V100", "direct")) == {}
-        store.close()
+        db.put(record)
+        assert db.lookup(LAYER, V100, "direct") is record
+        assert db.lookup(SMALL, V100, "direct") is None
+        db.close()
 
     def test_revision_and_changes_since(self, kind, tmp_path):
-        store = _make_store(kind, tmp_path)
-        assert store.revision == 0
+        db = _make_db(kind, tmp_path)
+        assert db.revision == 0
         a, b = _records(2)
-        store.append(a)
-        mark = store.revision
+        db.put(a)
+        mark = db.revision
         assert mark == 1
-        store.append(b)
-        assert store.changes_since(mark) == [b]
-        assert store.changes_since(0) == [a, b]
-        assert store.changes_since(store.revision) == []
-        store.close()
+        db.put(b)
+        assert db.changes_since(mark) == [b]
+        assert db.changes_since(0) == [a, b]
+        assert db.changes_since(db.revision) == []
+        db.close()
 
     def test_describe_is_json_native(self, kind, tmp_path):
-        store = _make_store(kind, tmp_path)
-        store.append(_record())
-        info = store.describe()
-        assert info["kind"] == kind
+        db = _make_db(kind, tmp_path)
+        db.put(_record())
+        info = db.describe()
+        assert info["store"] == kind
         assert info["records"] == 1
         json.dumps(info)  # must be wire-serializable as-is
-        store.close()
+        db.close()
 
 
 class TestMemoryStore:
     def test_memory_store_touches_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        store = LogStore()
+        db = TuningDatabase()
         for record in _records(3):
-            store.append(record)
-        assert store.snapshot() is None
+            db.put(record)
+        with pytest.raises(ValueError, match="no path"):
+            db.save()
         with pytest.raises(TuningDatabaseError, match="without a path"):
-            store.recover()
-        assert len(store) == 3  # a refused recover drops nothing
-        assert set(store.describe()) == {"kind", "path", "records", "revision"}
-        store.close()
+            db.recover()
+        assert len(db) == 3  # a refused recover drops nothing
+        assert set(db.describe()) == {"kind", "store", "records", "hits", "misses", "revision"}
+        db.close()
         assert os.listdir(tmp_path) == []
 
 
-class TestLogStoreDurability:
+class TestRecordLogDurability:
     def test_snapshot_recover_round_trip(self, tmp_path):
-        store = _make_store("log", tmp_path)
+        db = _make_db("log", tmp_path)
         for record in _records(5):
-            store.append(record)
-        before = _canonical(store)
-        store.snapshot()
-        store.close()
-        fresh = _make_store("log", tmp_path)
+            db.put(record)
+        before = _canonical(db)
+        db.save()
+        db.close()
+        fresh = _make_db("log", tmp_path)
         fresh.recover()
         assert _canonical(fresh) == before
         # Recovery pins the change-log base: a stale replica checkpoint
@@ -171,97 +180,126 @@ class TestLogStoreDurability:
 
     def test_appends_survive_reopen_without_snapshot(self, tmp_path):
         path = tmp_path / "db.log"
-        store = LogStore(path)
+        db = TuningDatabase(path=path)
         for record in _records(8):
-            store.append(record)
-        before = _canonical(store)
-        revision = store.revision
-        store.close()
-        reopened = LogStore(path)
+            db.put(record)
+        before = _canonical(db)
+        revision = db.revision
+        db.close()
+        reopened = TuningDatabase(path=path)
         assert _canonical(reopened) == before
         assert reopened.revision == revision
         reopened.close()
 
     def test_only_effective_appends_grow_the_log(self, tmp_path):
         path = tmp_path / "db.log"
-        store = LogStore(path)
-        store.append(_record(time_seconds=1e-3))
+        db = TuningDatabase(path=path)
+        db.put(_record(time_seconds=1e-3))
         size = os.path.getsize(path)
-        store.append(_record(time_seconds=2e-3))  # loses: not logged
+        db.put(_record(time_seconds=2e-3))  # loses: not logged
         assert os.path.getsize(path) == size
-        store.close()
+        db.close()
 
     def test_reopened_store_continues_appending(self, tmp_path):
         path = tmp_path / "db.log"
-        store = LogStore(path)
-        store.append(_record())
-        store.close()
-        reopened = LogStore(path)
-        reopened.append(_record(params=SMALL))
+        db = TuningDatabase(path=path)
+        db.put(_record())
+        db.close()
+        reopened = TuningDatabase(path=path)
+        reopened.put(_record(params=SMALL))
         reopened.close()
-        final = LogStore(path)
+        final = TuningDatabase(path=path)
         assert len(final) == 2
         final.close()
 
     def test_closed_store_rejects_appends_but_serves(self, tmp_path):
         record = _record()
-        store = LogStore(tmp_path / "db.log")
-        store.append(record)
-        store.close()
-        store.close()  # idempotent
-        assert store.serve(record.key())[record.conditions()] is record
+        db = TuningDatabase(path=tmp_path / "db.log")
+        db.put(record)
+        db.close()
+        db.close()  # idempotent
+        assert db.lookup(LAYER, V100, "direct") is record
         with pytest.raises(TuningDatabaseError, match="closed"):
-            store.append(_record(params=SMALL))
+            db.put(_record(params=SMALL))
 
-    def test_compaction_triggers_on_dead_ratio(self, tmp_path):
+    def test_compaction_triggers_on_dead_ratio(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(TuningDatabase, "COMPACT_MIN_ENTRIES", 8)
         path = tmp_path / "db.log"
-        store = LogStore(path, compact_min_entries=8, compact_dead_ratio=0.5)
+        db = TuningDatabase(path=path)
         # Repeatedly improve the same 4 slots: the tail goes mostly dead.
         for round_index in range(10):
             for record in _records(4, time_seconds=1e-3 / (round_index + 1)):
-                store.append(record)
-        assert os.path.exists(store.snapshot_path)
-        info = store.describe()
+                db.put(record)
+        info = db.describe()
+        assert os.path.exists(info["snapshot_path"])
         # The live set never exceeds 4 records, so the reset log stays small.
         assert info["records"] == 4
         assert info["log_entries"] < 8
-        before = _canonical(store)
-        store.close()
-        recovered = LogStore(path)
+        before = _canonical(db)
+        db.close()
+        recovered = TuningDatabase(path=path)
         assert _canonical(recovered) == before
         recovered.close()
 
-    def test_no_compaction_without_dead_records(self, tmp_path):
-        store = LogStore(tmp_path / "db.log", compact_min_entries=8)
+    def test_no_compaction_without_dead_records(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(TuningDatabase, "COMPACT_MIN_ENTRIES", 8)
+        db = TuningDatabase(path=tmp_path / "db.log")
         for record in _records(50):  # all distinct: nothing is dead
-            store.append(record)
-        assert not os.path.exists(store.snapshot_path)
-        store.close()
+            db.put(record)
+        assert not os.path.exists(db.describe()["snapshot_path"])
+        db.close()
 
     def test_explicit_snapshot_bounds_the_tail(self, tmp_path):
         path = tmp_path / "db.log"
-        store = LogStore(path)
+        db = TuningDatabase(path=path)
         for record in _records(20):
-            store.append(record)
-        store.snapshot()
-        assert store.describe()["log_entries"] == 0
-        store.append(_record(params=SMALL))
-        store.close()
+            db.put(record)
+        db.save()
+        assert db.describe()["log_entries"] == 0
+        db.put(_record(params=SMALL))
+        db.close()
         # Recovery = snapshot fold (20) + tail replay (1).
-        recovered = LogStore(path)
+        recovered = TuningDatabase(path=path)
         assert len(recovered) == 21
         recovered.close()
 
-    def test_fsync_appends_mode(self, tmp_path):
-        store = LogStore(tmp_path / "db.log", fsync_appends=True)
-        for record in _records(3):
-            store.append(record)
-        assert len(store) == 3
-        store.close()
-
-    def test_bad_compact_ratio_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="compact_dead_ratio"):
-            LogStore(tmp_path / "db.log", compact_dead_ratio=0.0)
+    def test_failed_auto_compaction_never_fails_a_written_put(self, tmp_path, monkeypatch):
+        # Four slots, each put faster than the last: the 1024th line crosses
+        # the compaction trigger.  Its line is written before the snapshot
+        # runs, so the snapshot's failure must not fail the put.
+        path = tmp_path / "db.log"
+        db = TuningDatabase(path=path)
+        base = _record()
+        puts = [
+            dataclasses.replace(
+                base, params=LAYER.with_batch(i % 4 + 1), time_seconds=1.0 / (i + 1)
+            )
+            for i in range(1025)
+        ]
+        for record in puts[:1023]:
+            db.put(record)
+        _fail_next_fsync(monkeypatch)  # the snapshot's fsync
+        assert db.put(puts[1023]) is puts[1023]
+        monkeypatch.undo()
+        info = db.describe()
+        assert (info["snapshot_failures"], info["log_entries"]) == (1, 1024)
+        assert db.lookup(puts[1023].params, V100, "direct") is puts[1023]
+        reopened = TuningDatabase(path=path)
+        assert _canonical(reopened) == _canonical(db)
+        reopened.close()
+        # The next effective put retries the compaction, and it lands.
+        db.put(puts[1024])
+        info = db.describe()
+        assert (info["snapshot_failures"], info["log_entries"]) == (1, 0)
+        # An explicit save still raises.
+        _fail_next_fsync(monkeypatch)
+        with pytest.raises(OSError):
+            db.save()
+        monkeypatch.undo()
+        db.close()
+        reopened = TuningDatabase(path=path)
+        assert _canonical(reopened) == _canonical(db)
+        reopened.close()
 
     def test_concurrent_appends_with_lockfree_lookups(self, tmp_path):
         db = TuningDatabase(path=tmp_path / "db.log")
@@ -340,7 +378,7 @@ class TestFileModes:
         # A map opened as the database is converted to a log in place.
         os.chmod(export, 0o640)
         converted = TuningDatabase(path=export)
-        assert converted.describe()["store"]["kind"] == "log"
+        assert converted.describe()["store"] == "log"
         assert _mode(export) == 0o640
         converted.close()
 
@@ -373,15 +411,15 @@ class TestFormatVersioning:
         # A header-only log parses as one JSON object; the kind check
         # steers the caller toward the right entry point.
         header_only = tmp_path / "header-only.log"
-        LogStore(header_only).close()
+        TuningDatabase(path=header_only).close()
         with pytest.raises(TuningDatabaseError, match=r"TuningDatabase\(path="):
             TuningDatabase.load(header_only)
         # A log with records is multi-line JSON: json.load fails first,
         # and the error already hints at the append-only log case.
         path = tmp_path / "db.log"
-        store = LogStore(path)
-        store.append(_record())
-        store.close()
+        db = TuningDatabase(path=path)
+        db.put(_record())
+        db.close()
         with pytest.raises(TuningDatabaseError, match="append-only"):
             TuningDatabase.load(path)
 
@@ -390,7 +428,7 @@ class TestFormatVersioning:
         map_path = tmp_path / "db.json"
         TuningDatabase([record]).save(map_path)
         opened = TuningDatabase(path=map_path)
-        assert opened.describe()["store"]["kind"] == "log"
+        assert opened.describe()["store"] == "log"
         assert json.loads(map_path.read_text().splitlines()[0])["kind"] == "log"
         assert len(opened) == 1
         opened.close()
@@ -443,7 +481,7 @@ class TestStructuredDescribe:
         assert info["kind"] == "TuningDatabase"
         assert info["records"] == 1
         assert (info["hits"], info["misses"]) == (1, 1)
-        assert info["store"]["kind"] == "log"
+        assert info["store"] == "log"
         json.dumps(info)  # wire-ready
         db.close()
 
@@ -462,7 +500,7 @@ class TestStructuredDescribe:
         text = format_describe(db.describe())
         assert text.startswith("TuningDatabase[")
         assert "records=1" in text
-        assert "memory[" in text  # nested store describe
+        assert "store='memory'" in text
 
     def test_format_describe_non_dict_falls_back(self):
         assert format_describe(7) == "7"
@@ -481,30 +519,27 @@ class TestStoreMetrics:
         gauges = registry.snapshot().gauges
         assert counters["db.puts_total"] == 3
         assert counters["db.puts_effective"] == 2
-        assert counters["db.store.appends_total"] == 3
-        assert counters["db.store.appends_effective"] == 2
         assert counters["db.store.log_appends"] == 2
         assert gauges["db.store.live_records"] == 1
         assert gauges["db.store.log_entries"] == 2
         assert gauges["db.store.dead_entries"] == 1
         db.close()
 
-    def test_compaction_and_recovery_metrics(self, tmp_path):
+    def test_compaction_and_recovery_metrics(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(TuningDatabase, "COMPACT_MIN_ENTRIES", 4)
         registry = MetricsRegistry()
-        store = LogStore(
-            tmp_path / "db.log", compact_min_entries=4, compact_dead_ratio=0.5
-        )
-        store.attach_metrics(registry.scope("db.store"))
+        db = TuningDatabase(path=tmp_path / "db.log")
+        db.attach_metrics(registry.scope("db"))
         for round_index in range(8):
-            store.append(_record(time_seconds=1e-3 / (round_index + 1)))
+            db.put(_record(time_seconds=1e-3 / (round_index + 1)))
         counters = registry.snapshot().counters
         assert counters["db.store.compactions"] >= 1
         assert counters["db.store.compaction_records"] >= 1
-        store.recover()
+        db.recover()
         counters = registry.snapshot().counters
         assert counters["db.store.recoveries"] == 1
         assert counters["db.store.recovered_records"] == 1
-        store.close()
+        db.close()
 
 
 class TestBackendBitIdentity:
@@ -572,7 +607,7 @@ class TestFacade:
         db.put(_record())
         assert db.save() == str(path)
         assert os.path.exists(str(path) + ".snap")
-        assert db.describe()["store"]["log_entries"] == 0
+        assert db.describe()["log_entries"] == 0
         db.close()
 
     def test_save_to_its_own_path_compacts_the_log(self, tmp_path):

@@ -40,10 +40,10 @@ def _sa_request(budget, seed, deadline=None):
 
 def _measured(service, future):
     """Measurements taken so far by the run answering ``future``."""
-    for run in service._active:
-        if run.request == future.request:
-            return run.session.result.num_measurements
-    return None  # already finalised
+    run = service._runs.get(future.request)
+    if run is None:
+        return None  # already finalised
+    return run.session.result.num_measurements
 
 
 class TestPolicyRegistry:
@@ -269,11 +269,7 @@ class TestCancel:
         future = service.submit(request)
         for _ in range(3):
             service.step()
-        partial = next(
-            run.measurer.num_measurements
-            for run in service._active
-            if run.request == request
-        )
+        partial = service._runs[request].measurer.num_measurements
         assert partial > 0
         assert service.cancel(request)
         # The partial work done before the cancel is accounted exactly like a

@@ -600,9 +600,9 @@ class TestStreamingApplyProperties:
         # once compacted, a stale checkpoint over-delivers (harmless under
         # keep-better apply) while fresh checkpoints still stream exactly
         # the tail.
-        import repro.core.autotune.store as store_module
+        import repro.core.autotune.database as database_module
 
-        monkeypatch.setattr(store_module, "_CHANGE_LOG_CAP", 8)
+        monkeypatch.setattr(database_module, "_CHANGE_LOG_CAP", 8)
         base = _record_for(_request(A), 1e-3)
         db = TuningDatabase()
         for i in range(40):  # 40 effective inserts, distinct problems
@@ -613,7 +613,7 @@ class TestStreamingApplyProperties:
                 )
             )
         assert db.revision == 40
-        assert len(db.store._change_log) < 2 * 8
+        assert len(db._change_log) < 2 * 8
         # Stale checkpoint (compacted away): the whole map is delivered.
         assert len(db.changes_since(0)) == 40
         # Fresh checkpoint: exactly the records stored after it.
@@ -731,7 +731,6 @@ class TestSubmitStress:
             assert result.best_time == reference.best_time
             assert result.best_config == reference.best_config
         assert service.num_active == 0
-        assert len(service.coalescer) == 0
 
 
 # -- long-lived serving mode ----------------------------------------------- #

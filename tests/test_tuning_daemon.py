@@ -35,8 +35,7 @@ import time
 import pytest
 
 from repro.conv import ConvParams
-from repro.core.autotune import LogStore, TuningDatabase
-from repro.core.autotune import database as database_module
+from repro.core.autotune import TuningDatabase, TuningRecord
 from repro.core.autotune.store import TuningDatabaseError
 from repro.gpusim import V100
 from repro.obs import FakeClock, MonotonicClock, Observability
@@ -638,16 +637,11 @@ class TestCrashRecovery:
     def test_log_store_database_keeps_serving_after_a_failed_put(
         self, tmp_path, monkeypatch
     ):
-        # One failed durable put fails only its own run: the store cuts the
-        # line back off its file and takes the next put.  The database is
-        # built on an fsync'ing log, so a failed fsync is a failed put.
-        monkeypatch.setattr(
-            database_module,
-            "LogStore",
-            lambda path: LogStore(path, fsync_appends=True),
-        )
+        # One failed durable put fails only its own run: the database cuts
+        # the line back off its file and takes the next put.  Its log is
+        # made to fsync every append, so a failed fsync is a failed put.
         database = TuningDatabase(path=tmp_path / "db.log")
-        monkeypatch.undo()
+        database._log._fsync_appends = True
         daemon = TuningDaemon(tmp_path / "j.log", database=database)
         first, second = (
             dataclasses.replace(_request(budget=8), params=SMALL.with_batch(b), pruned=True)
@@ -664,6 +658,40 @@ class TestCrashRecovery:
         daemon.kill()
         reopened = TuningDatabase(path=tmp_path / "db.log")
         assert [record.params for record in reopened.records()] == [second.params]
+
+    def test_failed_database_compaction_never_fails_a_run(self, tmp_path, monkeypatch):
+        # A run's final put writes its line before the database's automatic
+        # compaction runs, so the compaction's failure must not fail the
+        # run: its record is in the database, and a failed rid would answer
+        # every retry of the same request with the same failure.
+        request = dataclasses.replace(_request(budget=8), pruned=True)
+        expected = request.tune_direct()
+        database = TuningDatabase(path=tmp_path / "db.log")
+        # 1023 lines over four other problems, nearly all dead: the run's
+        # put is the 1024th line and crosses the compaction trigger.
+        record = TuningRecord.from_result(expected)
+        for i in range(1023):
+            database.put(
+                dataclasses.replace(
+                    record, params=SMALL.with_batch(i % 4 + 2), time_seconds=1.0 / (i + 1)
+                )
+            )
+        daemon = TuningDaemon(tmp_path / "j.log", database=database)
+        _fail_next_fsync(monkeypatch, cut_back=True)  # the compaction's fsync
+        rid = daemon.submit(request)
+        daemon.run_until_idle()
+        monkeypatch.undo()
+        assert daemon.status(rid)["state"] == "done"
+        assert database.describe()["snapshot_failures"] == 1
+        assert _trials(result_from_wire(daemon.result(rid))) == _trials(expected)
+        # The retry is the same rid, answered from the journal.
+        assert daemon.submit(request) == rid
+        assert _trials(result_from_wire(daemon.result(rid))) == _trials(expected)
+        daemon.kill()
+        database.close()
+        reopened = TuningDatabase(path=tmp_path / "db.log")
+        assert reopened.lookup(SMALL, V100, "direct").config == expected.best_config
+        reopened.close()
 
     def test_killed_daemon_keeps_its_database(self, tmp_path):
         # The database at a path is a record log, appended to as each run

@@ -49,12 +49,6 @@ class TestDatabaseBasics:
         assert db.lookup(LAYER, V100, "winograd") is None
         assert (db.hits, db.misses) == (2, 1)
 
-    def test_contains_does_not_count(self):
-        db = TuningDatabase([_record()])
-        assert db.contains(LAYER, V100, "direct")
-        assert not db.contains(SMALL, V100, "direct")
-        assert (db.hits, db.misses) == (0, 0)
-
     def test_collision_keeps_faster_record(self):
         db = TuningDatabase()
         slow = _record(time_seconds=2e-3)
@@ -269,7 +263,7 @@ class TestLegacyMapMigration:
     def test_default_converts_the_map_to_a_log(self, tmp_path, monkeypatch, form):
         target = self._setup(tmp_path, monkeypatch, form)
         db = TuningDatabase.default()
-        assert db.describe()["store"]["kind"] == "log"
+        assert db.describe()["store"] == "log"
         assert json.loads(target.read_text().splitlines()[0])["kind"] == "log"
         for record in self.RECORDS:
             assert db.lookup(record.params, record.gpu, record.algorithm) == record

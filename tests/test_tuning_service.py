@@ -135,6 +135,17 @@ class TestCoalescing:
         service.tune([_request(), _request(noise=0.0)])
         assert service.stats.tuning_runs == 2
 
+    def test_in_flight_tracks_the_run(self):
+        request = _request()
+        service = TuningService()
+        assert not service.in_flight(request)
+        service.submit(request)
+        # The deadline is scheduling metadata: the same request still joins.
+        assert service.in_flight(_request(deadline=5.0))
+        assert not service.in_flight(_request(seed=2))
+        service.drain()
+        assert not service.in_flight(request)
+
     def test_unstartable_request_leaves_nothing_to_coalesce_onto(self):
         # Regression: the run used to be registered before its tuner was
         # built, so a duplicate of a request whose tuner raised joined a run
@@ -144,7 +155,7 @@ class TestCoalescing:
         for _ in range(2):
             with pytest.raises(ValueError, match="population"):
                 service.submit(request)
-        assert len(service.coalescer) == 0
+        assert not service.in_flight(request)
         assert service.num_active == 0
         assert not service.step()
 
@@ -243,6 +254,18 @@ class TestDatabaseServing:
         service.submit(_request(pruned=False, budget=16))
         service.drain()
         assert service.stats.tuning_runs == 2
+
+    def test_request_lookup_applies_the_serving_rules(self):
+        db = TuningDatabase()
+        TuningService(database=db).tune([_request(budget=24)])
+        record = _request(budget=16).lookup(db)
+        assert record is not None and record.budget == 24
+        assert _request(budget=32).lookup(db) is None  # a more thorough search
+        assert _request(noise=0.0).lookup(db) is None  # other conditions
+        hits, misses = db.hits, db.misses
+        # An unpruned request is never served, and never counts as a miss.
+        assert _request(pruned=False).lookup(db) is None
+        assert (db.hits, db.misses) == (hits, misses)
 
     def test_lower_budget_request_served_by_thorough_record(self):
         service = TuningService()
@@ -362,13 +385,6 @@ class TestWorkerPool:
 
 
 class TestIncrementalFeatures:
-    def test_feature_cache_grows_with_dataset(self):
-        request = _request()
-        engine = request.make_engine()
-        engine.tune()
-        # Retraining cached one row per distinct measured configuration.
-        assert len(engine.features) > 0
-
     def test_cached_retraining_is_bit_identical(self):
         # Covered transitively by TestTuningSession/TestBitIdentity (the
         # reference engines use the same incremental path), so pin the lower

@@ -2,9 +2,10 @@
 
 Every durable file the system writes goes through
 ``src/repro/core/autotune/store.py``: :class:`AppendLog` (the append-only
-log behind ``LogStore`` and the daemon's request journal — header install,
-per-line append, fsync'd snapshot, torn-tail truncation) and the atomic
-temp-file + ``os.replace`` writer the JSON map export uses.  The crash
+log behind ``TuningDatabase`` and the daemon's request journal — header
+install, per-line append, fsync'd snapshot, torn-tail truncation) and the
+atomic temp-file + ``os.replace`` writer the JSON map export and the
+in-place map conversion use.  The crash
 windows of that code are fault-injection tested once, in
 ``tests/test_append_log.py``.  A second copy elsewhere in ``src/`` would
 carry the same crash windows untested, so the module-level calls that
