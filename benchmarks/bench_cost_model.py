@@ -1,22 +1,31 @@
-"""Cost-model retraining — wall-clock speedup of the all-features split search.
+"""Cost-model retraining — speedup of the shipped fit over the reference fit.
 
-The ATE retrains its cost model between measurement rounds, and in the
-tuning daemon that retrain is most of a fresh request's time.  This
-benchmark times ``CostModel.fit`` on fixed seeded ``feature_matrix`` inputs
-of the sizes a budget-32 and a budget-64+ run retrain on (16 x 21 and
-64 x 21), once as shipped and once with the per-feature reference split
-search (``tests/cost_model_oracle.py``) monkeypatched in.
+The ATE retrains its cost model before every search batch, and in the
+tuning daemon that retrain is the largest layer of a fresh request.  This
+benchmark fits ``CostModel`` on fixed seeded ``feature_matrix`` inputs of
+the sizes a ``cold`` request and a budget-64 run retrain on (16, 32, 48 and
+64 rows x 21 features), once as shipped and once with the reference fit
+(``tests/cost_model_oracle.py``: the recursive build with ``np.mean``, the
+per-feature split loop with ``np.var`` and a per-tree predict) in place of
+``GradientBoostedTrees``.
 
-Tree identity always gates: every node of every boosted tree, and the
-predicted scores, must be bit-identical between the two.  The >=3x
-``fit_speedup`` floor (the smaller of the two sizes' speedups) is soft under
-``BENCH_SPEEDUP_SOFT=1``.
+Tree identity always gates: every node of every boosted tree, each tree's
+depth, and the predicted scores must be bit-identical between the two.
+
+Timing alternates the two sides over ``PAIRS`` pairs per size (which side
+runs first alternates too), so host-speed drift hits both alike; each pair
+gives one oracle / shipped ratio, and the report is the median ratio and
+its interquartile range.  ``fit_speedup`` is the smallest size's median; the
+``FLOOR`` on it is soft under ``BENCH_SPEEDUP_SOFT=1``.  ``fit_calls`` counts
+the Python and C calls of one fit under ``sys.setprofile``, a number that
+does not move with the host.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import statistics
 import sys
 import warnings
 
@@ -25,19 +34,19 @@ import pytest
 from conftest import emit, write_bench_json
 from repro.analysis import ResultTable, render_table
 from repro.conv import ConvParams
-from repro.core.autotune import CostModel, Measurer, RegressionTree, SearchSpace, feature_matrix
+from repro.core.autotune import CostModel, Measurer, SearchSpace, cost_model, feature_matrix
 from repro.obs import MonotonicClock
 
-# The reference split search lives with the tests, not in src/.
+# The reference fit lives with the tests, not in src/.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
-from tests.cost_model_oracle import oracle_best_split, tree_state  # noqa: E402
+from tests.cost_model_oracle import OracleBoosting, tree_state  # noqa: E402
 
 PARAMS = ConvParams.square(28, 128, 128, kernel=3, stride=1, padding=1)
-SIZES = (16, 64)
-ROUNDS = 5
-FLOOR = 3.0
+SIZES = (16, 32, 48, 64)
+PAIRS = 10
+FLOOR = 5.0
 
 #: benchmarks are a real timing edge (REPRO701): one monotonic clock,
 #: read only here.
@@ -55,45 +64,99 @@ def _inputs(spec, n):
     return feature_matrix(configs, PARAMS, spec), times
 
 
+def _fit(side, x, times):
+    """One ``CostModel.fit`` on ``side`` (``"shipped"`` or ``"oracle"``)."""
+    shipped = cost_model.GradientBoostedTrees
+    if side == "oracle":
+        cost_model.GradientBoostedTrees = OracleBoosting
+    try:
+        model = CostModel(min_samples=8, seed=0)
+        model.fit(x, times)
+    finally:
+        cost_model.GradientBoostedTrees = shipped
+    return model
+
+
+def _count_calls(side, x, times):
+    """Python and C calls made by one fit, counted under ``sys.setprofile``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        _fit(side, x, times)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _quartiles(values):
+    """``(q1, median, q3)``, the quartiles ``run.py compare`` uses."""
+    return tuple(statistics.quantiles(values, n=4))
+
+
 def run_cost_model_benchmark(spec):
-    shipped_split = RegressionTree._best_split
     rows = {}
     for n in SIZES:
         x, times = _inputs(spec, n)
-        best = {"shipped": float("inf"), "oracle": float("inf")}
         state = {}
-        # Alternate the two sides so host-speed drift hits both alike.
-        for _ in range(ROUNDS):
-            for name, split in (("shipped", shipped_split), ("oracle", oracle_best_split)):
-                RegressionTree._best_split = split
-                try:
-                    model = CostModel(min_samples=8, seed=0)
-                    start = _CLOCK.now()
-                    model.fit(x, times)
-                    best[name] = min(best[name], _CLOCK.now() - start)
-                finally:
-                    RegressionTree._best_split = shipped_split
-                state[name] = (
-                    [tree_state(t) for t in model._model._trees],
-                    model.predict_score(x).tobytes(),
-                )
-        # Hard gate: the same trees and scores as the reference loop.
+        for side in ("shipped", "oracle"):
+            # Warm: the first fit fills the candidate-position cache.
+            model = _fit(side, x, times)
+            state[side] = (
+                [tree_state(t) for t in model._model._trees],
+                model.predict_score(x).tobytes(),
+            )
+        # Hard gate: the same trees, depths and scores as the reference fit.
         assert state["shipped"] == state["oracle"], (
-            f"split search diverges from the per-feature oracle on {n} x {x.shape[1]}"
+            f"the fit diverges from the reference fit on {n} x {x.shape[1]}"
         )
-        rows[n] = (x.shape[1], best["oracle"], best["shipped"])
+        calls = {side: _count_calls(side, x, times) for side in ("oracle", "shipped")}
+        seconds = {"oracle": [], "shipped": []}
+        for pair in range(PAIRS):
+            order = ("oracle", "shipped") if pair % 2 == 0 else ("shipped", "oracle")
+            for side in order:
+                start = _CLOCK.now()
+                _fit(side, x, times)
+                seconds[side].append(_CLOCK.now() - start)
+        ratios = [o / s for o, s in zip(seconds["oracle"], seconds["shipped"])]
+        rows[n] = {
+            "features": x.shape[1],
+            "oracle_seconds": statistics.median(seconds["oracle"]),
+            "shipped_seconds": statistics.median(seconds["shipped"]),
+            "quartiles": _quartiles(ratios),
+            "oracle_calls": calls["oracle"],
+            "shipped_calls": calls["shipped"],
+        }
 
     table = ResultTable(
-        f"CostModel.fit ({spec.name}, feature_matrix rows, best of {ROUNDS})",
-        columns=["rows", "features", "oracle_ms", "shipped_ms", "speedup"],
+        f"CostModel.fit ({spec.name}, feature_matrix rows, {PAIRS} interleaved pairs)",
+        columns=[
+            "rows",
+            "features",
+            "oracle_ms",
+            "shipped_ms",
+            "speedup",
+            "speedup_iqr",
+            "oracle_calls",
+            "shipped_calls",
+        ],
     )
-    for n, (d, t_oracle, t_shipped) in rows.items():
+    for n, row in rows.items():
+        q1, median, q3 = row["quartiles"]
         table.add_row(
             rows=n,
-            features=d,
-            oracle_ms=t_oracle * 1e3,
-            shipped_ms=t_shipped * 1e3,
-            speedup=t_oracle / t_shipped,
+            features=row["features"],
+            oracle_ms=row["oracle_seconds"] * 1e3,
+            shipped_ms=row["shipped_seconds"] * 1e3,
+            speedup=median,
+            speedup_iqr=q3 - q1,
+            oracle_calls=row["oracle_calls"],
+            shipped_calls=row["shipped_calls"],
         )
     return table, rows
 
@@ -103,15 +166,23 @@ def test_cost_model_fit_speedup(benchmark, gpu_v100):
     table, rows = benchmark.pedantic(
         run_cost_model_benchmark, args=(gpu_v100,), rounds=1, iterations=1
     )
-    speedups = {n: t_oracle / t_shipped for n, (_, t_oracle, t_shipped) in rows.items()}
-    fit_speedup = min(speedups.values())
+    fit_speedup = min(row["quartiles"][1] for row in rows.values())
     emit(render_table(table, precision=2))
-    emit(f"CostModel.fit speedup over the per-feature oracle: {fit_speedup:.2f}x (worst size)")
-    payload = {"gpu": gpu_v100.name, "rounds": ROUNDS, "fit_speedup": fit_speedup}
-    for n, (_, t_oracle, t_shipped) in rows.items():
-        payload[f"oracle_seconds_{n}"] = t_oracle
-        payload[f"shipped_seconds_{n}"] = t_shipped
-        payload[f"fit_speedup_{n}"] = speedups[n]
+    emit(
+        f"CostModel.fit speedup over the reference fit: {fit_speedup:.2f}x "
+        f"(median of {PAIRS} pairs, worst size)"
+    )
+    payload = {"gpu": gpu_v100.name, "pairs": PAIRS, "fit_speedup": fit_speedup}
+    for n, row in rows.items():
+        q1, median, q3 = row["quartiles"]
+        payload[f"oracle_seconds_{n}"] = row["oracle_seconds"]
+        payload[f"shipped_seconds_{n}"] = row["shipped_seconds"]
+        payload[f"fit_speedup_{n}"] = median
+        payload[f"fit_speedup_q1_{n}"] = q1
+        payload[f"fit_speedup_q3_{n}"] = q3
+        payload[f"fit_speedup_iqr_{n}"] = q3 - q1
+        payload[f"oracle_fit_calls_{n}"] = row["oracle_calls"]
+        payload[f"shipped_fit_calls_{n}"] = row["shipped_calls"]
     write_bench_json("cost_model", **payload)
     # Wall-clock floor gates by default; BENCH_SPEEDUP_SOFT=1 downgrades a
     # shortfall to a warning on noisy shared runners (the tree-identity

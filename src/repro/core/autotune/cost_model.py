@@ -15,9 +15,18 @@ available offline, so this module implements the same idea in NumPy:
 
 The implementation is vectorised: one split search evaluates all candidate
 thresholds of all features at once, from one stable sort of the node's
-matrix and column-wise cumulative sums.  On finite inputs the trees are
-bit-identical to a per-feature loop (the reference lives in
-``tests/cost_model_oracle.py``).
+matrix and column-wise cumulative sums.  A node whose every distinct value
+is a candidate (rows - 1 <= ``max_candidate_splits``, every node of a
+16-row retrain) scores each boundary between runs of equal sorted values
+straight from the cumulative sums; the general search, which counts the
+rows left of each quantile threshold, takes over for larger nodes and
+whenever a boundary's midpoint rounds onto its upper value.  Leaf means and
+the base error are one ``np.add.reduce`` each.  A fitted tree keeps only
+its node lists: ``RegressionTree.predict`` partitions row indices node by
+node, and :class:`GradientBoostedTrees` builds the stacked routing arrays
+for all its trees at once.  On finite inputs the trees are bit-identical to
+the per-feature loop with ``np.mean``/``np.var`` that the whole fit used
+before (the reference fit lives in ``tests/cost_model_oracle.py``).
 """
 
 from __future__ import annotations
@@ -29,32 +38,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["RegressionTree", "GradientBoostedTrees", "CostModel"]
-
-
-def _routing_arrays(
-    feature: Sequence[int],
-    threshold: Sequence[float],
-    left: Sequence[int],
-    right: Sequence[int],
-    value: Sequence[float],
-) -> Tuple[np.ndarray, ...]:
-    """Flat tree arrays prepared for the level-synchronous descent.
-
-    Leaves become self-loops (``left = right = node`` with a dummy feature
-    ``0``), so a fixed number of ``node -> child`` gather steps routes every
-    row to its leaf without per-level masking; extra steps past a shallow
-    leaf are no-ops.
-    """
-    feat = np.asarray(feature, dtype=np.intp)
-    nodes = np.arange(feat.size, dtype=np.intp)
-    leaf = feat < 0
-    return (
-        np.where(leaf, 0, feat),
-        np.asarray(threshold, dtype=np.float64),
-        np.where(leaf, nodes, np.asarray(left, dtype=np.intp)),
-        np.where(leaf, nodes, np.asarray(right, dtype=np.intp)),
-        np.asarray(value, dtype=np.float64),
-    )
 
 
 @functools.lru_cache(maxsize=4096)
@@ -75,6 +58,71 @@ def _cut_positions(unique_count: int, max_candidate_splits: int) -> np.ndarray:
     row[: cuts.size] = cuts
     row.flags.writeable = False
     return row
+
+
+def _boundary_candidates(
+    sorted_x: np.ndarray, csum: np.ndarray, csum_sq: np.ndarray, min_leaf: int
+) -> Optional[Tuple[np.ndarray, ...]]:
+    """Candidates of a node whose every distinct value bounds one.
+
+    The threshold at a boundary between runs of equal sorted values is the
+    midpoint of the two values, and the rows left of it are the rows before
+    the boundary, so the cumulative sums there score it directly.  That
+    holds while the midpoint lies in ``[lower, upper)``; ``None`` when one
+    does not (adjacent floats whose midpoint rounds onto the upper value, or
+    a sum that overflows), and the general search counts the rows instead.
+    """
+    n = sorted_x.shape[0]
+    lo, hi = sorted_x[:-1], sorted_x[1:]
+    thresholds = (lo + hi) / 2.0
+    between = (lo <= thresholds) & (thresholds < hi)
+    if np.count_nonzero(between) != np.count_nonzero(lo != hi):
+        return None
+    # A split after sorted row j leaves j + 1 rows on the left.
+    keep = slice(min_leaf - 1, n - min_leaf)
+    return (
+        thresholds[keep],
+        between[keep],
+        csum[keep],
+        csum_sq[keep],
+        np.arange(min_leaf, n - min_leaf + 1, dtype=np.float64)[:, None],
+    )
+
+
+def _quantile_candidates(
+    sorted_x: np.ndarray,
+    csum: np.ndarray,
+    csum_sq: np.ndarray,
+    min_leaf: int,
+    max_candidate_splits: int,
+) -> Tuple[np.ndarray, ...]:
+    """Candidates at quantile-spaced distinct values, padded to one length.
+
+    Works on the transposed ``(feature, row)`` views, so that the distinct
+    values come out feature by feature.
+    """
+    sorted_x, csum, csum_sq = sorted_x.T, csum.T, csum_sq.T
+    d, n = sorted_x.shape
+    rows = np.arange(d)[:, None]
+    starts = np.empty((d, n), dtype=bool)
+    starts[:, 0] = True
+    np.not_equal(sorted_x[:, 1:], sorted_x[:, :-1], out=starts[:, 1:])
+    counts = starts.sum(axis=1)
+    uniques = sorted_x[starts]
+    first = (np.cumsum(counts) - counts)[:, None]
+    cuts = np.array([_cut_positions(u, max_candidate_splits) for u in counts.tolist()])
+    thresholds = (uniques[first + cuts[:, :-1]] + uniques[first + cuts[:, 1:]]) / 2.0
+    # Samples left of each threshold (== searchsorted(side="right")).
+    lefts = (sorted_x[:, None, :] <= thresholds[:, :, None]).sum(axis=2)
+    valid = (cuts[:, 1:] >= 0) & (lefts >= min_leaf) & (lefts <= n - min_leaf)
+    lefts = np.where(valid, lefts, 1)
+    return (
+        thresholds.T,
+        valid.T,
+        csum[rows, lefts - 1].T,
+        csum_sq[rows, lefts - 1].T,
+        lefts.T.astype(np.float64),
+    )
 
 
 class RegressionTree:
@@ -101,7 +149,6 @@ class RegressionTree:
         self._left: List[int] = []
         self._right: List[int] = []
         self._value: List[float] = []
-        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
         self._depth = 0
 
     # ------------------------------------------------------------------ #
@@ -114,74 +161,67 @@ class RegressionTree:
         return len(self._value) - 1
 
     def _best_split(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> Optional[Tuple[int, float, float]]:
-        """Return (feature, threshold, gain) of the best split, or None.
+        self, x: np.ndarray, y: np.ndarray, mean: float
+    ) -> Optional[Tuple[int, float]]:
+        """Return (feature, threshold) of the best split, or None.
 
-        One search covers every feature: row ``f`` of each ``(d, ...)``
+        One search covers every feature: column ``f`` of each ``(..., d)``
         array below belongs to feature ``f``.  Candidates are the midpoints
         between quantile-spaced distinct values of a feature; the one with the
         least summed squared error wins within a feature (first on ties), and
         across features a strictly larger gain wins (lowest feature on ties).
+        ``mean`` is the node's mean of ``y``.
         """
         n, d = x.shape
         min_leaf = self.min_samples_leaf
         if n < 2 * min_leaf or d == 0:
             return None
-        base_err = float(np.var(y) * n)
-        rows = np.arange(d)[:, None]
-        order = np.argsort(x.T, axis=1, kind="mergesort")
-        sorted_x = x.T[rows, order]
+        base_err = float(np.add.reduce(np.square(y - mean))) / n * n  # == np.var(y) * n
+        features = np.arange(d)
+        order = x.argsort(axis=0, kind="mergesort")
+        sorted_x = x[order, features]
         sorted_y = y[order]
-        csum = np.cumsum(sorted_y, axis=1)
-        csum_sq = np.cumsum(sorted_y**2, axis=1)
+        csum = sorted_y.cumsum(axis=0)
+        csum_sq = np.square(sorted_y).cumsum(axis=0)
 
-        # Distinct values of every feature, concatenated feature by feature.
-        starts = np.empty((d, n), dtype=bool)
-        starts[:, 0] = True
-        np.not_equal(sorted_x[:, 1:], sorted_x[:, :-1], out=starts[:, 1:])
-        counts = starts.sum(axis=1)
-        uniques = sorted_x[starts]
-        first = (np.cumsum(counts) - counts)[:, None]
-        cuts = np.array(
-            [_cut_positions(u, self.max_candidate_splits) for u in counts.tolist()]
-        )
-        thresholds = (uniques[first + cuts[:, :-1]] + uniques[first + cuts[:, 1:]]) / 2.0
-        # Samples left of each threshold (== searchsorted(side="right")).
-        lefts = (sorted_x[:, None, :] <= thresholds[:, :, None]).sum(axis=2)
-        valid = (cuts[:, 1:] >= 0) & (lefts >= min_leaf) & (lefts <= n - min_leaf)
-        lefts = np.where(valid, lefts, 1)
-        left_sum = csum[rows, lefts - 1]
-        left_sq = csum_sq[rows, lefts - 1]
-        right_sum = csum[:, -1:] - left_sum
-        right_sq = csum_sq[:, -1:] - left_sq
-        nl = lefts.astype(np.float64)
+        candidates = None
+        if n - 1 <= self.max_candidate_splits:
+            candidates = _boundary_candidates(sorted_x, csum, csum_sq, min_leaf)
+        if candidates is None:
+            candidates = _quantile_candidates(
+                sorted_x, csum, csum_sq, min_leaf, self.max_candidate_splits
+            )
+        thresholds, valid, left_sum, left_sq, nl = candidates
+        right_sum = csum[-1] - left_sum
+        right_sq = csum_sq[-1] - left_sq
         nr = n - nl
         err = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
-        err[~valid] = np.inf
-        idx = np.argmin(err, axis=1)
-        gains = base_err - err[rows[:, 0], idx]
-        f = int(np.argmax(np.where(gains > 1e-12, gains, -np.inf)))
+        err = np.where(valid, err, np.inf)
+        idx = err.argmin(axis=0)
+        gains = base_err - err[idx, features]
+        f = int(np.where(gains > 1e-12, gains, -np.inf).argmax())
         if not gains[f] > 1e-12:
             return None
-        return f, float(thresholds[f, idx[f]]), float(gains[f])
+        return f, float(thresholds[idx[f], f])
 
     def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> int:
-        node = self._new_node(float(np.mean(y)))
+        mean = float(np.add.reduce(y)) / y.shape[0]  # == np.mean(y), bit for bit
+        node = self._new_node(mean)
         self._depth = max(self._depth, depth)
         if depth >= self.max_depth:
             return node
-        split = self._best_split(x, y)
+        split = self._best_split(x, y, mean)
         if split is None:
             return node
-        f, thr, _ = split
-        mask = x[:, f] <= thr
-        if mask.sum() < self.min_samples_leaf or (~mask).sum() < self.min_samples_leaf:
-            return node
+        # The search only returns thresholds with at least min_samples_leaf
+        # rows on each side.
+        f, thr = split
+        left = x[:, f] <= thr
+        right = ~left
         self._feature[node] = f
         self._threshold[node] = thr
-        self._left[node] = self._build(x[mask], y[mask], depth + 1)
-        self._right[node] = self._build(x[~mask], y[~mask], depth + 1)
+        self._left[node] = self._build(x[left], y[left], depth + 1)
+        self._right[node] = self._build(x[right], y[right], depth + 1)
         return node
 
     # ------------------------------------------------------------------ #
@@ -194,37 +234,35 @@ class RegressionTree:
             raise ValueError("cannot fit a tree on an empty dataset")
         self._feature, self._threshold = [], []
         self._left, self._right, self._value = [], [], []
-        self._arrays = None
         self._depth = 0
         self._build(x, y, depth=0)
-        self._arrays = _routing_arrays(
-            self._feature, self._threshold, self._left, self._right, self._value
-        )
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Route all rows through the tree level by level (vectorised).
+        """Route all rows through the tree, partitioning them node by node.
 
         Every row takes exactly the branch the scalar walk would take (the
         same ``<=`` comparisons on the same float64 values), so the output is
-        bit-identical to a per-row descent while touching each tree level with
-        whole-array gathers instead of a Python loop per sample.  Leaves are
-        self-looping in the routing arrays (see :func:`_routing_arrays`), so
-        the walk simply runs for the tree depth with no per-level masking.
+        bit-identical to a per-row descent; each node splits the index array
+        of the rows that reached it with one vectorised comparison.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("x must be 2-D")
         if not self._value:
             raise RuntimeError("tree is not fitted")
-        feature, threshold, left, right, value = self._arrays
-        rows = np.arange(x.shape[0])
-        node = np.zeros(x.shape[0], dtype=np.intp)
-        for _ in range(self._depth):
-            node = np.where(
-                x[rows, feature[node]] <= threshold[node], left[node], right[node]
-            )
-        return value[node]
+        out = np.empty(x.shape[0], dtype=np.float64)
+        self._route(x, 0, np.arange(x.shape[0]), out)
+        return out
+
+    def _route(self, x: np.ndarray, node: int, rows: np.ndarray, out: np.ndarray) -> None:
+        f = self._feature[node]
+        if f < 0:
+            out[rows] = self._value[node]
+            return
+        go_left = x[rows, f] <= self._threshold[node]
+        self._route(x, self._left[node], rows[go_left], out)
+        self._route(x, self._right[node], rows[~go_left], out)
 
     @property
     def num_nodes(self) -> int:
@@ -285,38 +323,44 @@ class GradientBoostedTrees:
             update = tree.predict(x)
             pred = pred + self.learning_rate * update
             self._trees.append(tree)
-            if float(np.max(np.abs(residual))) < 1e-12:
+            if float(np.abs(residual).max()) < 1e-12:
                 break
         self._stack_trees()
         return self
 
     def _stack_trees(self) -> None:
-        """Concatenate all trees' routing arrays into one node pool.
+        """Concatenate all trees' node lists into one node pool.
 
         The ensemble descent then advances *every tree for every row* with a
         single gather per level (``node`` is a ``(trees, rows)`` matrix of
         pool indices), instead of one Python-level predict call per tree.
+        Leaves become self-loops (with a dummy feature ``0``), so a fixed
+        number of ``node -> child`` steps routes every row to its leaf
+        without per-level masking; extra steps past a shallow leaf are no-ops.
         """
-        offsets = np.cumsum([0] + [t.num_nodes for t in self._trees][:-1])
-        feat, thr, left, right, value = (
-            np.concatenate(cols)
-            for cols in zip(*(t._arrays for t in self._trees))
-        )
-        pool = np.concatenate(
-            [np.full(t.num_nodes, off, dtype=np.intp) for t, off in zip(self._trees, offsets)]
-        )
+        trees = self._trees
+        sizes = [t.num_nodes for t in trees]
+        offsets = np.cumsum([0] + sizes[:-1])
+
+        def pooled(name: str, dtype) -> np.ndarray:
+            return np.array([v for t in trees for v in getattr(t, name)], dtype=dtype)
+
+        feature = pooled("_feature", np.intp)
+        leaf = feature < 0
+        nodes = np.arange(feature.size, dtype=np.intp)
+        pool = np.repeat(offsets, sizes)  # each node's tree offset
         # Children interleaved per node (child[2k] = left, child[2k+1] =
         # right, rebased into the pool): one gather routes a level.
-        child = np.empty(2 * feat.size, dtype=np.intp)
-        child[0::2] = left + pool
-        child[1::2] = right + pool
+        child = np.empty(2 * feature.size, dtype=np.intp)
+        child[0::2] = np.where(leaf, nodes, pooled("_left", np.intp) + pool)
+        child[1::2] = np.where(leaf, nodes, pooled("_right", np.intp) + pool)
         self._stacked = (
-            feat,
-            thr,
+            np.where(leaf, 0, feature),
+            pooled("_threshold", np.float64),
             child,
-            value,
+            pooled("_value", np.float64),
             np.asarray(offsets, dtype=np.intp),
-            max(t._depth for t in self._trees),
+            max(t._depth for t in trees),
         )
         self._row_base: Optional[np.ndarray] = None  # cached per input shape
         self._row_base_shape: Optional[Tuple[int, int]] = None

@@ -619,7 +619,9 @@ class TestFacade:
         assert db.save(path) == str(path)
         db.put(_record(params=SMALL))
         db.close()
-        assert len(TuningDatabase(path=path)) == 2
+        reopened = TuningDatabase(path=path)
+        assert len(reopened) == 2
+        reopened.close()
 
     def test_save_with_explicit_path_exports_portable_map(self, tmp_path):
         db = TuningDatabase(path=tmp_path / "db.log")

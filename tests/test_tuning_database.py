@@ -126,8 +126,10 @@ class TestDefaultLocation:
         db.put(_record())
         saved = db.save()  # bare save persists to the remembered location
         assert saved == str(target) and target.exists()
+        db.close()
         reloaded = TuningDatabase.default()
         assert len(reloaded) == 1
+        reloaded.close()
 
     def test_default_cache_home(self, monkeypatch):
         monkeypatch.delenv("REPRO_TUNING_DB", raising=False)
@@ -221,7 +223,10 @@ class TestDefaultLocation:
         assert len(db) == 0
         db.put(_record())
         db.save()
-        assert len(TuningDatabase.default()) == 1  # rewritten atomically
+        db.close()
+        reloaded = TuningDatabase.default()
+        assert len(reloaded) == 1  # rewritten atomically
+        reloaded.close()
 
     def test_save_without_path_raises(self):
         with pytest.raises(ValueError):
