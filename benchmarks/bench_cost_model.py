@@ -12,10 +12,11 @@ per-feature split loop with ``np.var`` and a per-tree predict) in place of
 Tree identity always gates: every node of every boosted tree, each tree's
 depth, and the predicted scores must be bit-identical between the two.
 
-Timing alternates the two sides over ``PAIRS`` pairs per size (which side
-runs first alternates too), so host-speed drift hits both alike; each pair
-gives one oracle / shipped ratio, and the report is the median ratio and
-its interquartile range.  ``fit_speedup`` is the smallest size's median; the
+Timing alternates the two sides over ``PAIRS`` pairs per size
+(``interleaved_pairs`` in ``conftest.py``; which side runs first alternates
+too), so host-speed drift hits both alike; each pair gives one oracle /
+shipped ratio, and the report is the median ratio and its interquartile
+range.  ``fit_speedup`` is the smallest size's median; the
 ``FLOOR`` on it is soft under ``BENCH_SPEEDUP_SOFT=1``.  ``fit_calls`` counts
 the Python and C calls of one fit under ``sys.setprofile``, a number that
 does not move with the host.
@@ -23,6 +24,7 @@ does not move with the host.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import statistics
@@ -31,11 +33,10 @@ import warnings
 
 import pytest
 
-from conftest import emit, write_bench_json
+from conftest import PAIRS, count_calls, emit, interleaved_pairs, write_bench_json
 from repro.analysis import ResultTable, render_table
 from repro.conv import ConvParams
 from repro.core.autotune import CostModel, Measurer, SearchSpace, cost_model, feature_matrix
-from repro.obs import MonotonicClock
 
 # The reference fit lives with the tests, not in src/.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,12 +46,7 @@ from tests.cost_model_oracle import OracleBoosting, tree_state  # noqa: E402
 
 PARAMS = ConvParams.square(28, 128, 128, kernel=3, stride=1, padding=1)
 SIZES = (16, 32, 48, 64)
-PAIRS = 10
 FLOOR = 5.0
-
-#: benchmarks are a real timing edge (REPRO701): one monotonic clock,
-#: read only here.
-_CLOCK = MonotonicClock()
 
 
 def _inputs(spec, n):
@@ -77,28 +73,6 @@ def _fit(side, x, times):
     return model
 
 
-def _count_calls(side, x, times):
-    """Python and C calls made by one fit, counted under ``sys.setprofile``."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        _fit(side, x, times)
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
-def _quartiles(values):
-    """``(q1, median, q3)``, the quartiles ``run.py compare`` uses."""
-    return tuple(statistics.quantiles(values, n=4))
-
-
 def run_cost_model_benchmark(spec):
     rows = {}
     for n in SIZES:
@@ -115,20 +89,19 @@ def run_cost_model_benchmark(spec):
         assert state["shipped"] == state["oracle"], (
             f"the fit diverges from the reference fit on {n} x {x.shape[1]}"
         )
-        calls = {side: _count_calls(side, x, times) for side in ("oracle", "shipped")}
-        seconds = {"oracle": [], "shipped": []}
-        for pair in range(PAIRS):
-            order = ("oracle", "shipped") if pair % 2 == 0 else ("shipped", "oracle")
-            for side in order:
-                start = _CLOCK.now()
-                _fit(side, x, times)
-                seconds[side].append(_CLOCK.now() - start)
-        ratios = [o / s for o, s in zip(seconds["oracle"], seconds["shipped"])]
+        calls = {
+            side: count_calls(functools.partial(_fit, side, x, times))
+            for side in ("oracle", "shipped")
+        }
+        timing = interleaved_pairs(
+            functools.partial(_fit, "oracle", x, times),
+            functools.partial(_fit, "shipped", x, times),
+        )
         rows[n] = {
             "features": x.shape[1],
-            "oracle_seconds": statistics.median(seconds["oracle"]),
-            "shipped_seconds": statistics.median(seconds["shipped"]),
-            "quartiles": _quartiles(ratios),
+            "oracle_seconds": statistics.median(timing.reference_seconds),
+            "shipped_seconds": statistics.median(timing.candidate_seconds),
+            "quartiles": (timing.q1, timing.median, timing.q3),
             "oracle_calls": calls["oracle"],
             "shipped_calls": calls["shipped"],
         }

@@ -14,7 +14,16 @@ Two correctness properties always gate (regardless of wall clock): the
 column-wise feature matrix must be bit-identical to the per-row path, and the
 vectorised explorer's best-found runtime at equal measurement budget must be
 no worse than the scalar explorer's (≤5% in the mean) across a seed grid.
-The ≥5x propose() speedup floor is soft under ``BENCH_SPEEDUP_SOFT=1``.
+
+Timing alternates the two explorers over ``PAIRS`` pairs
+(``interleaved_pairs`` in ``conftest.py``, which side runs first
+alternating too); ``speedup`` is the median per-pair scalar / vectorised
+ratio, reported with its quartiles.  The ≥5x floor on it is soft under
+``BENCH_SPEEDUP_SOFT=1``.  Three call counts, taken under
+``sys.setprofile``, do not move with the host: one scalar and one
+vectorised 256-walker propose (``propose_call_ratio`` is their ratio), and
+the default 16-walker x 24-step propose that every fresh ATE request runs
+(``default_propose_calls``).
 
 A second benchmark times ``SearchSpace.size()``, which every fresh tuning
 session calls to fill ``TuningResult.space_size``, against the enumerating
@@ -33,7 +42,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import emit, write_bench_json
+from conftest import PAIRS, count_calls, emit, interleaved_pairs, write_bench_json
 from repro.analysis import ResultTable, render_table
 from repro.conv import ConvParams
 from repro.obs import MonotonicClock
@@ -62,16 +71,20 @@ WALK_LENGTH = 24
 BATCH_SIZE = 64
 TRAIN_SAMPLES = 128
 ROUNDS = 3
+#: a fresh ATE request's one propose: the default explorer, its batch and
+#: the initial random sample its cost model trains on.
+DEFAULT_BATCH = 16
+DEFAULT_TRAIN = 16
 
 QUALITY_BUDGET = 96
 QUALITY_SEEDS = range(5)
 QUALITY_TOLERANCE = 1.05
 
 
-def _trained_model(spec):
+def _trained_model(spec, samples=TRAIN_SAMPLES):
     space = SearchSpace(PARAMS, spec, "direct", pruned=True)
     measurer = Measurer(PARAMS, spec)
-    train = space.sample(random.Random(7), TRAIN_SAMPLES)
+    train = space.sample(random.Random(7), samples)
     times = [
         measurer.time_seconds(c) if measurer.is_feasible(c) else float("inf")
         for c in train
@@ -84,15 +97,6 @@ def _trained_model(spec):
 #: benchmarks are a real timing edge (REPRO701): one monotonic clock,
 #: read only here.
 _CLOCK = MonotonicClock()
-
-
-def _best_of(fn, rounds=ROUNDS):
-    best = float("inf")
-    for _ in range(rounds):
-        start = _CLOCK.now()
-        fn()
-        best = min(best, _CLOCK.now() - start)
-    return best
 
 
 def run_explorer_benchmark(spec):
@@ -114,8 +118,19 @@ def run_explorer_benchmark(spec):
             model, BATCH_SIZE
         )
 
-    t_scalar = _best_of(scalar)
-    t_vector = _best_of(vectorized)
+    timing = interleaved_pairs(scalar, vectorized)
+    t_scalar = statistics.median(timing.reference_seconds)
+    t_vector = statistics.median(timing.candidate_seconds)
+    default_space, default_model, _ = _trained_model(spec, DEFAULT_TRAIN)
+    calls = {
+        "scalar": count_calls(scalar),
+        "vectorized": count_calls(vectorized),
+        "default": count_calls(
+            lambda: ParallelRandomWalkExplorer(
+                default_space, PARAMS, spec, seed=5
+            ).propose(default_model, DEFAULT_BATCH)
+        ),
+    }
 
     # Hard gate: search quality at equal measurement budget, seed grid.
     quality = {}
@@ -146,30 +161,35 @@ def run_explorer_benchmark(spec):
 
     table = ResultTable(
         f"Explorer propose() ({spec.name}, {NUM_WALKERS} walkers x "
-        f"{WALK_LENGTH} steps, trained model)",
-        columns=["explorer", "ms", "us_per_walker_step", "speedup"],
+        f"{WALK_LENGTH} steps, trained model, median of {PAIRS} interleaved pairs)",
+        columns=["explorer", "ms", "us_per_walker_step", "calls", "speedup"],
     )
     for name, t in (("scalar", t_scalar), ("vectorized", t_vector)):
         table.add_row(
             explorer=name,
             ms=t * 1e3,
             us_per_walker_step=t * 1e6 / (NUM_WALKERS * WALK_LENGTH),
+            calls=calls[name],
             speedup=t_scalar / t,
         )
-    return table, t_scalar, t_vector, scalar_mean, vector_mean
+    return table, timing, calls, scalar_mean, vector_mean
 
 
 @pytest.mark.benchmark(group="explorer")
 def test_explorer_speedup(benchmark, gpu_v100):
-    table, t_scalar, t_vector, q_scalar, q_vector = benchmark.pedantic(
+    table, timing, calls, q_scalar, q_vector = benchmark.pedantic(
         run_explorer_benchmark, args=(gpu_v100,), rounds=1, iterations=1
     )
-    speedup = t_scalar / t_vector
+    speedup = timing.median
+    call_ratio = calls["scalar"] / calls["vectorized"]
     emit(render_table(table, precision=2))
     emit(
-        f"vectorized propose() speedup: {speedup:.1f}x "
-        f"(quality: {q_vector / q_scalar:.3f}x scalar mean best time at "
-        f"{QUALITY_BUDGET}-measurement budget)"
+        f"vectorized propose() speedup: {speedup:.2f}x "
+        f"(IQR {timing.q1:.2f}-{timing.q3:.2f} over {PAIRS} pairs; "
+        f"{call_ratio:.1f}x fewer calls; quality: {q_vector / q_scalar:.3f}x "
+        f"scalar mean best time at {QUALITY_BUDGET}-measurement budget); "
+        f"default {ExplorerConfig().num_walkers}-walker propose: "
+        f"{calls['default']} calls"
     )
     write_bench_json(
         "explorer",
@@ -177,9 +197,17 @@ def test_explorer_speedup(benchmark, gpu_v100):
         num_walkers=NUM_WALKERS,
         walk_length=WALK_LENGTH,
         batch_size=BATCH_SIZE,
-        scalar_seconds=t_scalar,
-        vectorized_seconds=t_vector,
+        pairs=PAIRS,
+        scalar_seconds=statistics.median(timing.reference_seconds),
+        vectorized_seconds=statistics.median(timing.candidate_seconds),
         speedup=speedup,
+        speedup_q1=timing.q1,
+        speedup_q3=timing.q3,
+        speedup_iqr=timing.iqr,
+        scalar_propose_calls=calls["scalar"],
+        vectorized_propose_calls=calls["vectorized"],
+        default_propose_calls=calls["default"],
+        propose_call_ratio=call_ratio,
         quality_budget=QUALITY_BUDGET,
         quality_scalar_mean_best=q_scalar,
         quality_vectorized_mean_best=q_vector,

@@ -18,6 +18,10 @@ Measurement runs in two modes:
   objects) and executes it through
   :meth:`~repro.gpusim.executor.GPUExecutor.run_batch`.  Results are
   bit-identical to the scalar path, including the deterministic noise term.
+
+The search side works on :class:`ConfigArray`: a batch of configurations
+as one ``(n, 12)`` int64 matrix, a row per configuration and a column per
+knob, so taking, copying, selecting and stacking rows is one NumPy call.
 """
 
 from __future__ import annotations
@@ -172,168 +176,167 @@ ORDER_CONTIGUOUS = np.array(
 )
 
 
-@dataclasses.dataclass
 class ConfigArray:
     """Structure-of-arrays view of a batch of :class:`Configuration` values.
 
-    The search-side twin of :class:`~repro.gpusim.kernels.ProfileBatch`: one
-    int64 column per knob, with the categorical knobs (algorithm, layout,
-    loop order) stored as codes into the canonical option tuples
-    (:data:`ALGORITHMS`, ``Layout.all()``, ``Configuration.LOOP_ORDERS``).
-    The vectorised search hot path — :meth:`SearchSpace.sample_batch`,
+    The search-side twin of :class:`~repro.gpusim.kernels.ProfileBatch`: the
+    rows live in one ``(n, 12)`` int64 matrix, :attr:`rows`, whose columns
+    are the knobs in :attr:`FIELDS` order, with the categorical knobs
+    (algorithm, layout, loop order) stored as codes into the canonical
+    option tuples (:data:`ALGORITHMS`, ``Layout.all()``,
+    ``Configuration.LOOP_ORDERS``).  Each knob name is a read/write column
+    view (``a.tile_x[2] = 7`` writes row 2), and the row operations
+    (:meth:`take`, :meth:`copy`, :meth:`where`, :meth:`concat`,
+    :meth:`key_matrix`) are one NumPy call each.  The vectorised search hot
+    path — :meth:`SearchSpace.sample_batch`,
     :meth:`SearchSpace.neighbor_batch`, the column-wise
     :func:`~repro.core.autotune.features.feature_matrix` and the lock-step
-    explorer — operates on whole columns; :meth:`to_configs` /
+    explorer — works on the matrix; :meth:`to_configs` /
     :meth:`from_configs` round-trip losslessly, so the array representation
     never changes *what* is searched, only how fast the batch is processed.
     """
 
-    algo: np.ndarray  # codes into ALGORITHMS
-    tile_x: np.ndarray
-    tile_y: np.ndarray
-    tile_z: np.ndarray
-    threads_x: np.ndarray
-    threads_y: np.ndarray
-    threads_z: np.ndarray
-    layout: np.ndarray  # codes into Layout.all()
-    smem_per_block: np.ndarray
-    e: np.ndarray
-    unroll: np.ndarray
-    order: np.ndarray  # codes into Configuration.LOOP_ORDERS
-
     #: column names, in Configuration.key() order.
     FIELDS = (
-        "algo",
+        "algo",  # codes into ALGORITHMS
         "tile_x",
         "tile_y",
         "tile_z",
         "threads_x",
         "threads_y",
         "threads_z",
-        "layout",
+        "layout",  # codes into Layout.all()
         "smem_per_block",
         "e",
         "unroll",
-        "order",
+        "order",  # codes into Configuration.LOOP_ORDERS
     )
 
-    def __post_init__(self) -> None:
-        n = None
-        for name in self.FIELDS:
-            col = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+    def __init__(self, **columns) -> None:
+        """Stack one equal-length 1-D column per name in :attr:`FIELDS`."""
+        if set(columns) != set(self.FIELDS):
+            raise TypeError(f"ConfigArray takes exactly the columns {self.FIELDS}")
+        cols = [np.asarray(columns[name], dtype=np.int64) for name in self.FIELDS]
+        for name, col in zip(self.FIELDS, cols):
             if col.ndim != 1:
                 raise ValueError(f"column {name} must be one-dimensional")
-            if n is None:
-                n = col.shape[0]
-            elif col.shape[0] != n:
-                raise ValueError("all columns must have the same length")
-            setattr(self, name, col)
+        if len({col.shape[0] for col in cols}) != 1:
+            raise ValueError("all columns must have the same length")
+        self.rows = np.stack(cols, axis=1)
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def _raw(cls, columns: Dict[str, np.ndarray]) -> "ConfigArray":
-        """Internal constructor for columns already known to be valid int64
-        arrays of equal length (skips ``__post_init__`` normalisation — the
-        hot-path row operations below build thousands of arrays per walk)."""
+    def _wrap(cls, rows: np.ndarray) -> "ConfigArray":
+        """Internal constructor around an ``(n, 12)`` int64 matrix (no
+        checks and no copy: the hot-path row operations below build
+        thousands of arrays per walk)."""
         self = object.__new__(cls)
-        for name in cls.FIELDS:
-            object.__setattr__(self, name, columns[name])
+        self.rows = rows
         return self
 
     def __len__(self) -> int:
-        return self.algo.shape[0]
-
-    @property
-    def threads_per_block(self) -> np.ndarray:
-        return self.threads_x * self.threads_y * self.threads_z
+        return self.rows.shape[0]
 
     @classmethod
     def from_configs(cls, configs: Sequence[Configuration]) -> "ConfigArray":
-        """Pack a list of configurations into columns (lossless)."""
-        n = len(configs)
-        cols = {name: np.empty(n, dtype=np.int64) for name in cls.FIELDS}
-        for i, c in enumerate(configs):
-            cols["algo"][i] = _ALGO_CODE[c.algorithm]
-            cols["tile_x"][i] = c.tile_x
-            cols["tile_y"][i] = c.tile_y
-            cols["tile_z"][i] = c.tile_z
-            cols["threads_x"][i] = c.threads_x
-            cols["threads_y"][i] = c.threads_y
-            cols["threads_z"][i] = c.threads_z
-            cols["layout"][i] = _LAYOUT_CODE[c.layout]
-            cols["smem_per_block"][i] = c.smem_per_block
-            cols["e"][i] = c.e
-            cols["unroll"][i] = c.unroll
-            cols["order"][i] = _ORDER_CODE[c.loop_order]
-        return cls(**cols)
+        """Pack a list of configurations into rows (lossless)."""
+        rows = [
+            (
+                _ALGO_CODE[c.algorithm],
+                c.tile_x,
+                c.tile_y,
+                c.tile_z,
+                c.threads_x,
+                c.threads_y,
+                c.threads_z,
+                _LAYOUT_CODE[c.layout],
+                c.smem_per_block,
+                c.e,
+                c.unroll,
+                _ORDER_CODE[c.loop_order],
+            )
+            for c in configs
+        ]
+        return cls._wrap(np.array(rows, dtype=np.int64).reshape(-1, len(cls.FIELDS)))
 
     @classmethod
     def filled(cls, n: int, algorithm: str) -> "ConfigArray":
         """An ``n``-row array of placeholder rows for one algorithm (the rows
         are overwritten column-wise by the vectorised samplers)."""
-        cols = {name: np.ones(n, dtype=np.int64) for name in cls.FIELDS}
-        cols["algo"] = np.full(n, _ALGO_CODE[algorithm], dtype=np.int64)
-        return cls(**cols)
+        rows = np.ones((n, len(cls.FIELDS)), dtype=np.int64)
+        rows[:, 0] = _ALGO_CODE[algorithm]
+        return cls._wrap(rows)
 
     @classmethod
     def concat(cls, arrays: Sequence["ConfigArray"]) -> "ConfigArray":
         if len(arrays) == 1:
             return arrays[0]
-        return cls._raw(
-            {
-                name: np.concatenate([getattr(a, name) for a in arrays])
-                for name in cls.FIELDS
-            }
-        )
+        return cls._wrap(np.concatenate([a.rows for a in arrays]))
 
     def take(self, indices) -> "ConfigArray":
         """Row subset (index array or boolean mask)."""
-        indices = np.asarray(indices)
-        if indices.dtype == bool:
-            indices = np.flatnonzero(indices)
-        return self._raw({name: getattr(self, name)[indices] for name in self.FIELDS})
+        return self._wrap(self.rows[indices])
 
     def copy(self) -> "ConfigArray":
-        return self._raw({name: getattr(self, name).copy() for name in self.FIELDS})
+        return self._wrap(self.rows.copy())
 
     def where(self, mask: np.ndarray, other: "ConfigArray") -> "ConfigArray":
         """Rows from ``other`` where ``mask`` holds, else from ``self``."""
-        return self._raw(
-            {
-                name: np.where(mask, getattr(other, name), getattr(self, name))
-                for name in self.FIELDS
-            }
-        )
+        return self._wrap(np.where(mask[:, None], other.rows, self.rows))
 
     def key_matrix(self) -> np.ndarray:
-        """An ``(n, 12)`` int64 matrix whose rows identify configurations.
+        """An ``(n, 12)`` int64 matrix whose rows identify configurations
+        (a copy of :attr:`rows`).
 
         The row is an injective recoding of :meth:`Configuration.key` (the
         categorical knobs appear as their codes), so row-level deduplication
-        over the matrix — e.g. ``np.unique(..., axis=0)`` in the vectorised
+        over the matrix — e.g. ``np.unique`` over its rows in the vectorised
         explorer — agrees exactly with key-based deduplication.
         """
-        return np.stack([getattr(self, name) for name in self.FIELDS], axis=1)
+        return self.rows.copy()
 
     def config_at(self, i: int) -> Configuration:
         """Materialise row ``i`` as a :class:`Configuration`."""
-        return Configuration(
-            algorithm=ALGORITHMS[self.algo[i]],
-            tile_x=int(self.tile_x[i]),
-            tile_y=int(self.tile_y[i]),
-            tile_z=int(self.tile_z[i]),
-            threads_x=int(self.threads_x[i]),
-            threads_y=int(self.threads_y[i]),
-            threads_z=int(self.threads_z[i]),
-            layout=_LAYOUTS[self.layout[i]],
-            smem_per_block=int(self.smem_per_block[i]),
-            e=int(self.e[i]),
-            unroll=int(self.unroll[i]),
-            loop_order=Configuration.LOOP_ORDERS[self.order[i]],
-        )
+        return _config_from_row(self.rows[i].tolist())
 
     def to_configs(self) -> List[Configuration]:
-        return [self.config_at(i) for i in range(len(self))]
+        return [_config_from_row(row) for row in self.rows.tolist()]
+
+
+def _column(index: int) -> property:
+    """Read/write view of one :class:`ConfigArray` column."""
+
+    def get(self: ConfigArray) -> np.ndarray:
+        return self.rows[:, index]
+
+    def set_(self: ConfigArray, values) -> None:
+        self.rows[:, index] = values
+
+    return property(get, set_)
+
+
+for _index, _name in enumerate(ConfigArray.FIELDS):
+    setattr(ConfigArray, _name, _column(_index))
+del _index, _name
+
+
+def _config_from_row(row: List[int]) -> Configuration:
+    """The :class:`Configuration` of one :attr:`ConfigArray.rows` row."""
+    algo, x, y, z, tx, ty, tz, layout, smem, e, unroll, order = row
+    return Configuration(
+        algorithm=ALGORITHMS[algo],
+        tile_x=x,
+        tile_y=y,
+        tile_z=z,
+        threads_x=tx,
+        threads_y=ty,
+        threads_z=tz,
+        layout=_LAYOUTS[layout],
+        smem_per_block=smem,
+        e=e,
+        unroll=unroll,
+        loop_order=Configuration.LOOP_ORDERS[order],
+    )
 
 
 def build_profile(

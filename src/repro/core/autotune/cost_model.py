@@ -369,8 +369,10 @@ class GradientBoostedTrees:
         """Ensemble prediction, bit-identical to summing per-tree predicts.
 
         All trees descend together on the stacked node pool (one fancy-indexed
-        gather per level); the leaf values are then accumulated tree by tree
-        in boosting order, exactly like the unstacked loop, so the float
+        gather per level).  One ``np.multiply`` scales every tree's leaf
+        values into a ``(trees + 1, rows)`` buffer below the base, and
+        ``np.add.accumulate`` down its first axis adds them tree by tree in
+        boosting order, exactly like the unstacked loop, so the float
         addition order — and hence the result — is unchanged.
         """
         x = np.asarray(x, dtype=np.float64)
@@ -394,11 +396,12 @@ class GradientBoostedTrees:
         for _ in range(depth):
             go_right = x_flat[row_base + feat[node]] > thr[node]
             node = child[node * 2 + go_right]
-        leaf_values = value[node].reshape(roots.size, n)
-        pred = np.full(n, self._base, dtype=np.float64)
-        for t in range(roots.size):
-            pred += self.learning_rate * leaf_values[t]
-        return pred
+        # Row 0 is the base and row t + 1 tree t's scaled leaf values; the
+        # running sum down axis 0 adds them in boosting order.
+        terms = np.empty((roots.size + 1, n), dtype=np.float64)
+        terms[0] = self._base
+        np.multiply(self.learning_rate, value[node].reshape(roots.size, n), out=terms[1:])
+        return np.add.accumulate(terms, axis=0)[-1]
 
     @property
     def num_trees(self) -> int:

@@ -18,10 +18,13 @@ Two implementations share that algorithm:
 * :class:`ParallelRandomWalkExplorer` — the search-side hot path.  All
   walkers advance in lock-step over a
   :class:`~repro.core.autotune.config.ConfigArray`: one batched
-  :meth:`~repro.core.autotune.space.SearchSpace.neighbor_batch` draw, one
+  :meth:`~repro.core.autotune.space.SearchSpace.neighbor_batch` draw (every
+  retry round of every walker in one pass), one
   :meth:`~repro.core.autotune.cost_model.CostModel.predict_score` call on a
   column-wise :func:`~repro.core.autotune.features.feature_matrix`, and one
-  vectorised Metropolis accept per step.
+  vectorised Metropolis accept per step.  A step works on ``num_walkers``
+  rows (16 by default), so its cost is the number of NumPy calls it makes,
+  and each of those parts keeps that number small.
 
 **RNG streams** (documented for reproducibility, same precedent as
 :class:`~repro.core.autotune.baselines.ParallelTemperingSATuner`'s per-chain
@@ -39,7 +42,7 @@ streams).  The vectorised explorer derives its generators from
   :meth:`~repro.core.autotune.space.SearchSpace.neighbor_batch` draws
   followed by one Metropolis uniform — in a single call, so a walker's
   stream position depends only on how many proposals ran, never on other
-  walkers' histories or on data-dependent retry counts.
+  walkers' histories or on which retry round found a feasible neighbour.
 """
 
 from __future__ import annotations
@@ -204,8 +207,9 @@ class ParallelRandomWalkExplorer:
     algorithm and the per-walker RNG stream layout): walker state lives in a
     :class:`ConfigArray`, each step advances *all* walkers with one batched
     neighbour draw, one cost-model scoring call and one vectorised Metropolis
-    accept, and the visited-candidate ranking deduplicates on the integer
-    :meth:`ConfigArray.key_matrix` instead of per-config key tuples.
+    accept, and the visited-candidate ranking deduplicates on the rows of
+    the integer :meth:`ConfigArray.key_matrix` instead of per-config key
+    tuples.
     """
 
     def __init__(
@@ -305,17 +309,23 @@ class ParallelRandomWalkExplorer:
         all_scores = np.concatenate(seen_scores)
         # Deduplicate on the key matrix keeping each key's best score, then
         # rank best-first.  Identical key rows are identical configurations,
-        # so any representative index per group works.
-        keys, group = np.unique(all_configs.key_matrix(), axis=0, return_inverse=True)
-        group_best = np.full(keys.shape[0], -np.inf)
+        # so any representative index per group works.  Each row is viewed
+        # as one opaque 96-byte key: np.unique groups those far faster than
+        # rows (axis=0), and the ranking below does not depend on the order
+        # of the groups, only on their scores and first visits.
+        keys = all_configs.key_matrix()
+        row_keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        distinct, group = np.unique(row_keys, return_inverse=True)
+        num_groups = distinct.size
+        group_best = np.full(num_groups, -np.inf)
         np.maximum.at(group_best, group, all_scores)
-        representative = np.zeros(keys.shape[0], dtype=np.intp)
+        representative = np.zeros(num_groups, dtype=np.intp)
         representative[group] = np.arange(all_scores.size, dtype=np.intp)
         # Rank best-first; break score ties by first-visit order, like the
         # scalar explorer's insertion-ordered best_seen dict (tree-model
         # scores tie often, and lexicographic-key tie-breaking would bias the
         # batch towards one corner of the space).
-        first_visit = np.full(keys.shape[0], all_scores.size, dtype=np.intp)
+        first_visit = np.full(num_groups, all_scores.size, dtype=np.intp)
         np.minimum.at(first_visit, group, np.arange(all_scores.size, dtype=np.intp))
         order = np.lexsort((first_visit, -group_best))
 

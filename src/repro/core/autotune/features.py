@@ -16,9 +16,12 @@ Two equivalent paths produce the features:
   over whole NumPy columns at once (the search-side hot path).  The two are
   bit-identical (property-tested): integer quantities are exact in int64
   (guarded by the same overflow bound as the vectorised lowering), float
-  expressions evaluate in the same order, and the ``log2`` columns go through
-  one ``math.log2`` call per *distinct* value, so no platform-dependent
-  vectorised transcendental can introduce a stray ulp.
+  expressions evaluate in the same order, and the seven ``log2`` columns go
+  through one sort together and one ``math.log2`` call per *distinct* value,
+  so no platform-dependent vectorised transcendental can introduce a stray
+  ulp.  The explorer scores a few rows per call, so the column-wise path
+  keeps its NumPy calls few: the tile arithmetic runs on one ``(n, 3)``
+  block, and the one-hot layout columns are one comparison.
 """
 
 from __future__ import annotations
@@ -71,28 +74,48 @@ FEATURE_NAMES: List[str] = [
 ]
 
 
+#: the feature columns :func:`_log_columns` fills, in its column order.
+_LOG_FEATURES = [
+    FEATURE_NAMES.index(name)
+    for name in (
+        "log_tile_x",
+        "log_tile_y",
+        "log_tile_z",
+        "log_tile_outputs",
+        "log_threads",
+        "log_blocks",
+        "log_traffic",
+    )
+]
+#: layout codes of the ``layout_chw``, ``layout_cwh`` and ``layout_hwc`` columns.
+_LAYOUT_ONE_HOT = np.array([_LAYOUT_CODE[lay] for lay in (Layout.CHW, Layout.CWH, Layout.HWC)])
+
+
 def _log(v: float) -> float:
     return math.log2(max(float(v), 1e-12))
 
 
-def _log_column(values: np.ndarray) -> np.ndarray:
-    """Per-element ``_log`` over a column, bit-identical to the scalar path.
+def _log_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-element ``_log`` over stacked columns, bit-identical to the scalar
+    path; returns one row per column.
 
-    The distinct values of a feature column are few (they come from small
-    option tables), so the column is mapped through one ``math.log2`` call
-    per unique value instead of ``np.log2`` — identical results on every
-    platform regardless of how the array transcendental is vectorised.
+    The distinct values of the ``log2`` feature columns are few (they come
+    from small option tables), so all columns go through one sort and one
+    ``math.log2`` call per distinct value — the same call on the same float
+    as :func:`_log`, so no platform-dependent vectorised ``np.log2`` can
+    introduce a stray ulp.  (``np.unique(..., return_inverse=True)`` gives
+    the same bits at several times the cost per call.)
     """
-    a = np.asarray(values)
-    order = np.argsort(a, kind="stable")
+    a = np.maximum(np.stack(columns), 1e-12).ravel()
+    order = np.argsort(a)
     sorted_a = a[order]
     first = np.empty(a.size, dtype=bool)
     first[0] = True
     np.not_equal(sorted_a[1:], sorted_a[:-1], out=first[1:])
-    logs = np.fromiter((_log(v) for v in sorted_a[first]), np.float64)
+    logs = np.fromiter(map(math.log2, sorted_a[first].tolist()), np.float64)
     out = np.empty(a.size, dtype=np.float64)
     out[order] = logs[np.cumsum(first) - 1]
-    return out
+    return out.reshape(len(columns), -1)
 
 
 def feature_vector(
@@ -164,19 +187,23 @@ def _feature_matrix_soa(
     ``tests/test_vectorized_search.py`` enforce the contract.
     """
     p = params
-    n = len(configs)
+    rows = configs.rows
+    n = rows.shape[0]
     out = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
-    # Clipped tile (OutputTile.clip_to) and launch shape.
-    x = np.minimum(configs.tile_x, p.out_width)
-    y = np.minimum(configs.tile_y, p.out_height)
-    z = np.minimum(configs.tile_z, p.out_channels)
-    threads = configs.threads_per_block
-    blocks = (-(-p.out_width // x)) * (-(-p.out_height // y)) * (-(-p.out_channels // z)) * p.batch
+    # Clipped tile (OutputTile.clip_to) and launch shape, on the (n, 3)
+    # block of tile columns.
+    extents = np.array([p.out_width, p.out_height, p.out_channels])
+    xyz = np.minimum(rows[:, 1:4], extents)
+    x, y, z = xyz.T
+    outputs = xyz.prod(axis=1)
+    threads = rows[:, 4:7].prod(axis=1)
+    blocks = (-(-extents // xyz)).prod(axis=1) * p.batch
+    smem = configs.smem_per_block
 
     wino = (configs.algo == _ALGO_CODE["winograd"]) & p.winograd_compatible()
     # The x' * y' input halo (OutputTile.input_footprint) feeds both the
     # direct-dataflow reads and the halo/smem features below.
-    halo = ((x - 1) * p.stride + p.ker_width) * ((y - 1) * p.stride + p.ker_height)
+    halo = ((xyz[:, :2] - 1) * p.stride + [p.ker_width, p.ker_height]).prod(axis=1)
     # Direct-dataflow I/O (Eq. 20) and FLOPs for every row, then the Winograd
     # rows (Eq. 22 / the e-dependent FLOP discount) overwrite their slots.
     input_reads = (blocks * (halo * p.in_channels)).astype(np.float64)
@@ -198,33 +225,26 @@ def _feature_matrix_soa(
         input_reads + weight_reads + float(p.output_elements) + 0.0
     ) * spec.dtype_size
 
-    smem_bytes = (x * y * z + halo + p.ker_height * p.ker_width * z) * spec.dtype_size
+    smem_bytes = (outputs + halo + p.ker_height * p.ker_width * z) * spec.dtype_size
     r = p.reuse_factor
-    residual = np.abs(x * y - r * z) / np.maximum(1.0, r * z)
+    xy = x * y
+    residual = np.abs(xy - r * z) / np.maximum(1.0, r * z)
 
-    out[:, 0] = _log_column(x)
-    out[:, 1] = _log_column(y)
-    out[:, 2] = _log_column(z)
-    out[:, 3] = _log_column(x * y * z)
-    out[:, 4] = _log_column(threads)
+    out[:, _LOG_FEATURES] = _log_columns(
+        (x, y, z, outputs, threads, blocks, traffic_bytes)
+    ).T
     out[:, 5] = (threads % spec.warp_size).astype(np.float64) / spec.warp_size
-    out[:, 6] = _log_column(blocks)
     out[:, 7] = np.minimum(4.0, blocks / spec.num_sms)
-    out[:, 8] = configs.smem_per_block / spec.shared_mem_per_sm
-    out[:, 9] = np.minimum(
-        4.0, smem_bytes / np.maximum(1, configs.smem_per_block)
-    )
-    out[:, 10] = _log_column(traffic_bytes)
+    out[:, 8] = smem / spec.shared_mem_per_sm
+    out[:, 9] = np.minimum(4.0, smem_bytes / np.maximum(1, smem))
     out[:, 11] = np.minimum(512.0, flops / np.maximum(1.0, traffic_bytes))
     out[:, 12] = np.minimum(4.0, residual)
-    out[:, 13] = np.minimum(8.0, halo / np.maximum(1, x * y))
-    out[:, 14] = configs.unroll.astype(np.float64)
-    out[:, 15] = ORDER_CONTIGUOUS[configs.layout, configs.order].astype(np.float64)
-    out[:, 16] = (configs.layout == _LAYOUT_CODE[Layout.CHW]).astype(np.float64)
-    out[:, 17] = (configs.layout == _LAYOUT_CODE[Layout.CWH]).astype(np.float64)
-    out[:, 18] = (configs.layout == _LAYOUT_CODE[Layout.HWC]).astype(np.float64)
-    out[:, 19] = wino.astype(np.float64)
-    out[:, 20] = np.where(wino, configs.e.astype(np.float64), 0.0)
+    out[:, 13] = np.minimum(8.0, halo / np.maximum(1, xy))
+    out[:, 14] = configs.unroll
+    out[:, 15] = ORDER_CONTIGUOUS[configs.layout, configs.order]
+    out[:, 16:19] = configs.layout[:, None] == _LAYOUT_ONE_HOT
+    out[:, 19] = wino
+    out[:, 20] = np.where(wino, configs.e, 0.0)
     return out
 
 

@@ -26,12 +26,15 @@ space instead of mutating one.
 
 Next to the scalar operations (``random_configuration``, ``neighbor``,
 ``contains``) the space exposes their array-at-a-time twins over
-:class:`~repro.core.autotune.config.ConfigArray` columns —
+:class:`~repro.core.autotune.config.ConfigArray` rows —
 :meth:`SearchSpace.sample_batch`, :meth:`SearchSpace.neighbor_batch`,
 :meth:`SearchSpace.contains_batch` and the vectorised feasibility masks
 (:meth:`SearchSpace.tile_ok_mask`, :meth:`SearchSpace.thread_ok_mask`) —
 which the lock-step explorer uses to advance every walker per NumPy call
-instead of per Python call.
+instead of per Python call.  A random-walk step works on a handful of rows,
+so NumPy call overhead, not arithmetic, sets its cost: ``neighbor_batch``
+perturbs every row and every retry round in one pass over one padded table
+of each knob's sorted options, with no loop over knobs or rounds.
 """
 
 from __future__ import annotations
@@ -56,18 +59,15 @@ def _thread_options(extent: int, limit: int = 32) -> Tuple[int, ...]:
     return tuple(d for d in divisors(extent) if d <= limit)
 
 
-#: sentinel padding value for the ragged thread-option tables (larger than any
-#: real thread count, so ``table < value`` index arithmetic ignores the pad).
+#: sentinel padding value for the ragged option tables (larger than any real
+#: option, so ``table < value`` index arithmetic ignores the pad).
 _PAD = np.int64(1 << 40)
 
 
-def _option_table(tile_opts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Padded per-tile-extent thread options: ``(table, lengths)``.
-
-    Row ``i`` lists ``_thread_options(tile_opts[i])`` padded with ``_PAD``;
-    ``lengths[i]`` is the real option count of that row.
-    """
-    rows = [_thread_options(v) for v in tile_opts]
+def _padded(rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Ragged sorted option rows as ``(table, lengths)``: row ``i`` of
+    ``table`` lists ``rows[i]`` padded with ``_PAD``, and ``lengths[i]`` is
+    its real option count."""
     width = max(len(r) for r in rows)
     table = np.full((len(rows), width), _PAD, dtype=np.int64)
     for i, r in enumerate(rows):
@@ -82,22 +82,39 @@ def _member_mask(opts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return opts[idx] == values
 
 
-def _adjacent_in_sorted(
-    opts: np.ndarray, values: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Vectorised :meth:`SearchSpace._adjacent` over a sorted option array.
-
-    ``values`` must be members of ``opts``; ``u`` in ``[0, 1)`` picks the step
-    direction where both neighbours exist (``u < 0.5`` steps down).
-    """
-    n = opts.shape[0]
-    if n == 1:
-        return values.copy()
-    idx = np.searchsorted(opts, values)
-    step = np.where(u < 0.5, -1, 1)
-    step = np.where(idx == 0, 1, step)
-    step = np.where(idx == n - 1, -1, step)
-    return opts[idx + step]
+#: the knobs :meth:`SearchSpace.neighbor_batch` perturbs, in
+#: :meth:`SearchSpace.neighbor` order ("e" only in Winograd spaces with more
+#: than one ``e`` option), as the ``ConfigArray`` field each one writes per
+#: thread-axis draw (only "threads" depends on the axis).
+_KNOB_FIELDS = (
+    ("tile_x",) * 3,
+    ("tile_y",) * 3,
+    ("tile_z",) * 3,
+    ("threads_x", "threads_y", "threads_z"),
+    ("layout",) * 3,
+    ("smem_per_block",) * 3,
+    ("unroll",) * 3,
+    ("order",) * 3,
+    ("e",) * 3,
+)
+_THREADS_KNOB = 3
+_KNOB_COLUMN = np.array(
+    [[ConfigArray.FIELDS.index(f) for f in fields] for fields in _KNOB_FIELDS],
+    dtype=np.intp,
+)
+#: the column a knob sets to 1 before it writes its own: a changed tile
+#: resets its axis's threads, and every other knob names its own column,
+#: which its new value then overwrites.
+_KNOB_RESET_COLUMN = np.where(
+    _KNOB_COLUMN <= ConfigArray.FIELDS.index("tile_z"), _KNOB_COLUMN + 3, _KNOB_COLUMN
+)
+#: how many other codes the categorical knobs (layout, loop order) can
+#: switch to; 0 for the knobs that step to an adjacent option.
+_ALTERNATIVES = {"layout": len(Layout.all()) - 1, "order": len(Configuration.LOOP_ORDERS) - 1}
+_KNOB_ALTERNATIVES = np.array([_ALTERNATIVES.get(f[0], 0) for f in _KNOB_FIELDS])
+#: the knobs that step through a sorted option list, in the slot order of
+#: ``SearchSpace._steps``.
+_STEPPED = ("tile_x", "tile_y", "tile_z", "smem_per_block", "unroll", "e")
 
 
 @dataclass(frozen=True)
@@ -135,17 +152,36 @@ class SearchSpace:
         set_("_size", None)
         # Column tables for the vectorised batch operations.
         set_("_algo_code", _ALGO_CODE[self.algorithm])
-        set_("_tile_arrs", tuple(
-            np.asarray(opts, dtype=np.int64)
-            for opts in (self._tile_x_opts, self._tile_y_opts, self._tile_z_opts)
-        ))
+        tile_opts = (self._tile_x_opts, self._tile_y_opts, self._tile_z_opts)
+        set_("_tile_arrs", tuple(np.asarray(opts, dtype=np.int64) for opts in tile_opts))
         set_("_smem_arr", np.asarray(self._smem_opts, dtype=np.int64))
         set_("_e_arr", np.sort(np.asarray(self._e_opts, dtype=np.int64)))
         set_("_unroll_arr", np.asarray(self._unrolls, dtype=np.int64))
-        set_("_thread_tables", tuple(
-            _option_table(opts)
-            for opts in (self._tile_x_opts, self._tile_y_opts, self._tile_z_opts)
+        threads = [[_thread_options(v) for v in opts] for opts in tile_opts]
+        set_("_thread_tables", tuple(map(_padded, threads)))
+        # _perturb's one padded table of sorted options: a slot per knob in
+        # _STEPPED, a dummy slot whose one option is the pad (layout and
+        # loop order do not step), then a slot per (axis, tile option)
+        # holding that tile's thread options.
+        set_("_steps", _padded(
+            [*tile_opts, self._smem_opts, self._unrolls, self._e_arr.tolist(), (_PAD,)]
+            + [row for rows in threads for row in rows]
         ))
+        set_("_num_knobs", 9 if self.algorithm == "winograd" and len(self._e_opts) > 1 else 8)
+        # _knob_slot[knob, axis, tile]: the _steps slot a row's knob steps
+        # through (the dummy slot for layout and loop order).  Only
+        # "threads" depends on the row's axis draw and on the index of its
+        # tile along that axis.
+        width = max(map(len, tile_opts))
+        knob_slot = np.full((len(_KNOB_FIELDS), 3, width), len(_STEPPED), dtype=np.intp)
+        for knob, fields in enumerate(_KNOB_FIELDS):
+            if fields[0] in _STEPPED:
+                knob_slot[knob] = _STEPPED.index(fields[0])
+        first = len(_STEPPED) + 1
+        for axis, opts in enumerate(tile_opts):
+            knob_slot[_THREADS_KNOB, axis, : len(opts)] = range(first, first + len(opts))
+            first += len(opts)
+        set_("_knob_slot", knob_slot)
 
     # ------------------------------------------------------------------ #
     # Option enumeration
@@ -477,76 +513,50 @@ class SearchSpace:
             "could not sample a feasible configuration; the space may be empty"
         )
 
-    #: knobs perturbed by :meth:`neighbor_batch`, in :meth:`neighbor` order.
-    _KNOBS = ("tile_x", "tile_y", "tile_z", "threads", "layout", "smem", "unroll", "order")
     #: uniform draws consumed per neighbour attempt (knob, axis/alternative,
     #: adjacency direction) — the unit of the explorer's per-walker blocks.
     DRAWS_PER_NEIGHBOR_ROUND = 3
 
     def _perturb(self, base: ConfigArray, u: np.ndarray) -> ConfigArray:
         """One neighbour attempt per row: perturb one knob to an adjacent
-        legal value, driven by the per-row uniforms ``u`` (shape ``(m, 3)``)."""
-        knobs = list(self._KNOBS)
-        if self.algorithm == "winograd" and len(self._e_opts) > 1:
-            knobs.append("e")
-        cand = base.copy()
-        knob = np.minimum((u[:, 0] * len(knobs)).astype(np.intp), len(knobs) - 1)
+        legal value, driven by the per-row uniforms ``u`` (shape ``(m, 3)``).
+
+        Every row is handled in one pass over the ``_steps`` table: the row's
+        knob picks its column and its slot of sorted options, the current
+        value's index in that slot is one ``(opts < cur).sum``, and the step
+        direction follows :meth:`_adjacent` (down where ``u < 0.5``, inward
+        at either end, none for a single option).  Layout and loop order
+        instead take a uniformly drawn other code.
+        """
+        rows = base.rows
+        r = np.arange(rows.shape[0])
+        knob = np.minimum((u[:, 0] * self._num_knobs).astype(np.intp), self._num_knobs - 1)
         u_alt, u_dir = u[:, 1], u[:, 2]
-        axis_names = ("x", "y", "z")
-        for k, name in enumerate(knobs):
-            rows = np.flatnonzero(knob == k)
-            if rows.size == 0:
-                continue
-            if name in ("tile_x", "tile_y", "tile_z"):
-                axis = ("tile_x", "tile_y", "tile_z").index(name)
-                cur = getattr(base, name)[rows]
-                new = _adjacent_in_sorted(self._tile_arrs[axis], cur, u_dir[rows])
-                getattr(cand, name)[rows] = new
-                getattr(cand, f"threads_{axis_names[axis]}")[rows] = 1
-            elif name == "threads":
-                axis_pick = np.minimum((u_alt[rows] * 3).astype(np.intp), 2)
-                for axis in range(3):
-                    sub = rows[axis_pick == axis]
-                    if sub.size == 0:
-                        continue
-                    table, lengths = self._thread_tables[axis]
-                    tile_arr = self._tile_arrs[axis]
-                    tname = f"tile_{axis_names[axis]}"
-                    thname = f"threads_{axis_names[axis]}"
-                    tile_idx = np.searchsorted(tile_arr, getattr(base, tname)[sub])
-                    cur = getattr(base, thname)[sub]
-                    opt_rows = table[tile_idx]
-                    n_opts = lengths[tile_idx]
-                    idx = (opt_rows < cur[:, None]).sum(axis=1)
-                    step = np.where(u_dir[sub] < 0.5, -1, 1)
-                    step = np.where(idx == 0, 1, step)
-                    step = np.where(idx == n_opts - 1, -1, step)
-                    step = np.where(n_opts == 1, 0, step)
-                    getattr(cand, thname)[sub] = opt_rows[
-                        np.arange(sub.size), idx + step
-                    ]
-            elif name == "layout":
-                alt = np.minimum((u_alt[rows] * 2).astype(np.int64), 1)
-                cur = base.layout[rows]
-                cand.layout[rows] = alt + (alt >= cur)
-            elif name == "smem":
-                cand.smem_per_block[rows] = _adjacent_in_sorted(
-                    self._smem_arr, base.smem_per_block[rows], u_dir[rows]
-                )
-            elif name == "unroll":
-                cand.unroll[rows] = _adjacent_in_sorted(
-                    self._unroll_arr, base.unroll[rows], u_dir[rows]
-                )
-            elif name == "order":
-                n_alt = len(self._orders) - 1
-                alt = np.minimum((u_alt[rows] * n_alt).astype(np.int64), n_alt - 1)
-                cur = base.order[rows]
-                cand.order[rows] = alt + (alt >= cur)
-            else:  # "e"
-                cand.e[rows] = _adjacent_in_sorted(
-                    self._e_arr, base.e[rows], u_dir[rows]
-                )
-        return cand
+        axis = np.minimum((u_alt * 3).astype(np.intp), 2)
+        steps, lengths = self._steps
+        # The index of the row's tile along its axis draw picks the thread
+        # slot (slots 0-2 of _steps are the tile options).
+        tile = (steps[axis] < rows[r, axis + 1][:, None]).sum(axis=1)
+        slot = self._knob_slot[knob, axis, tile]
+        col = _KNOB_COLUMN[knob, axis]
+        cur = rows[r, col]
+        opts = steps[slot]
+        n_opts = lengths[slot]
+        idx = (opts < cur[:, None]).sum(axis=1)
+        step = np.where(u_dir < 0.5, -1, 1)
+        step = np.where(idx == 0, 1, step)
+        step = np.where(idx == n_opts - 1, -1, step)
+        step = np.where(n_opts == 1, 0, step)
+        new = opts[r, idx + step]
+        n_alt = _KNOB_ALTERNATIVES[knob]
+        alt = np.minimum((u_alt * n_alt).astype(np.int64), n_alt - 1)
+        new = np.where(n_alt > 0, alt + (alt >= cur), new)
+        cand = rows.copy()
+        # A changed tile resets its axis's threads to 1; for every other
+        # knob the reset column is its own, which the next write overwrites.
+        cand[r, _KNOB_RESET_COLUMN[knob, axis]] = 1
+        cand[r, col] = new
+        return ConfigArray._wrap(cand)
 
     def neighbor_batch(
         self,
@@ -560,23 +570,25 @@ class SearchSpace:
     ) -> ConfigArray:
         """Vectorised :meth:`neighbor`: one random-walk step for every row.
 
-        Each round perturbs one knob per still-unresolved row to an adjacent
-        legal value and keeps the rows whose candidates pass
-        :meth:`contains_batch`; unresolved rows retry (fresh knob draw) next
-        round, mirroring the scalar retry loop in lock-step.
+        Each of ``rounds`` attempts perturbs one knob of the *original* row
+        to an adjacent legal value, and the row keeps the first attempt that
+        passes the feasibility masks, as the scalar retry loop does.  The
+        attempts do not depend on each other, so all rounds of all rows are
+        perturbed and checked at once.
 
         Randomness comes from ``uniforms`` — shape ``(len(configs),
         3 * max_rounds)``, row ``i`` holding walker ``i``'s draws in round
         order — so callers with per-walker RNG streams stay in control of
         which stream feeds which row; round ``r`` consumes columns
-        ``3r..3r+2`` whether or not the row still needs them, keeping stream
-        consumption data-independent.  Alternatively pass ``gen`` to draw the
-        block internally (shared stream).  Rows that are not in the space, or
-        that fail every round, fall back to fresh :meth:`sample_batch` rows
-        from ``fallback_gen`` (the scalar path's ``random_configuration``
-        fallback) or, when ``fallback_gen`` is ``None``, keep their input row.
-        ``assume_contained=True`` skips the membership pre-check for callers
-        whose rows are in the space by construction (the lock-step explorer).
+        ``3r..3r+2`` whether or not an earlier round succeeded, keeping
+        stream consumption data-independent.  Alternatively pass ``gen`` to
+        draw the block internally (shared stream).  Rows that are not in the
+        space, or that fail every round, fall back to fresh
+        :meth:`sample_batch` rows from ``fallback_gen`` (the scalar path's
+        ``random_configuration`` fallback) or, when ``fallback_gen`` is
+        ``None``, keep their input row.  ``assume_contained=True`` skips the
+        membership pre-check for callers whose rows are in the space by
+        construction (the lock-step explorer).
         """
         n = len(configs)
         if uniforms is None:
@@ -584,45 +596,40 @@ class SearchSpace:
                 raise ValueError("neighbor_batch needs either uniforms or gen")
             uniforms = gen.random((n, self.DRAWS_PER_NEIGHBOR_ROUND * max_rounds))
         rounds = uniforms.shape[1] // self.DRAWS_PER_NEIGHBOR_ROUND
-        result = configs.copy()
+        if rounds < 1:
+            raise ValueError("neighbor_batch needs the uniforms of at least one round")
         if assume_contained:
-            pending = np.arange(n, dtype=np.intp)
+            live = np.arange(n)
         else:
             # Rows outside the space never reach _perturb (their knob values
             # may not be in the option tables); they go straight to fallback.
-            pending = np.flatnonzero(self.contains_batch(configs))
-        resolved = np.zeros(n, dtype=bool)
-        # Most rows resolve in the first round, so each retry round operates
-        # only on the shrinking failure set (every round perturbs the
-        # *original* row with that round's uniform columns, mirroring the
-        # scalar retry loop in lock-step).
-        for r in range(rounds):
-            if pending.size == 0:
-                break
-            cols = slice(
-                self.DRAWS_PER_NEIGHBOR_ROUND * r,
-                self.DRAWS_PER_NEIGHBOR_ROUND * (r + 1),
-            )
-            cand = self._perturb(configs.take(pending), uniforms[pending, cols])
-            # Perturbations only move knobs within the option tables (and a
-            # changed tile resets its axis threads to 1), so table membership
-            # is preserved by construction; only the feasibility constraints
-            # need re-checking.
-            ok = self.tile_ok_mask(
-                cand.tile_x, cand.tile_y, cand.tile_z, cand.smem_per_block
-            ) & self.thread_ok_mask(cand.threads_x, cand.threads_y, cand.threads_z)
-            done = pending[ok]
-            if done.size:
-                resolved[done] = True
-                for name in ConfigArray.FIELDS:
-                    getattr(result, name)[done] = getattr(cand, name)[ok]
-            pending = pending[~ok]
-        failed = np.flatnonzero(~resolved)
+            live = np.flatnonzero(self.contains_batch(configs))
+        # Row i * rounds + k of the repeated block is row i's round k.
+        cand = self._perturb(
+            configs.take(np.repeat(live, rounds)),
+            uniforms[live, : self.DRAWS_PER_NEIGHBOR_ROUND * rounds].reshape(
+                -1, self.DRAWS_PER_NEIGHBOR_ROUND
+            ),
+        )
+        # Perturbations only move knobs within the option tables (and a
+        # changed tile resets its axis threads to 1), so table membership
+        # is preserved by construction; only the feasibility constraints
+        # need re-checking.
+        ok = self.tile_ok_mask(
+            cand.tile_x, cand.tile_y, cand.tile_z, cand.smem_per_block
+        ) & self.thread_ok_mask(cand.threads_x, cand.threads_y, cand.threads_z)
+        ok = ok.reshape(live.size, rounds)
+        found = ok.any(axis=1)
+        first = ok.argmax(axis=1)[found]
+        result = configs.rows.copy()
+        done = live[found]
+        result[done] = cand.rows.reshape(live.size, rounds, -1)[found, first]
+        failed = np.ones(n, dtype=bool)
+        failed[done] = False
+        failed = np.flatnonzero(failed)
         if failed.size and fallback_gen is not None:
-            fresh = self.sample_batch(fallback_gen, failed.size)
-            for name in ConfigArray.FIELDS:
-                getattr(result, name)[failed] = getattr(fresh, name)
-        return result
+            result[failed] = self.sample_batch(fallback_gen, failed.size).rows
+        return ConfigArray._wrap(result)
 
     def describe(self) -> str:
         kind = "pruned (ATE)" if self.pruned else "full (TVM-style)"

@@ -83,15 +83,26 @@ class TestCompareBench:
 
     def test_repo_baseline_tracks_real_benchmarks(self, compare_bench):
         """The checked-in baseline stays in sync with the benchmarks that
-        actually emit telemetry (catches renamed benchmarks/metrics)."""
+        actually emit telemetry (catches renamed benchmarks/metrics): each
+        metric is written as a ``write_bench_json`` keyword (``metric=``)
+        or a payload key (``"metric":``), not merely mentioned."""
         baseline = compare_bench.load_baseline(compare_bench.DEFAULT_BASELINE)
         bench_root = os.path.dirname(compare_bench.DEFAULT_BASELINE)
-        sources = "\n".join(
-            open(os.path.join(bench_root, f), encoding="utf-8").read()
-            for f in os.listdir(bench_root)
-            if f.startswith("bench_") and f.endswith(".py")
-        )
+        texts = []
+        for f in os.listdir(bench_root):
+            if f.startswith("bench_") and f.endswith(".py"):
+                with open(os.path.join(bench_root, f), encoding="utf-8") as fh:
+                    texts.append(fh.read())
+        sources = "\n".join(texts)
         for name, metrics in baseline.items():
             assert f'"{name}"' in sources, f"baseline entry {name} has no benchmark"
             for metric in metrics:
-                assert metric in sources, f"baseline metric {name}.{metric} unknown"
+                assert f"{metric}=" in sources or f'"{metric}":' in sources, (
+                    f"baseline metric {name}.{metric} is not emitted"
+                )
+
+    def test_explorer_call_ratio_is_a_floor(self, compare_bench):
+        """The host-independent call-count ratio of the explorer bench is
+        gated next to its wall-clock speedup."""
+        baseline = compare_bench.load_baseline(compare_bench.DEFAULT_BASELINE)
+        assert {"speedup", "propose_call_ratio"} <= set(baseline["explorer"])

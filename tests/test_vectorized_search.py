@@ -8,7 +8,9 @@ Covers the contracts the tentpole relies on:
   stacked per-row :func:`feature_vector` reference across algorithms,
   pruned/unpruned domains and GPUs;
 * :meth:`SearchSpace.sample_batch` / :meth:`SearchSpace.neighbor_batch` /
-  :meth:`SearchSpace.contains_batch` agree with their scalar counterparts;
+  :meth:`SearchSpace.contains_batch` agree with their scalar counterparts,
+  and ``neighbor_batch`` equals the per-knob, per-round reference
+  (``tests/space_oracle.py``) row for row;
 * ``SearchSpace`` is frozen (the staleness hazard regression test);
 * the vectorised explorer finds configurations no worse than the scalar
   reference at equal measurement budget across a seed grid;
@@ -39,6 +41,7 @@ from repro.core.autotune import (
     feature_vector,
 )
 from repro.gpusim import GTX_1080TI, V100
+from tests.space_oracle import oracle_feasible, oracle_neighbor_batch, oracle_perturb
 
 WINO = ConvParams.square(14, 128, 256, kernel=3, stride=1, padding=1)
 SMALL = ConvParams.square(13, 64, 96, kernel=3, stride=1, padding=1)
@@ -100,6 +103,34 @@ class TestConfigArray:
         assert merged.config_at(0) == a.config_at(0)
         both = ConfigArray.concat([a, b])
         assert both.to_configs() == a.to_configs() + b.to_configs()
+
+    def test_column_view_writes_land_in_the_row(self):
+        space = SearchSpace(SMALL, V100, "direct", pruned=True)
+        a = ConfigArray.from_configs(space.sample(random.Random(9), 5))
+        a.tile_x[2] = 7
+        assert a.config_at(2).tile_x == 7
+        assert a.key_matrix()[2, 1] == 7
+        a.unroll = np.full(5, 8)
+        assert [c.unroll for c in a.to_configs()] == [8] * 5
+
+    def test_take_mask_equals_take_indices(self):
+        space = SearchSpace(SMALL, V100, "direct", pruned=True)
+        a = ConfigArray.from_configs(space.sample(random.Random(21), 12))
+        mask = np.random.default_rng(21).random(12) < 0.5
+        assert (a.take(mask).rows == a.take(np.flatnonzero(mask)).rows).all()
+        assert a.take(mask).to_configs() == a.take(np.flatnonzero(mask)).to_configs()
+
+    def test_from_no_configs(self):
+        empty = ConfigArray.from_configs([])
+        assert len(empty) == 0
+        assert empty.rows.shape == (0, len(ConfigArray.FIELDS))
+        assert feature_matrix(empty, SMALL, V100).shape == (0, 21)
+
+    def test_rejects_two_dimensional_columns(self):
+        columns = {name: np.ones(3, dtype=np.int64) for name in ConfigArray.FIELDS}
+        columns["tile_y"] = np.ones((3, 1), dtype=np.int64)
+        with pytest.raises(ValueError):
+            ConfigArray(**columns)
 
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError):
@@ -224,6 +255,123 @@ class TestSearchSpaceBatchOps:
             for a, b, c, s in zip(x, y, z, smem)
         ]
         assert mask.tolist() == scalar
+
+
+def _oracle_spaces():
+    """Spaces for the neighbour oracle: both algorithms, pruned and unpruned,
+    on both GPUs; a Winograd space with one ``e`` option (so no ``e`` knob);
+    and a GPU whose shared memory leaves the pruned space one option."""
+    spaces = [
+        pytest.param(
+            SearchSpace(params, gpu, algo, pruned=pruned),
+            id=f"{algo}-{'pruned' if pruned else 'full'}-{tag}",
+        )
+        for params, algo in ((SMALL, "direct"), (WINO, "winograd"))
+        for gpu, tag in ((V100, "v100"), (GTX_1080TI, "1080ti"))
+        for pruned in (True, False)
+    ]
+    one_smem = dataclasses.replace(V100, name="one-smem", shared_mem_per_sm=16 * 1024)
+    assert len(SearchSpace(SMALL, one_smem, "direct", pruned=True)._smem_opts) == 1
+    return spaces + [
+        pytest.param(
+            SearchSpace(WINO, V100, "winograd", pruned=True, e_options=(3,)),
+            id="winograd-one-e",
+        ),
+        pytest.param(SearchSpace(SMALL, one_smem, "direct", pruned=True), id="one-smem"),
+    ]
+
+
+def _generators(seed):
+    """Two generators on one stream (``None, None`` for no seed): one each
+    for ``neighbor_batch`` and the oracle, so their fallbacks draw alike."""
+    if seed is None:
+        return None, None
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _rows_that_fail(space, rounds, gen, count=32):
+    """``count`` rows of the space and their uniforms for ``rounds`` rounds.
+    The first rows (up to half) repeat, in every round, a draw whose
+    candidate is infeasible, so they fail every round.  Returns the rows,
+    the uniforms and the number of failing rows."""
+    # One draw per (knob, thread axis or alternative, direction).
+    knobs = 9 if space.algorithm == "winograd" and len(space.e_options) > 1 else 8
+    draws = np.array(
+        [
+            ((k + 0.5) / knobs, (a + 0.5) / 3, d)
+            for k in range(knobs)
+            for a in range(3)
+            for d in (0.25, 0.75)
+        ]
+    )
+    pool = space.sample_batch(gen, 256)
+    tries = pool.take(np.repeat(np.arange(len(pool)), len(draws)))
+    ok = oracle_feasible(space, oracle_perturb(space, tries, np.tile(draws, (len(pool), 1))))
+    ok = ok.reshape(len(pool), len(draws))
+    can_fail = np.flatnonzero(~ok.all(axis=1))[: count // 2]
+    rest = np.setdiff1d(np.arange(len(pool)), can_fail)[: count - can_fail.size]
+    rows = pool.take(np.concatenate([can_fail, rest]))
+    u = gen.random((count, space.DRAWS_PER_NEIGHBOR_ROUND * rounds))
+    u[: can_fail.size] = np.tile(draws[ok[can_fail].argmin(axis=1)], rounds)
+    return rows, u, can_fail.size
+
+
+class TestNeighborBatchOracle:
+    """``neighbor_batch`` perturbs every round of every row at once; the
+    oracle retries round by round.  The rows must be equal, and so must
+    the fallback stream's consumption."""
+
+    @pytest.mark.parametrize("rounds", [1, 3, 8])
+    @pytest.mark.parametrize("space", _oracle_spaces())
+    def test_equals_per_round_retry_loop(self, space, rounds):
+        rows = space.sample_batch(np.random.default_rng(rounds), 64)
+        u = np.random.default_rng(100 + rounds).random((64, 3 * rounds))
+        for assume_contained in (True, False):
+            for fallback_seed in (None, 7):
+                got_gen, want_gen = _generators(fallback_seed)
+                got = space.neighbor_batch(
+                    rows, u, fallback_gen=got_gen, assume_contained=assume_contained
+                )
+                want = oracle_neighbor_batch(
+                    space, rows, u, fallback_gen=want_gen, assume_contained=assume_contained
+                )
+                assert (got.rows == want.rows).all()
+                if fallback_seed is not None:
+                    assert got_gen.random() == want_gen.random()
+
+    @pytest.mark.parametrize("rounds", [1, 3, 8])
+    @pytest.mark.parametrize("space", _oracle_spaces())
+    def test_rows_that_fail_every_round_or_lie_outside(self, space, rounds):
+        gen = np.random.default_rng(rounds)
+        inside, u, failing = _rows_that_fail(space, rounds, gen)
+        assert failing > 0, "no row could be made to fail every round"
+        outside = space.sample_batch(gen, 12)
+        outside.tile_x[0::3] = space.params.out_width + 1
+        outside.threads_y[1::3] = 64
+        outside.smem_per_block[2::3] = 3
+        assert not space.contains_batch(outside).any()
+        cases = (
+            (True, inside, u),
+            (False, ConfigArray.concat([inside, outside]),
+             np.concatenate([u, gen.random((12, 3 * rounds))])),
+        )
+        for assume_contained, configs, block in cases:
+            for fallback_seed in (None, 11):
+                got_gen, want_gen = _generators(fallback_seed)
+                got = space.neighbor_batch(
+                    configs, block, fallback_gen=got_gen, assume_contained=assume_contained
+                )
+                want = oracle_neighbor_batch(
+                    space, configs, block, fallback_gen=want_gen,
+                    assume_contained=assume_contained,
+                )
+                assert got.to_configs() == want.to_configs()
+                if fallback_seed is None:
+                    # Without a fallback stream a failed row keeps its input.
+                    kept = list(range(failing)) + list(range(len(inside), len(configs)))
+                    assert (got.rows[kept] == configs.rows[kept]).all()
+                else:
+                    assert got_gen.random() == want_gen.random()
 
 
 class TestFrozenSearchSpace:
