@@ -235,7 +235,7 @@ def run_pool_daemon_benchmark(spec, tmp_path):
     pool_rids = [client.submit(request) for request in requests]
     pool_results = [_trials(client.result(rid)) for rid in pool_rids]
     t_pool = _CLOCK.now() - start
-    process_fleet = bool(pool._serve_workers)  # serial fallback => empty
+    process_fleet = pool.stats.mode == "processes"
     assert pool_rids == rids, "request ids must not depend on the backend"
     assert pool_results == svc_results, (
         "pool-backed daemon diverged from the service-backed daemon"

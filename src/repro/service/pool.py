@@ -30,22 +30,29 @@ a time: inject the records other shards sent, run one scheduling round, and
 report every record that changed its database
 (:meth:`~repro.core.autotune.database.TuningDatabase.changes_since`, as a
 serializable :class:`~repro.core.autotune.database.RecordEnvelope`) and
-every settled ticket as results-queue messages.  A worker process puts them
-on its queue; the parent hands an in-parent runner's (serial mode,
-failover) to the same handler, so every shard behaves alike: a pool future
-is flagged ``from_database`` only when the parent pre-served it, and a
-shard failure that is not a typed
+every settled ticket as result messages.  A worker process sends them home
+over its own result pipe; the parent hands an in-parent runner's (serial
+mode, failover) to the same handler, so every shard behaves alike: a pool
+future is flagged ``from_database`` only when the parent pre-served it, and
+a shard failure that is not a typed
 :class:`~repro.service.errors.RequestError` arrives as
 :class:`~repro.service.errors.RequestFailed`, also when the shard's submit
 itself raises (a tuner that cannot be built, a deadline that passed in the
 backlog); the shard keeps serving.  The parent folds each
 arriving record into the shared database immediately (monotonic keep-better
-``apply``) and pushes the winners down every *other* shard's sync queue, so
+``apply``) and pushes the winners down every *other* shard's inbox, so
 submit-time database serving sees cross-shard bests mid-workload: a problem
 shard A already solved is never re-tuned by shard B's not-yet-admitted
 requests.  Shards admit their backlog incrementally (``admit_window`` runs
 at a time) precisely so that later requests still *are* "new submits" when a
 cross-shard record lands.
+
+Each worker has one channel each way: the parent sends submits, synced
+records and the stop sentinel down its inbox queue (whose feeder thread
+keeps those sends off the parent's main thread), and the worker sends its
+results home over its own pipe.  Only the worker holds that pipe's write
+end, so it reads EOF once the worker exits, however it exits, and a worker
+killed mid-send holds up no other worker.
 
 Invariants the streaming layer preserves:
 
@@ -60,11 +67,11 @@ Invariants the streaming layer preserves:
   re-broadcast, so an echoed record dies at the first database that already
   holds it.
 
-Fault tolerance: a worker that dies (killed, crashed) is detected by the
-parent, which degrades gracefully — its unresolved tickets (and any later
-submits routed to it) re-run in an in-parent runner whose private database
-starts as a copy of the shared one, so records the worker streamed before
-dying are served, not re-tuned; the failure is counted in
+Fault tolerance: a worker that dies (killed, crashed) is detected by its
+pipe's EOF, and the parent degrades gracefully — its unresolved tickets (and
+any later submits routed to it) re-run in an in-parent runner whose private
+database starts as a copy of the shared one, so records the worker streamed
+before dying are served, not re-tuned; the failure is counted in
 :attr:`TuningWorkerPool.stats` and the pool — and whatever daemon sits
 above it — keeps serving.  Malformed messages and sync payloads ("poisoned
 envelopes") are dropped and counted, never applied.  When no worker
@@ -83,6 +90,8 @@ import signal
 import time
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait
+from multiprocessing.util import register_after_fork
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.autotune.database import (
@@ -108,15 +117,12 @@ from .scheduler import ServiceStats, TuningService
 
 __all__ = ["PoolStats", "TuningWorkerPool"]
 
-#: parent's poll interval on the results queue while it waits for the
+#: parent's poll interval on the worker pipes while it waits for the
 #: workers' final reports.
 _POLL_SECONDS = 0.2
-#: empty polls after noticing a dead worker before declaring its shard lost
-#: (a worker may exit healthily with its final message still in the pipe).
-_DEATH_GRACE_POLLS = 3
 #: serving worker's idle pacing between loop iterations (pacing only).
 _SERVE_IDLE_SLEEP = 0.005
-#: serving parent's bounded wait on the results queue when a step would
+#: serving parent's bounded wait on the worker pipes when a step would
 #: otherwise report no progress while workers still owe completions — keeps
 #: a drain loop above (the daemon's run_until_idle) paced instead of hot.
 _SERVE_PARENT_WAIT = 0.005
@@ -300,7 +306,7 @@ class _ShardRunner:
         """One shard round: inject ``incoming``, :meth:`step`, report.
 
         Returns ``(progressed, messages)``: ``progressed`` is what
-        :meth:`step` returned, and ``messages`` are in the results-queue wire
+        :meth:`step` returned, and ``messages`` are in the result-pipe wire
         shapes — ``("record", shard, envelope_wire)`` for every newly stored
         record, then ``("done_one", shard, ticket, outcome)`` for every
         settled ticket, where ``outcome`` is ``("ok", result)`` or ``("err",
@@ -340,9 +346,8 @@ def _serve_shard(
     policy: Optional[SchedulingPolicy],
     admit_window: int,
     backlog: Sequence[Tuple[int, TuningRequest]],
-    submit_queue,
-    sync_queue,
-    results_queue,
+    inbox,
+    results,
     obs_enabled: bool = False,
 ) -> None:
     """Worker process entry point (module-level: pickles everywhere).
@@ -350,14 +355,16 @@ def _serve_shard(
     Runs the shard through a :class:`_ShardRunner`.  A known workload's
     share comes with the start arguments as ``backlog`` ``(ticket,
     request)`` pairs (empty when serving), so the first round packs a full
-    window; later requests arrive over ``submit_queue`` as ``("submit",
-    ticket, request)`` messages.  Each loop drains the sync queue (dropping
-    poisoned envelopes), runs one :meth:`_ShardRunner.round` and puts its
-    messages on ``results_queue``.  A ``("stop",)`` sentinel finishes
-    in-flight work, ships a final ``("bye", ...)`` report (stats, a
-    metrics-snapshot wire dict, full-database safety net) and exits
-    gracefully; any crash becomes an ``("error", ...)`` message and the
-    parent fails the shard over.
+    window.  Everything else arrives on the ``inbox`` queue: ``("submit",
+    ticket, request)``, ``("sync", envelope_wire)`` (poisoned envelopes are
+    dropped and counted) and the ``("stop",)`` sentinel.  Each loop drains
+    the inbox, runs one :meth:`_ShardRunner.round` and sends its messages
+    down ``results``, the write end of this worker's own pipe.  After
+    ``("stop",)`` the worker finishes its in-flight work, sends a final
+    ``("bye", ...)`` report (stats, a metrics-snapshot wire dict,
+    full-database safety net) and exits.  Anything else that ends the
+    worker — a crash, a kill — leaves the pipe to read EOF without a
+    ``bye``, and the parent fails the shard over.
 
     :class:`~repro.obs.Observability` holds locks and ring buffers and is
     deliberately not picklable, so the parent sends only ``obs_enabled`` and
@@ -369,76 +376,59 @@ def _serve_shard(
     default SIGTERM action (a direct SIGTERM ends it and the parent fails
     the shard over) and ignores SIGINT (a terminal's Ctrl-C reaches the
     whole process group, and the parent's drain already stops its workers).
-    A worker whose parent died — ``os.getppid()`` no longer names the
-    parent it started under — exits at once, without waiting to flush a
-    results queue nobody reads.
+    A worker whose parent died exits at its next loop, once
+    ``os.getppid()`` no longer names the parent it started under, or at
+    once from a blocked send, which fails because no other process holds
+    its pipe's read end.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = os.getppid()
-    try:
-        obs = Observability(
-            enabled=obs_enabled, clock=MonotonicClock() if obs_enabled else None
-        )
-        runner = _ShardRunner(
-            policy=policy,
-            admit_window=admit_window,
-            obs=obs,
-        )
-        for ticket, request in backlog:
-            runner.enqueue(ticket, request)
-        poisoned = 0
-        stopping = False
-        while True:
-            if os.getppid() != parent:
-                results_queue.cancel_join_thread()
-                return
-            submits = _drain(submit_queue)
-            for message in submits:
-                if message == ("stop",):
-                    stopping = True
-                elif (
-                    isinstance(message, tuple)
-                    and len(message) == 3
-                    and message[0] == "submit"
-                    and isinstance(message[1], int)
-                    and isinstance(message[2], TuningRequest)
-                ):
-                    runner.enqueue(message[1], message[2])
-                else:
-                    poisoned += 1
-            incoming: List[TuningRecord] = []
-            for wire in _drain(sync_queue):
-                envelope = _decode_envelope(wire)
+    obs = Observability(
+        enabled=obs_enabled, clock=MonotonicClock() if obs_enabled else None
+    )
+    runner = _ShardRunner(policy=policy, admit_window=admit_window, obs=obs)
+    for ticket, request in backlog:
+        runner.enqueue(ticket, request)
+    poisoned = 0
+    stopping = False
+    while os.getppid() == parent:
+        arrived = _drain(inbox)
+        incoming: List[TuningRecord] = []
+        for message in arrived:
+            if message == ("stop",):
+                stopping = True
+            elif (
+                isinstance(message, tuple)
+                and len(message) == 3
+                and message[0] == "submit"
+                and isinstance(message[1], int)
+                and isinstance(message[2], TuningRequest)
+            ):
+                runner.enqueue(message[1], message[2])
+            elif isinstance(message, tuple) and len(message) == 2 and message[0] == "sync":
+                envelope = _decode_envelope(message[1])
                 if envelope is None:
                     poisoned += 1
                 else:
                     incoming.append(envelope.record)
-            progressed, messages = runner.round(shard_index, incoming)
-            for message in messages:
-                results_queue.put(message)
-            if stopping and not progressed:
-                break
-            if not progressed and not submits:
-                # Pacing while idle, not a timing source.
-                time.sleep(_SERVE_IDLE_SLEEP)
-        results_queue.put(
-            (
-                "bye",
-                shard_index,
-                {
-                    "stats": runner.service.stats,
-                    "metrics": runner.service.fleet_snapshot().to_wire(),
-                    "records": [r.to_dict() for r in runner.service.database.records()],
-                    "poisoned": poisoned,
-                },
-            )
-        )
-    except BaseException as exc:  # pragma: no cover - exercised via kill tests
-        try:
-            results_queue.put(("error", shard_index, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+            else:
+                poisoned += 1
+        progressed, messages = runner.round(shard_index, incoming)
+        for message in messages:
+            results.send(message)
+        if stopping and not progressed:
+            report = {
+                "stats": runner.service.stats,
+                "metrics": runner.service.fleet_snapshot().to_wire(),
+                "records": [r.to_dict() for r in runner.service.database.records()],
+                "poisoned": poisoned,
+            }
+            results.send(("bye", shard_index, report))
+            return
+        if not progressed and not arrived:
+            # Pacing while idle, not a timing source.
+            time.sleep(_SERVE_IDLE_SLEEP)
 
 
 class TuningWorkerPool:
@@ -488,9 +478,6 @@ class TuningWorkerPool:
         self.policy = make_policy(policy)
         self.admit_window = admit_window
         self.use_processes = use_processes
-        #: True when the last session ran in worker processes (False = the
-        #: serial in-process interleaving was used).
-        self.used_processes = False
         self.obs = obs if obs is not None else NULL_OBS
         # Observability extras: cumulative across workloads (unlike the
         # per-workload accounting), all null no-ops when obs is disabled.
@@ -511,10 +498,11 @@ class TuningWorkerPool:
         self._serve_runners: Dict[int, _ShardRunner] = {}
         self._serve_inboxes: Dict[int, List[TuningRecord]] = {}
         self._serve_workers: Dict[int, object] = {}
-        self._serve_submit_queues: Dict[int, object] = {}
-        self._serve_sync_queues: Dict[int, object] = {}
-        self._serve_results_queue = None
-        self._serve_dead_polls: Dict[int, int] = {}
+        #: each worker's two channels: the inbox queue the parent sends
+        #: down, and the read end of the pipe its results come home on
+        #: (open until it reads EOF).
+        self._serve_worker_inboxes: Dict[int, object] = {}
+        self._serve_pipes: Dict[int, object] = {}
         self._serve_byes: Dict[int, bool] = {}
         self._reset_accounting()
 
@@ -658,7 +646,6 @@ class TuningWorkerPool:
                 results[i] = record.as_result()
         self._c_pre_served.inc(len(requests) - len(pending))
         if not pending:
-            self.used_processes = False
             self._stats_mode = "serial"
             return results
         work = [requests[i] for i in pending]
@@ -740,18 +727,19 @@ class TuningWorkerPool:
                 self._serve_inboxes[i] = []
                 for ticket, request in backlogs[i]:
                     self._serve_runners[i].enqueue(ticket, request)
-        self.used_processes = started
         self._stats_mode = "processes" if started else "serial"
         return futures
 
     def _start_serving_processes(self, backlogs: List[list]) -> None:
         ctx = self._context()
-        self._serve_results_queue = ctx.Queue()
-        for i in range(self._serve_shards):
-            self._serve_submit_queues[i] = ctx.Queue()
-            self._serve_sync_queues[i] = ctx.Queue()
         try:
             for i in range(self._serve_shards):
+                self._serve_worker_inboxes[i] = ctx.Queue()
+                reader, writer = ctx.Pipe(duplex=False)
+                # Every forked child drops its copy of the read end, so an
+                # orphaned worker's send fails instead of blocking for good.
+                register_after_fork(reader, type(reader).close)
+                self._serve_pipes[i] = reader
                 process = ctx.Process(
                     target=_serve_shard,
                     args=(
@@ -759,21 +747,23 @@ class TuningWorkerPool:
                         self.policy,
                         self.admit_window,
                         backlogs[i],
-                        self._serve_submit_queues[i],
-                        self._serve_sync_queues[i],
-                        self._serve_results_queue,
+                        self._serve_worker_inboxes[i],
+                        writer,
                         self.obs.enabled,
                     ),
                     daemon=True,
                 )
                 process.start()
+                # Closed before the next fork, so the worker holds the only
+                # write end and its pipe reads EOF once it exits.
+                writer.close()
                 self._o_workers_started.inc()
                 self._serve_workers[i] = process
         except BaseException:
             for process in self._serve_workers.values():
                 process.terminate()
             self._serve_workers.clear()
-            self._close_serve_queues()
+            self._close_serve_channels()
             raise
 
     def submit(self, request: TuningRequest) -> TuningFuture:
@@ -805,7 +795,7 @@ class TuningWorkerPool:
         if runner is not None:
             runner.enqueue(ticket, request)
         else:
-            self._serve_submit_queues[shard].put(("submit", ticket, request))
+            self._serve_worker_inboxes[shard].put(("submit", ticket, request))
         return future
 
     def _ticket(self, request: TuningRequest, shard: int) -> Tuple[int, TuningFuture]:
@@ -820,45 +810,53 @@ class TuningWorkerPool:
     def step(self) -> bool:
         """Pump the serving fleet one round; True while work is in flight.
 
-        Drains streamed records and per-request completions from process
-        workers (failing dead ones over), advances every in-parent runner
+        Reads streamed records and per-request completions from the worker
+        pipes (failing dead workers over), advances every in-parent runner
         one scheduling round, and exchanges records between all shards.
         When process workers still owe completions and nothing else
-        progressed, blocks briefly on the results queue
-        (``_SERVE_PARENT_WAIT``) so a drain loop above polls paced instead
-        of hot.
+        progressed, waits briefly on their pipes (``_SERVE_PARENT_WAIT``) so
+        a drain loop above polls paced instead of hot.
         """
         if not self._serving:
             return False
-        progressed = False
-        if self._serve_results_queue is not None:
-            messages = _drain(self._serve_results_queue)
-            for message in messages:
-                if self._handle_serve_message(message):
-                    progressed = True
-            if not messages:
-                self._note_serving_deaths()
+        progressed = self._read_pipes(0)
         if self._step_runners():
             progressed = True
-        if (
-            not progressed
-            and self._serve_futures
-            and any(s not in self._serve_byes for s in self._serve_workers)
-        ):
-            # Paced wait for worker completions instead of a hot no-progress
-            # return (the sleep half is pacing, not a timing source).
-            try:
-                message = self._serve_results_queue.get(timeout=_SERVE_PARENT_WAIT)
-            except queue.Empty:
-                pass
-            except Exception:
-                self._c_poisoned.inc()
-                self._note_serving_deaths()
-                time.sleep(_SERVE_PARENT_WAIT)
-            else:
-                if self._handle_serve_message(message):
-                    progressed = True
+        if not progressed and self._serve_futures and self._serve_pipes:
+            progressed = self._read_pipes(_SERVE_PARENT_WAIT)
         return progressed or bool(self._serve_futures)
+
+    def _read_pipes(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` for worker pipes to turn readable, then
+        handle every message they hold; True when one settled a ticket,
+        advanced the exchange or failed a shard over.
+
+        EOF — the worker exited, however it exited — or a message that
+        cannot be read closes the pipe, and fails the shard over unless its
+        worker already said ``bye``.  A pipe reads EOF only after everything
+        its worker sent, so a dead worker needs no grace period.
+        """
+        if not self._serve_pipes:
+            return False
+        ready = wait(list(self._serve_pipes.values()), timeout)
+        progressed = False
+        for shard, pipe in list(self._serve_pipes.items()):
+            if pipe not in ready:
+                continue
+            while True:
+                try:
+                    if not pipe.poll():
+                        break
+                    message = pipe.recv()
+                except Exception:  # EOF, or a message that cannot be read
+                    del self._serve_pipes[shard]
+                    pipe.close()
+                    if shard not in self._serve_byes:
+                        self._failover_serving_shard(shard)
+                        progressed = True
+                    break
+                progressed = self._handle_serve_message(message) or progressed
+        return progressed
 
     def _step_runners(self) -> bool:
         """Run one :meth:`_ShardRunner.round` of every in-parent runner and
@@ -876,8 +874,8 @@ class TuningWorkerPool:
         return progressed
 
     def _handle_serve_message(self, message: object) -> bool:
-        """Validate and dispatch one results-queue message; True when it
-        settled a ticket or advanced the exchange.
+        """Validate and dispatch one result message; True when it settled a
+        ticket or advanced the exchange.
 
         A corrupted message is the same failure class as a poisoned
         envelope: dropped and counted, never allowed to crash the parent.
@@ -910,9 +908,6 @@ class TuningWorkerPool:
             return self._settle_serving(ticket, message[3])
         if tag == "bye" and len(message) == 3:
             return self._retire_serving_worker(shard, message[2])
-        if tag == "error" and len(message) == 3:
-            self._failover_serving_shard(shard)
-            return True
         self._c_poisoned.inc()
         return False
 
@@ -933,15 +928,15 @@ class TuningWorkerPool:
         winner = applied[0]
         self._c_records_applied.inc()
         wire = None
-        for j, sync_queue in self._serve_sync_queues.items():
-            if j == origin or j in self._serve_runners or j in self._serve_byes:
+        for j in self._serve_workers:
+            if j == origin or j in self._serve_byes:
                 continue
             if wire is None:
                 wire = RecordEnvelope(
                     record=winner, origin=origin, revision=self._serve_exchange.revision
                 ).to_wire()
             try:
-                sync_queue.put(wire)
+                self._serve_worker_inboxes[j].put(("sync", wire))
             except Exception:  # pragma: no cover - defensive (closed queue)
                 pass
         for j, inbox in self._serve_inboxes.items():
@@ -997,17 +992,6 @@ class TuningWorkerPool:
                 self._c_poisoned.inc()
         self._c_poisoned.inc(int(payload.get("poisoned", 0)))
         return True
-
-    def _note_serving_deaths(self) -> None:
-        """Failover check: a worker gone without a ``bye`` (after the grace
-        polls that let a final message finish travelling the pipe) degrades
-        its shard to an in-parent runner."""
-        for shard, process in list(self._serve_workers.items()):
-            if shard in self._serve_byes or process.is_alive():
-                continue
-            self._serve_dead_polls[shard] = self._serve_dead_polls.get(shard, 0) + 1
-            if self._serve_dead_polls[shard] >= _DEATH_GRACE_POLLS:
-                self._failover_serving_shard(shard)
 
     def _failover_serving_shard(self, shard: int) -> None:
         """A worker died: hand its unresolved tickets (and any future
@@ -1101,24 +1085,14 @@ class TuningWorkerPool:
 
         for shard in outstanding():
             try:
-                self._serve_submit_queues[shard].put(("stop",))
+                self._serve_worker_inboxes[shard].put(("stop",))
             except Exception:  # pragma: no cover - defensive
                 pass
 
-        attempts = max(1, int(timeout / _POLL_SECONDS))
-        while outstanding() and attempts > 0:
-            try:
-                message = self._serve_results_queue.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                self._note_serving_deaths()
-                attempts -= 1
-            except Exception:
-                self._c_poisoned.inc()
-                self._note_serving_deaths()
-                attempts -= 1
-                time.sleep(_POLL_SECONDS)
-            else:
-                self._handle_serve_message(message)
+        idle_polls = max(1, int(timeout / _POLL_SECONDS))
+        while outstanding() and idle_polls > 0:
+            if not self._read_pipes(_POLL_SECONDS):
+                idle_polls -= 1
         for shard in outstanding():
             self._failover_serving_shard(shard)
         # Drain failed-over / in-parent shards to completion.
@@ -1158,36 +1132,32 @@ class TuningWorkerPool:
         self._finish_serving()
 
     def _finish_serving(self) -> None:
-        """Common serving teardown: settle bookkeeping, close queues."""
+        """Common serving teardown: settle bookkeeping, close channels."""
         for process in self._serve_workers.values():
             process.join(timeout=1.0)
             if process.is_alive():  # pragma: no cover - defensive
                 process.terminate()
                 process.join(timeout=1.0)
-        self._close_serve_queues()
+        self._close_serve_channels()
         self._serve_futures.clear()
         self._serve_tickets.clear()
         self._serve_runners.clear()
         self._serve_inboxes.clear()
         self._serve_workers.clear()
-        self._serve_dead_polls.clear()
         self._serve_byes.clear()
         self._serving = False
 
-    def _close_serve_queues(self) -> None:
-        queues = list(self._serve_submit_queues.values())
-        queues.extend(self._serve_sync_queues.values())
-        if self._serve_results_queue is not None:
-            queues.append(self._serve_results_queue)
-        for q in queues:
+    def _close_serve_channels(self) -> None:
+        for pipe in self._serve_pipes.values():
+            pipe.close()
+        for inbox in self._serve_worker_inboxes.values():
             try:
-                q.close()
-                q.cancel_join_thread()
+                inbox.close()
+                inbox.cancel_join_thread()
             except Exception:  # pragma: no cover - defensive
                 pass
-        self._serve_submit_queues = {}
-        self._serve_sync_queues = {}
-        self._serve_results_queue = None
+        self._serve_pipes = {}
+        self._serve_worker_inboxes = {}
 
     def describe(self) -> Dict[str, object]:
         """JSON-native status snapshot (folded into the daemon's

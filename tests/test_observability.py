@@ -337,7 +337,7 @@ class TestFleetTelemetry:
         # counters compare — latency histograms are wall-clock readings,
         # worker lifecycle counters exist only where there are workers, and
         # how many cross-shard records a worker injects depends on when they
-        # reach its sync queue before it stops.)  Each shard starts with its
+        # reach its inbox before it stops.)  Each shard starts with its
         # whole share in both modes, so rounds and executor calls match.
         requests = [_request(A, seed=1), _request(B, seed=1),
                     _request(A, seed=2), _request(B, seed=2)]
@@ -352,7 +352,7 @@ class TestFleetTelemetry:
             proc_results = procs.tune(list(requests))
         except (OSError, PermissionError, ImportError):
             pytest.skip("worker processes unavailable in this environment")
-        if not procs.used_processes:
+        if procs.stats.mode != "processes":
             pytest.skip("worker processes unavailable in this environment")
 
         for want, got in zip(serial_results, proc_results):

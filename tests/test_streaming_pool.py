@@ -6,10 +6,10 @@ machinery under it:
 * **Semantics** — cross-shard serving cuts measurements deterministically in
   the serial interleaving, fresh runs stay bit-identical to ``tune_direct``,
   and record injection never perturbs an in-flight session.
-* **Fault injection** — a worker SIGKILLed mid-run, poisoned record
-  envelopes on the exchange, and a database save interrupted between the
-  temp-file write and ``os.replace``: the pool must degrade gracefully and
-  the parent database must stay uncorrupted.
+* **Fault injection** — a worker SIGKILLed mid-run or mid-send, a worker
+  that crashes, poisoned record envelopes on the exchange, and a database
+  save interrupted between the temp-file write and ``os.replace``: the pool
+  must degrade gracefully and the parent database must stay uncorrupted.
 * **Stress / properties** — a 16-thread ``submit()`` hammer with records
   streaming in (marked ``slow``), and the order-independence property that
   makes streaming apply safe: any arrival permutation of a record set is
@@ -45,6 +45,7 @@ from repro.service import (
 )
 
 import repro.service.pool as pool_module
+from tests.hang_guard import within
 from tests.pool_reference import isolated_shards
 
 A = ConvParams.square(8, 16, 32, kernel=3, stride=1, padding=1)
@@ -144,7 +145,6 @@ class TestCrossShardStreaming:
         db = TuningDatabase()
         pool = TuningWorkerPool(num_workers=2, use_processes=True)
         results = pool.tune(list(CROSS_SHARD_WORKLOAD), database=db)
-        assert pool.used_processes
         assert pool.stats.mode == "processes"
         assert pool.stats.worker_failures == 0
         # The parent database covers both problems whatever the timing, and
@@ -306,7 +306,7 @@ class TestFaultInjection:
         pool = TuningWorkerPool(num_workers=2, use_processes=True)
         results = pool.tune(workload, database=db)
 
-        assert pool.used_processes
+        assert pool.stats.mode == "processes"
         assert pool.stats.worker_failures == 1
         # Every request is still answered, bit-identical where freshly run.
         for request, result in zip(workload, results):
@@ -867,7 +867,7 @@ class TestServingMode:
 
         proc_pool = TuningWorkerPool(num_workers=2, use_processes=True)
         proc_pool.start()
-        assert proc_pool.used_processes
+        assert proc_pool.stats.mode == "processes"
         procs = [proc_pool.submit(r) for r in requests]
         _pump(proc_pool)
         proc_pool.stop()
@@ -948,6 +948,111 @@ class TestServingMode:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+
+
+# -- one result pipe per worker ------------------------------------------- #
+def _one_request_per_shard():
+    """Requests that a two-shard serving pool routes to shards 0 and 1, on
+    two problems, so neither can be served from the other's record."""
+    requests = []
+    for shard, params in enumerate((A, B)):
+        seed = 1
+        while pool_module._shard_for_request(_request(params, seed=seed), 2) != shard:
+            seed += 1
+        requests.append(_request(params, seed=seed))
+    return requests
+
+
+#: seeded delays between shard 0's worker starting its large send and the
+#: SIGKILL, 0-200 ms (the slow test repeats the kill over all of them).
+_KILL_DELAYS = sorted(round(random.Random(0).uniform(0.0, 0.2), 3) for _ in range(20))
+
+
+class TestWorkerPipes:
+    """Each worker sends home over its own pipe: its death reads as EOF,
+    and a worker killed mid-send cannot silence another worker."""
+
+    def _kill_mid_send(self, monkeypatch, tmp_path, delay):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("worker-kill fault injection needs fork")
+        parent_pid = os.getpid()
+        sending = tmp_path / "sending"
+        original_round = pool_module._ShardRunner.round
+
+        def round_then_large_send(self, shard, incoming):
+            progressed, messages = original_round(self, shard, incoming)
+            if os.getpid() != parent_pid and shard == 0 and not sending.exists():
+                sending.write_text("shard 0")
+                # Far more than a pipe holds, so the send blocks until the
+                # parent reads, which it does not do before the kill.
+                messages.append(("record", 0, {"junk": "x" * (8 << 20)}))
+            return progressed, messages
+
+        monkeypatch.setattr(pool_module._ShardRunner, "round", round_then_large_send)
+        requests = _one_request_per_shard()
+        pool = TuningWorkerPool(num_workers=2, use_processes=True)
+        pool.start()
+        try:
+            futures = [pool.submit(request) for request in requests]
+            assert _wait_until(sending.exists), "shard 0's worker never sent"
+            time.sleep(delay)
+            os.kill(pool._serve_workers[0].pid, signal.SIGKILL)
+
+            def pump_until_idle():
+                _pump(pool)
+
+            within(30.0, pump_until_idle)
+            for request, future in zip(requests, futures):
+                assert _trajectory(future.result(timeout=0)) == _trajectory(
+                    request.tune_direct()
+                )
+            pool.stop()
+            assert pool.stats.worker_failures == 1
+        finally:
+            pool.terminate()
+
+    def test_worker_killed_mid_send_cannot_wedge_the_pool(self, monkeypatch, tmp_path):
+        # Half a message in the pipe when its sender dies: the pipe reads
+        # EOF, shard 0 fails over, and shard 1's results still arrive.
+        self._kill_mid_send(monkeypatch, tmp_path, delay=0.5)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("delay", _KILL_DELAYS)
+    def test_mid_send_kill_at_seeded_delays(self, monkeypatch, tmp_path, delay):
+        self._kill_mid_send(monkeypatch, tmp_path, delay)
+
+    def test_crashed_worker_fails_over_without_a_bye(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("worker-crash fault injection needs fork")
+        parent_pid = os.getpid()
+        original_round = pool_module._ShardRunner.round
+
+        def round_crashes_second_time(self, shard, incoming):
+            # Only shard 0's worker crashes, mid-run: its backlog arrives
+            # with the start arguments, so its first round admits it.  The
+            # in-parent rerun must keep the original behaviour.
+            if os.getpid() != parent_pid and shard == 0:
+                self._rounds = getattr(self, "_rounds", 0) + 1
+                if self._rounds == 2:
+                    raise RuntimeError("shard 0 crashed")
+            return original_round(self, shard, incoming)
+
+        monkeypatch.setattr(pool_module._ShardRunner, "round", round_crashes_second_time)
+        workload = [_request(A, seed=1), _request(B, seed=1)]
+        pool = TuningWorkerPool(num_workers=2, use_processes=True)
+        results = []
+
+        def tune_workload():
+            results.extend(pool.tune(workload))
+
+        within(30.0, tune_workload)
+        assert pool.stats.mode == "processes"
+        assert pool.stats.worker_failures == 1
+        # Shard 1's run, folded in at its worker's bye, and shard 0's rerun
+        # in the parent (the crashed worker's own accounting died with it).
+        assert pool.stats.tuning_runs == 2
+        for request, result in zip(workload, results):
+            assert _trajectory(result) == _trajectory(request.tune_direct())
 
 
 def _wait_until(predicate, timeout=10.0, interval=0.05):

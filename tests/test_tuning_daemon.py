@@ -62,6 +62,7 @@ from repro.service import (
     result_from_wire,
     result_to_wire,
 )
+from tests.hang_guard import within
 
 SMALL = ConvParams.square(8, 16, 32, kernel=3, stride=1, padding=1)
 
@@ -107,26 +108,6 @@ def _backend(kind):
 def _trials(result):
     """Bit-comparable view of a result's trial list."""
     return [(t.index, t.config.as_dict(), t.time_seconds, t.gflops) for t in result.trials]
-
-
-def _within(seconds, check):
-    """Run ``check`` in a daemon thread and fail unless it returns within
-    ``seconds``; what it raises is re-raised here.  For checks whose
-    regression is a hang rather than a wrong answer."""
-    raised = []
-
-    def run():
-        try:
-            check()
-        except BaseException as exc:  # re-raised in the test's thread
-            raised.append(exc)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"{check.__name__} still running after {seconds}s"
-    if raised:
-        raise raised[0]
 
 
 def _fail_next_fsync(monkeypatch, cut_back):
@@ -1023,7 +1004,7 @@ class TestRequestsThatCannotStart:
                 pool.stop()
 
         for check in (tune_twice, serve_twice):
-            _within(60.0, check)
+            within(60.0, check)
 
     def test_deadline_expiring_in_a_shard_backlog_fails_alone(self, tmp_path):
         # One shard admitting one run at a time, on the daemon's clock: the

@@ -353,7 +353,7 @@ class TestWorkerPool:
         pool = TuningWorkerPool(num_workers=2)
         pool._context = lambda: _BrokenContext()
         results = pool.tune(self.WORKLOAD)
-        assert not pool.used_processes
+        assert pool.stats.mode == "serial"
         for a, b in zip(reference, results):
             assert a.best_time == b.best_time
 
@@ -366,7 +366,7 @@ class TestWorkerPool:
     def test_single_shard_runs_serially(self):
         pool = TuningWorkerPool(num_workers=4)
         results = pool.tune([_request(SMALL), _request(SMALL)])
-        assert not pool.used_processes  # one distinct request -> one shard
+        assert pool.stats.mode == "serial"  # one distinct request -> one shard
         assert results[0].best_time == results[1].best_time
 
     def test_empty_workload(self):
@@ -380,7 +380,7 @@ class TestWorkerPool:
         stored = db.lookup(SMALL, V100, "direct").time_seconds
         pool = TuningWorkerPool(num_workers=2)
         results = pool.tune([_request(SMALL), _request(SMALL)], database=db)
-        assert not pool.used_processes  # nothing left to shard
+        assert pool.stats.mode == "serial"  # nothing left to shard
         assert all(r.from_cache and r.best_time == stored for r in results)
 
 
