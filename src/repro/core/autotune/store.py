@@ -437,7 +437,10 @@ class AppendLog:
         """
         fh = self._open_file()
         body = {"format": FORMAT_VERSION, "kind": f"{self.kind}-snapshot", **payload}
-        _atomic_write_json(self.snapshot_path, body, fsync=True)
+        # One unindented dumps: CPython's C encoder, which an indent (or
+        # json.dump) never reaches.  Recovery reads either layout.
+        text = json.dumps(body, sort_keys=True)
+        _atomic_write(self.snapshot_path, lambda out: out.write(text), fsync=True)
         self._file = None
         fh.close()
         try:

@@ -38,16 +38,20 @@ socket server or the deterministic in-process ``FakeTransport`` (see
 real edges — never from wall-clock reads.
 
 **Backend contract**: both backends serve the same calls — ``submit``,
-``step``, ``cancel``, ``fleet_snapshot``, ``describe``, ``stop`` (finish
-submitted work) and ``terminate`` (fail it) — so the daemon resolves its
-backend once, at construction, and then drives it without knowing which one
-it is.  The journal fault model is therefore identical under either:
+``step``, ``wait``, ``cancel``, ``fleet_snapshot``, ``describe``, ``stop``
+(finish submitted work) and ``terminate`` (fail it) — so the daemon resolves
+its backend once, at construction, and then drives it without knowing which
+one it is.  The journal fault model is therefore identical under either:
 accepted-before-ack, terminal entries re-serve bit-identically with zero
 re-measurement, in-flight entries resubmit idempotently on restart.  The
 pool adds its worker fault model underneath: a SIGKILLed *worker* degrades
 to an in-parent shard runner while the daemon stays up.  Every backend call
 is counted in ``daemon.backend.*`` (``submits`` / ``steps`` / ``cancels``),
 folded with the backend's telemetry in :meth:`TuningDaemon.fleet_snapshot`.
+``step`` never blocks.  ``wait(timeout)`` is the pause between busy ticks,
+taken with no lock held (:meth:`TuningDaemon.wait`): a pool waits there for
+its workers' next message and a service returns at once, so a wire op waits
+for at most one tick.
 
 Telemetry follows the service's split: the counters behind
 :attr:`TuningDaemon.stats` live on an always-on private registry
@@ -102,6 +106,10 @@ from .request import TuningRequest
 from .scheduler import TuningService
 
 __all__ = ["DaemonStats", "TuningDaemon"]
+
+#: longest pause between busy ticks; a pool backend's wait ends as soon as
+#: a worker's message arrives.
+_TICK_WAIT = 0.005
 
 
 @dataclass
@@ -197,6 +205,8 @@ class TuningDaemon:
                 f"got {backend!r}"
             )
         self.backend: Union[TuningService, TuningWorkerPool] = backend
+        #: captured here so :meth:`wait` reads no lock-guarded state.
+        self._backend_wait = backend.wait
         self.journal = RequestJournal(
             journal_path,
             fsync_appends=fsync_journal,
@@ -538,13 +548,21 @@ class TuningDaemon:
             self._g_queue_depth.set(len(self._futures))
             return progressed or bool(self._futures)
 
+    def wait(self, timeout: float = _TICK_WAIT) -> None:
+        """Pause between busy ticks, with no lock held, in the backend's
+        ``wait``: up to ``timeout`` seconds for a pool's next worker
+        message, no time for a service.  Wire ops run meanwhile."""
+        self._backend_wait(timeout)
+
     def run_until_idle(self, max_ticks: int = 1_000_000) -> int:
-        """Tick until no in-flight work remains; returns ticks run."""
+        """Tick until no in-flight work remains, pausing in :meth:`wait`
+        between busy ticks; returns ticks run."""
         ticks = 0
         while self.tick():
             ticks += 1
             if ticks >= max_ticks:
                 break
+            self.wait()
         return ticks
 
     def _expire_timeouts_locked(self) -> None:

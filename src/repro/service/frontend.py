@@ -216,10 +216,12 @@ class DaemonSocketServer:
     connection, living as long as the connection (read op lines, write
     reply lines — the daemon's ``handle`` is thread-safe), and one pump
     thread running ``daemon.tick()`` so tuning progresses while clients
-    poll.  A healthy connection is never closed while the server runs: no
-    idle timeout, no cap on ops per connection.  All threads are daemonic;
-    the sleep in the pump loop is pacing between ticks, not a timing
-    source.
+    poll.  Between busy ticks the pump waits in ``daemon.wait()``, which
+    holds no lock (a pool backend wakes at its workers' next message), and
+    a tick never blocks, so a wire op waits for at most one tick.  A
+    healthy connection is never closed while the server runs: no idle
+    timeout, no cap on ops per connection.  All threads are daemonic; the
+    pump's sleep after an idle tick is pacing, not a timing source.
 
     :meth:`stop` ends every live connection and joins every thread, so
     once it returns no op is served and no op is still being handled.
@@ -372,8 +374,10 @@ class DaemonSocketServer:
     def _pump_loop(self) -> None:
         try:
             while not self._stop.is_set():
-                if not self.daemon.tick():
-                    # Pacing between scheduling rounds, not a timing source.
+                if self.daemon.tick():
+                    self.daemon.wait()
+                else:
+                    # Pacing between idle rounds, not a timing source.
                     time.sleep(self._idle_sleep)
         except Exception as exc:
             # A round raised (a failed journal write): stop serving work

@@ -11,14 +11,16 @@ There is one execution path, the **serving session**:
 backlogs, :meth:`~TuningWorkerPool.submit` routes one request at a time to
 its shard and returns a per-request
 :class:`~repro.service.futures.TuningFuture` immediately,
-:meth:`~TuningWorkerPool.step` pumps the fleet one round (drain streamed
-records and per-request completions, advance in-parent shards, detect dead
-workers) and :meth:`~TuningWorkerPool.stop` drains and retires it.  The
-batch entry point :meth:`~TuningWorkerPool.tune` is one such session over a
-known workload: requests the caller's database covers are answered before
-any worker starts, the rest are placed round-robin over ``min(num_workers,
-distinct requests)`` shards that each start with their share as backlog,
-pumped until every future settles, and stopped.  Submits are placed by a
+:meth:`~TuningWorkerPool.step` pumps the fleet one round without blocking
+(drain streamed records and per-request completions, advance in-parent
+shards, detect dead workers), :meth:`~TuningWorkerPool.wait` is the pause
+between busy steps (until a worker's message arrives) and
+:meth:`~TuningWorkerPool.stop` drains and retires it.  The batch entry point
+:meth:`~TuningWorkerPool.tune` is one such session over a known workload:
+requests the caller's database covers are answered before any worker
+starts, the rest are placed round-robin over ``min(num_workers, distinct
+requests)`` shards that each start with their share as backlog, pumped
+until every future settles, and stopped.  Submits are placed by a
 stable hash of the request's idempotency digest instead
 (:func:`~repro.service.journal.request_id` — the coalescing key minus
 ``deadline``), so identical rids always land in the same shard and
@@ -52,7 +54,10 @@ records and the stop sentinel down its inbox queue (whose feeder thread
 keeps those sends off the parent's main thread), and the worker sends its
 results home over its own pipe.  Only the worker holds that pipe's write
 end, so it reads EOF once the worker exits, however it exits, and a worker
-killed mid-send holds up no other worker.
+killed mid-send holds up no other worker.  The parent never blocks on those
+pipes inside :meth:`~TuningWorkerPool.step`: a driver waits on their read
+ends in :meth:`~TuningWorkerPool.wait`, outside whatever lock it holds
+around the step (the daemon's pump), so nothing queues behind the wait.
 
 Invariants the streaming layer preserves:
 
@@ -118,14 +123,10 @@ from .scheduler import ServiceStats, TuningService
 __all__ = ["PoolStats", "TuningWorkerPool"]
 
 #: parent's poll interval on the worker pipes while it waits for the
-#: workers' final reports.
+#: workers' final reports, and its longest wait between batch steps.
 _POLL_SECONDS = 0.2
 #: serving worker's idle pacing between loop iterations (pacing only).
 _SERVE_IDLE_SLEEP = 0.005
-#: serving parent's bounded wait on the worker pipes when a step would
-#: otherwise report no progress while workers still owe completions — keeps
-#: a drain loop above (the daemon's run_until_idle) paced instead of hot.
-_SERVE_PARENT_WAIT = 0.005
 
 
 @dataclass
@@ -459,7 +460,9 @@ class TuningWorkerPool:
     merges the shards' snapshots with the parent's into one fleet view.
 
     The pool is not thread-safe; the daemon above serialises every call
-    under its own lock, and direct users must do the same.
+    under its own lock, and direct users must do the same.  The one
+    exception is :meth:`wait`, which a pump calls with no lock held, while
+    another thread may be inside any other call.
     """
 
     def __init__(
@@ -620,7 +623,8 @@ class TuningWorkerPool:
         :meth:`_shard`'s placement — ``min(num_workers, distinct pending
         requests)`` shards, so a one-shard workload runs serially — each
         shard starting with its whole share, and are pumped until every
-        future settles, then the session stops.
+        future settles (:meth:`step`, then :meth:`wait` for the next
+        message between steps), then the session stops.
         """
         if self._serving:
             raise RuntimeError(
@@ -652,7 +656,9 @@ class TuningWorkerPool:
         num_shards, placement = self._shard(work)
         futures = self._start(exchange, num_shards, list(zip(work, placement)))
         try:
+            self.step()
             while self._serve_futures:
+                self.wait(_POLL_SECONDS)
                 self.step()
         except BaseException:
             self.terminate()
@@ -810,21 +816,38 @@ class TuningWorkerPool:
     def step(self) -> bool:
         """Pump the serving fleet one round; True while work is in flight.
 
-        Reads streamed records and per-request completions from the worker
-        pipes (failing dead workers over), advances every in-parent runner
-        one scheduling round, and exchanges records between all shards.
-        When process workers still owe completions and nothing else
-        progressed, waits briefly on their pipes (``_SERVE_PARENT_WAIT``) so
-        a drain loop above polls paced instead of hot.
+        Handles the streamed records and per-request completions the worker
+        pipes already hold (failing dead workers over), advances every
+        in-parent runner one scheduling round, and exchanges records between
+        all shards.  It never blocks on a worker: a loop over it pauses in
+        :meth:`wait` between busy steps, outside any lock it holds around
+        the step.
         """
         if not self._serving:
             return False
         progressed = self._read_pipes(0)
         if self._step_runners():
             progressed = True
-        if not progressed and self._serve_futures and self._serve_pipes:
-            progressed = self._read_pipes(_SERVE_PARENT_WAIT)
         return progressed or bool(self._serve_futures)
+
+    def wait(self, timeout: float) -> None:
+        """Pause between busy :meth:`step` calls: block until a worker pipe
+        is readable or ``timeout`` seconds pass.
+
+        Returns at once when an in-parent runner has work, since its rounds
+        run in :meth:`step`.  Reads and closes no pipe; :meth:`step` handles
+        what arrived.  The one call that is safe beside another thread's:
+        the daemon's pump waits here with no lock held while a wire op
+        runs, and a pipe that a concurrent step or stop closes under the
+        wait ends it instead of raising.
+        """
+        for runner in list(self._serve_runners.values()):
+            if runner.pending or runner.service.num_active:
+                return
+        try:
+            wait(list(self._serve_pipes.values()), timeout)
+        except (OSError, ValueError):  # a pipe closed under the wait
+            pass
 
     def _read_pipes(self, timeout: float) -> bool:
         """Wait up to ``timeout`` for worker pipes to turn readable, then

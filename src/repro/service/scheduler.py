@@ -144,7 +144,7 @@ class TuningService:
     Thread-safe: ``submit`` may be called from any thread, concurrently with
     a driver thread running :meth:`drain`.  Scheduling rounds serialise with
     submissions under one lock, so a request submitted mid-round joins the
-    next round.  :meth:`submit`, :meth:`step`, :meth:`cancel`,
+    next round.  :meth:`submit`, :meth:`step`, :meth:`wait`, :meth:`cancel`,
     :meth:`fleet_snapshot`, :meth:`describe`, :meth:`stop` and
     :meth:`terminate` are the serving contract the daemon drives, shared
     with :class:`~repro.service.pool.TuningWorkerPool`.
@@ -415,6 +415,11 @@ class TuningService:
                         except Exception as exc:
                             self._fail(run, exc)
             return True
+
+    def wait(self, timeout: float) -> None:
+        """Return at once: the rounds are the work, so nothing is owed
+        between busy :meth:`step` calls (the serving contract's pause, which
+        a pool spends waiting for its workers)."""
 
     def cancel(
         self, request: TuningRequest, exc: Optional[BaseException] = None

@@ -29,6 +29,7 @@ import pytest
 
 from repro.conv import ConvParams
 from repro.core.autotune import SearchSpace, TuningDatabase, TuningDatabaseError, TuningRecord
+from repro.core.autotune import store
 from repro.core.autotune.store import FORMAT_VERSION
 from repro.gpusim import V100
 from repro.service import RequestJournal
@@ -198,12 +199,20 @@ def test_corrupt_middle_line_raises(fold, path):
 def test_crash_during_snapshot_write(fold, path, tmp_path, monkeypatch):
     log = built(fold, path, 6)
     before = fold.state(log)
+    atomic_write = store._atomic_write
 
-    def exploding_dump(payload, fh, **kwargs):
-        fh.write('{"format": 1, "entries": [tor')
-        raise OSError("disk full")
+    def exploding_write(target, write, fsync=False):
+        # The snapshot's text write dies partway; other writes run.
+        if not os.fspath(target).endswith(".snap"):
+            return atomic_write(target, write, fsync)
 
-    monkeypatch.setattr(json, "dump", exploding_dump)
+        def torn(fh):
+            fh.write('{"format": 1, "entries": [tor')
+            raise OSError("disk full")
+
+        return atomic_write(target, torn, fsync)
+
+    monkeypatch.setattr(store, "_atomic_write", exploding_write)
     with pytest.raises(OSError, match="disk full"):
         log.snapshot()
     monkeypatch.undo()
@@ -217,6 +226,24 @@ def test_crash_during_snapshot_write(fold, path, tmp_path, monkeypatch):
     fold.add(log, 6)
     log.close()
     assert reopened_state(fold, path) == reference(fold, tmp_path, list(range(7)))
+
+
+def test_indented_snapshot_recovers(fold, path, tmp_path):
+    # A snapshot is one unindented line now; one written the old way,
+    # through json.dump(..., indent=1), recovers to the same state.
+    log = built(fold, path, 5)
+    log.snapshot()
+    fold.add(log, 5)  # a log tail past the snapshot
+    expected = fold.state(log)
+    log.close()
+    snapshot = path.with_name(path.name + ".snap")
+    body = json.loads(snapshot.read_text())
+    assert snapshot.read_bytes().count(b"\n") == 0
+    with open(snapshot, "w", encoding="utf-8") as fh:
+        json.dump(body, fh, indent=1, sort_keys=True)
+    assert snapshot.read_bytes().count(b"\n") > 1
+    assert reopened_state(fold, path) == expected
+    assert expected == reference(fold, tmp_path, list(range(6)))
 
 
 def test_crash_between_snapshot_install_and_log_reset(fold, path, tmp_path, monkeypatch):

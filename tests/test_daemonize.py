@@ -8,6 +8,7 @@ SIGTERM, clean drain and pidfile removal — exactly what ``make
 daemonize-smoke`` gates.
 """
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -65,6 +66,16 @@ def _wait_for(predicate, timeout=20.0, interval=0.05):
     return predicate()
 
 
+@contextlib.contextmanager
+def _client(socket_path):
+    """A client over one socket connection, closed on exit."""
+    transport = SocketTransport(socket_path)
+    try:
+        yield DaemonClient(transport)
+    finally:
+        transport.close()
+
+
 class _Wrapper:
     """serve_forever in a thread, shutdown via the injected stop event."""
 
@@ -102,11 +113,12 @@ class TestServeForever:
             pool = TuningWorkerPool(num_workers=2, use_processes=False)
             return TuningDaemon(str(tmp_path / "daemon.journal"), backend=pool)
 
-        with _Wrapper(tmp_path, _daemon_factory=factory) as wrapper:
+        with _Wrapper(tmp_path, _daemon_factory=factory) as wrapper, _client(
+            wrapper.socket
+        ) as client:
             assert os.path.exists(wrapper.pidfile)
             with open(wrapper.pidfile) as handle:
                 assert int(handle.read().strip()) == os.getpid()
-            client = DaemonClient(SocketTransport(wrapper.socket))
             assert client.ping()
             result = client.submit_and_wait(_request())
             assert result.num_measurements == 6
@@ -120,19 +132,23 @@ class TestServeForever:
         first, second = tmp_path / "first", tmp_path / "second"
         first.mkdir()
         second.mkdir()
-        with _Wrapper(first, database_path=database_path) as wrapper:
-            client = DaemonClient(SocketTransport(wrapper.socket))
+        with _Wrapper(first, database_path=database_path) as wrapper, _client(
+            wrapper.socket
+        ) as client:
             tuned = client.submit_and_wait(_request())
         assert tuned.num_measurements == 6
         # A fresh journal: only the database file can answer the repeat.
-        with _Wrapper(second, database_path=database_path) as wrapper:
-            client = DaemonClient(SocketTransport(wrapper.socket))
+        with _Wrapper(second, database_path=database_path) as wrapper, _client(
+            wrapper.socket
+        ) as client:
             repeat = client.submit_and_wait(_request())
             measured = client.describe()["service"]["stats"]["measurements"]
         assert repeat.from_cache and measured == 0
         assert repeat.best_time == tuned.best_time
         # The file is a record log that still holds the first record.
-        record = TuningDatabase(path=database_path).lookup(SMALL, V100, "direct")
+        database = TuningDatabase(path=database_path)
+        record = database.lookup(SMALL, V100, "direct")
+        database.close()
         assert record is not None and record.time_seconds == tuned.best_time
 
     def test_closed_journal_stops_serving_with_exit_1(self, tmp_path, monkeypatch):
@@ -149,8 +165,9 @@ class TestServeForever:
         def fails(*args):
             raise OSError("Read-only file system")
 
-        with _Wrapper(tmp_path, _daemon_factory=factory) as wrapper:
-            client = DaemonClient(SocketTransport(wrapper.socket))
+        with _Wrapper(tmp_path, _daemon_factory=factory) as wrapper, _client(
+            wrapper.socket
+        ) as client:
             rid = client.submit(_request())
             answer = client.result(rid)
             monkeypatch.setattr(os, "fsync", fails)
@@ -161,7 +178,9 @@ class TestServeForever:
             assert _wait_for(lambda: wrapper.exit_code is not None)
         assert wrapper.exit_code == 1
         assert not os.path.exists(wrapper.pidfile)
-        served = result_from_wire(TuningDaemon(journal).result(rid))
+        restarted = TuningDaemon(journal)
+        served = result_from_wire(restarted.result(rid))
+        restarted.close()
         assert _trajectory(served) == _trajectory(answer)
 
     @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
@@ -255,11 +274,11 @@ class TestServeForever:
         )
         try:
             assert _wait_for(lambda: os.path.exists(wrapper.socket))
-            client = DaemonClient(SocketTransport(wrapper.socket))
-            if client.describe()["pool"]["mode"] != "processes":
-                pytest.skip("worker processes unavailable in this environment")
-            for request in requests:
-                client.submit(request)
+            with _client(wrapper.socket) as client:
+                if client.describe()["pool"]["mode"] != "processes":
+                    pytest.skip("worker processes unavailable in this environment")
+                for request in requests:
+                    client.submit(request)
             os.killpg(daemon.pid, signal.SIGTERM)
             out, err = daemon.communicate(timeout=60)
         finally:
@@ -269,8 +288,7 @@ class TestServeForever:
         assert daemon.returncode == 0, err
         assert "drained cleanly" in out and "'pending': 0" in out
         assert not os.path.exists(wrapper.pidfile)
-        with wrapper:
-            client = DaemonClient(SocketTransport(wrapper.socket))
+        with wrapper, _client(wrapper.socket) as client:
             for request in requests:
                 result = client.submit_and_wait(request)
                 assert _trajectory(result) == _trajectory(request.tune_direct())
@@ -333,9 +351,9 @@ class TestDaemonizeSmoke:
         with open(pidfile) as handle:
             pid = int(handle.read().strip())
         assert pid > 0  # the detached grandchild, not the exited launcher
-        client = DaemonClient(SocketTransport(sock))
-        assert client.ping()
-        result = client.submit_and_wait(_request(seed=3))
+        with _client(sock) as client:
+            assert client.ping()
+            result = client.submit_and_wait(_request(seed=3))
         assert result.num_measurements == 6
         os.kill(pid, signal.SIGTERM)
         assert _wait_for(

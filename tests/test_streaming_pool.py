@@ -39,9 +39,11 @@ from repro.gpusim import V100
 from repro.obs import MonotonicClock
 from repro.service import (
     RequestFailed,
+    TuningDaemon,
     TuningRequest,
     TuningService,
     TuningWorkerPool,
+    result_from_wire,
 )
 
 import repro.service.pool as pool_module
@@ -735,10 +737,12 @@ class TestSubmitStress:
 
 # -- long-lived serving mode ----------------------------------------------- #
 def _pump(pool, limit=200_000):
-    """Drive pool.step() to quiescence (bounded; fails loudly if wedged)."""
+    """Drive pool.step() to quiescence, waiting for the workers between busy
+    steps as the daemon's pump does (bounded; fails loudly if wedged)."""
     for _ in range(limit):
         if not pool.step():
             return
+        pool.wait(0.05)
     raise AssertionError("serving pool never went idle")
 
 
@@ -948,6 +952,161 @@ class TestServingMode:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+
+
+# -- waiting between steps ------------------------------------------------ #
+def _must_not_wait(object_list, timeout=None):
+    raise AssertionError(f"waited on {len(object_list)} pipes for {timeout}s")
+
+
+def _count_steps_and_waits(monkeypatch):
+    """Record every pool ``step`` (with what it returned) and ``wait``, in
+    order.  Patched on the class, so it must precede the pool's use."""
+    calls = []
+    step, wait = TuningWorkerPool.step, TuningWorkerPool.wait
+
+    def counted_step(self):
+        busy = step(self)
+        calls.append(("step", busy))
+        return busy
+
+    def counted_wait(self, timeout):
+        calls.append(("wait", timeout))
+        wait(self, timeout)
+
+    monkeypatch.setattr(TuningWorkerPool, "step", counted_step)
+    monkeypatch.setattr(TuningWorkerPool, "wait", counted_wait)
+    return calls
+
+
+def _assert_waits_between_busy_steps(calls):
+    """The loop waited, and only right after a step that reported work in
+    flight."""
+    kinds = [kind for kind, _ in calls]
+    assert "wait" in kinds and kinds[0] == "step"
+    for before, (kind, _) in zip(calls, calls[1:]):
+        if kind == "wait":
+            assert before == ("step", True), calls
+
+
+class TestWait:
+    """``step()`` never blocks; ``wait()`` is the pause between busy steps."""
+
+    def test_returns_when_a_worker_message_is_waiting(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("worker pipes need fork")
+        request = _request(A, seed=1)
+        pool = TuningWorkerPool(num_workers=2, use_processes=True)
+        pool.start()
+        try:
+            future = pool.submit(request)
+            # Returns once the worker sends, long before the hour is up.
+            within(30.0, lambda: pool.wait(3600.0))
+            assert any(pipe.poll() for pipe in pool._serve_pipes.values())
+            _pump(pool)  # wait() read nothing: step() handles the message
+            assert _trajectory(future.result(timeout=0)) == _trajectory(
+                request.tune_direct()
+            )
+        finally:
+            pool.terminate()
+
+    def test_returns_at_once_in_serial_mode(self, monkeypatch):
+        pool = TuningWorkerPool(num_workers=2, use_processes=False)
+        pool.start()
+        future = pool.submit(_request(A, seed=1))
+        monkeypatch.setattr(pool_module, "wait", _must_not_wait)
+        pool.wait(3600.0)  # the runners' rounds are the work
+        monkeypatch.undo()
+        _pump(pool)
+        assert future.done()
+        pool.stop()
+
+    def test_returns_at_once_after_a_failover(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("worker-kill fault injection needs fork")
+        requests = _one_request_per_shard()
+        pool = TuningWorkerPool(num_workers=2, use_processes=True)
+        pool.start()
+        try:
+            futures = [pool.submit(request) for request in requests]
+            os.kill(pool._serve_workers[0].pid, signal.SIGKILL)
+
+            def failed_over():
+                pool.wait(0.05)  # the dead worker's pipe reads EOF...
+                pool.step()  # ...and the step fails shard 0 over
+                return 0 in pool._serve_runners
+
+            assert _wait_until(failed_over)
+            monkeypatch.setattr(pool_module, "wait", _must_not_wait)
+            pool.wait(3600.0)  # shard 0 reruns in the parent
+            monkeypatch.undo()
+            _pump(pool)
+            for request, future in zip(requests, futures):
+                assert _trajectory(future.result(timeout=0)) == _trajectory(
+                    request.tune_direct()
+                )
+            assert pool.stats.worker_failures == 1
+        finally:
+            pool.terminate()
+
+    def test_a_closed_pipe_does_not_raise(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("worker pipes need fork")
+        pool = TuningWorkerPool(num_workers=2, use_processes=True)
+        pool.start()
+        raised = []
+
+        def wait_through_a_terminate():
+            try:
+                pool.wait(60.0)
+            except BaseException as exc:  # re-raised below
+                raised.append(exc)
+
+        try:
+            pool.submit(_request(A, seed=1))
+            pool._serve_pipes[0].close()  # closed, but still listed
+            pool.wait(0.01)
+            del pool._serve_pipes[0]
+            # Pipes closed under a wait on another thread, as by a wire
+            # drain beside the daemon's pump: the wait ends, raising nothing.
+            waiter = threading.Thread(target=wait_through_a_terminate, daemon=True)
+            waiter.start()
+        finally:
+            pool.terminate()
+        within(30.0, waiter.join)
+        assert not raised, raised
+
+    def test_tune_waits_between_busy_steps(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("process pool needs fork")
+        calls = _count_steps_and_waits(monkeypatch)
+        workload = [_request(A, seed=1), _request(B, seed=1)]
+        pool = TuningWorkerPool(num_workers=2, use_processes=True)
+        results = pool.tune(workload)
+        assert pool.stats.mode == "processes"
+        _assert_waits_between_busy_steps(calls)
+        assert calls[-1][0] == "step"
+        for request, result in zip(workload, results):
+            assert _trajectory(result) == _trajectory(request.tune_direct())
+
+    def test_daemon_run_until_idle_waits_between_busy_ticks(self, monkeypatch, tmp_path):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("process pool needs fork")
+        calls = _count_steps_and_waits(monkeypatch)
+        workload = [_request(A, seed=1), _request(B, seed=1)]
+        pool = TuningWorkerPool(num_workers=2, use_processes=True)
+        daemon = TuningDaemon(tmp_path / "j.log", backend=pool)
+        try:
+            rids = [daemon.submit(request) for request in workload]
+            within(60.0, daemon.run_until_idle)
+            _assert_waits_between_busy_steps(calls)
+            assert calls[-1] == ("step", False)
+            for request, rid in zip(workload, rids):
+                assert _trajectory(result_from_wire(daemon.result(rid))) == _trajectory(
+                    request.tune_direct()
+                )
+        finally:
+            daemon.close()
 
 
 # -- one result pipe per worker ------------------------------------------- #

@@ -27,6 +27,7 @@ one threaded test (socket server + concurrent clients + a kill) is marked
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import socket
 import threading
@@ -40,6 +41,7 @@ from repro.core.autotune.store import TuningDatabaseError
 from repro.gpusim import V100
 from repro.obs import FakeClock, MonotonicClock, Observability
 from repro.service import frontend
+import repro.service.pool as pool_module
 from repro.service import (
     DaemonClient,
     DaemonDraining,
@@ -91,6 +93,26 @@ def _sa_request(seed=0, budget=50, deadline=None):
         tuner="simulated_annealing",
         deadline=deadline,
     )
+
+
+@pytest.fixture(autouse=True)
+def _close_journals():
+    """Close, at teardown, every request journal the test opened and left
+    open (a restarted daemon, a drained one, a bare journal), so no append
+    handle waits for garbage collection.  Patched apart from the test's
+    own ``monkeypatch``, which a test may undo midway."""
+    opened = []
+    init = RequestJournal.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RequestJournal, "__init__", tracked_init)
+        yield
+    for journal in opened:
+        journal.close()
 
 
 #: the daemon's backends, as the daemon resolves them by name.
@@ -639,6 +661,7 @@ class TestCrashRecovery:
         daemon.kill()
         reopened = TuningDatabase(path=tmp_path / "db.log")
         assert [record.params for record in reopened.records()] == [second.params]
+        reopened.close()
 
     def test_failed_database_compaction_never_fails_a_run(self, tmp_path, monkeypatch):
         # A run's final put writes its line before the database's automatic
@@ -996,7 +1019,7 @@ class TestRequestsThatCannotStart:
             try:
                 futures = [pool.submit(bad), pool.submit(bad)]
                 while pool.step():
-                    pass
+                    pool.wait(0.05)
                 for future in futures:
                     with pytest.raises(RequestFailed, match="population"):
                         future.result(timeout=0)
@@ -1029,6 +1052,54 @@ class TestRequestsThatCannotStart:
             with pytest.raises(DeadlineExpired):
                 daemon.result(waiting)
         finally:
+            daemon.close()
+
+
+# -- the pump waits outside the lock --------------------------------------- #
+class TestPumpWait:
+    """Between busy ticks the socket server's pump waits for the pool's
+    workers with no lock held, so no wire op queues behind that wait."""
+
+    def test_wire_op_never_waits_for_a_pool_worker(self, tmp_path, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("a process pool needs fork")
+        waiting, release = threading.Event(), threading.Event()
+        real_wait = pool_module.wait
+
+        def first_real_wait_blocks(object_list, timeout=None):
+            # The pool's waits on its worker pipes: the first one that may
+            # block holds until the test releases it.
+            if timeout is not None and timeout > 0 and not waiting.is_set():
+                waiting.set()
+                release.wait(60.0)
+            return real_wait(object_list, timeout)
+
+        monkeypatch.setattr(pool_module, "wait", first_real_wait_blocks)
+        path = str(tmp_path / "d.sock")
+        request = _request(budget=8)
+        daemon = TuningDaemon(
+            tmp_path / "j.log", backend=TuningWorkerPool(num_workers=2)
+        )
+        server = DaemonSocketServer(daemon, path).start()
+        transport = SocketTransport(path, timeout=30.0)
+        client = DaemonClient(transport)
+        try:
+            assert daemon.describe()["pool"]["mode"] == "processes"
+            rid = client.submit(request)
+            assert waiting.wait(30.0), "the pool never waited on its workers"
+            states = []
+
+            def status_op():
+                states.append(client.status(rid)["state"])
+
+            within(1.0, status_op)
+            assert states == ["running"]
+            release.set()
+            assert _trials(client.result(rid)) == _trials(request.tune_direct())
+        finally:
+            release.set()
+            transport.close()
+            server.stop()
             daemon.close()
 
 
