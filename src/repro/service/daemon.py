@@ -548,11 +548,11 @@ class TuningDaemon:
             self._g_queue_depth.set(len(self._futures))
             return progressed or bool(self._futures)
 
-    def wait(self, timeout: float = _TICK_WAIT) -> None:
+    def wait(self) -> None:
         """Pause between busy ticks, with no lock held, in the backend's
-        ``wait``: up to ``timeout`` seconds for a pool's next worker
+        ``wait``: up to ``_TICK_WAIT`` seconds for a pool's next worker
         message, no time for a service.  Wire ops run meanwhile."""
-        self._backend_wait(timeout)
+        self._backend_wait(_TICK_WAIT)
 
     def run_until_idle(self, max_ticks: int = 1_000_000) -> int:
         """Tick until no in-flight work remains, pausing in :meth:`wait`

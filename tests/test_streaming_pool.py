@@ -742,7 +742,7 @@ def _pump(pool, limit=200_000):
     for _ in range(limit):
         if not pool.step():
             return
-        pool.wait(0.05)
+        pool.wait(0.005)
     raise AssertionError("serving pool never went idle")
 
 
@@ -1032,7 +1032,7 @@ class TestWait:
             os.kill(pool._serve_workers[0].pid, signal.SIGKILL)
 
             def failed_over():
-                pool.wait(0.05)  # the dead worker's pipe reads EOF...
+                pool.wait(0.005)  # the dead worker's pipe reads EOF...
                 pool.step()  # ...and the step fails shard 0 over
                 return 0 in pool._serve_runners
 

@@ -96,23 +96,24 @@ def _sa_request(seed=0, budget=50, deadline=None):
 
 
 @pytest.fixture(autouse=True)
-def _close_journals():
-    """Close, at teardown, every request journal the test opened and left
-    open (a restarted daemon, a drained one, a bare journal), so no append
-    handle waits for garbage collection.  Patched apart from the test's
-    own ``monkeypatch``, which a test may undo midway."""
-    opened = []
-    init = RequestJournal.__init__
+def _close_daemons():
+    """Close, at teardown, every daemon the test built (a restarted one, a
+    drained one), through ``TuningDaemon.close()`` itself, so a daemon
+    whose close leaves its journal or database open still leaks where the
+    resource-warning check sees it.  Patched apart from the test's own
+    ``monkeypatch``, which a test may undo midway."""
+    built = []
+    init = TuningDaemon.__init__
 
     def tracked_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        opened.append(self)
+        built.append(self)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RequestJournal, "__init__", tracked_init)
+        patch.setattr(TuningDaemon, "__init__", tracked_init)
         yield
-    for journal in opened:
-        journal.close()
+    for daemon in built:
+        daemon.close()
 
 
 #: the daemon's backends, as the daemon resolves them by name.
@@ -204,6 +205,7 @@ class TestRequestJournal:
         assert entry.status == "done"
         assert entry.result == {"tuner": "x"}
         assert entry.request == json.loads(json.dumps(wire))
+        recovered.close()
 
     def test_terminal_state_is_sticky(self, tmp_path):
         journal = self._journal(tmp_path)
@@ -213,11 +215,13 @@ class TestRequestJournal:
         assert not journal.mark_running("r1")
         assert not journal.complete("r1", {"tuner": "x"})
         assert journal.get("r1").status == "failed"
+        journal.close()
 
     def test_transition_on_unknown_rid_raises(self, tmp_path):
         journal = self._journal(tmp_path)
         with pytest.raises(TuningDatabaseError):
             journal.mark_running("ghost")
+        journal.close()
 
     def test_snapshot_compacts_and_recovers(self, tmp_path):
         journal = self._journal(tmp_path)
@@ -233,6 +237,7 @@ class TestRequestJournal:
         recovered = self._journal(tmp_path)
         assert len(recovered) == 10
         assert all(e.status == "done" for e in recovered.states().values())
+        recovered.close()
 
     def test_auto_snapshot_at_threshold(self, tmp_path):
         journal = self._journal(tmp_path, snapshot_min_entries=6)
@@ -240,6 +245,7 @@ class TestRequestJournal:
             journal.accept(f"r{i}", {})
             journal.complete(f"r{i}", {"tuner": "x"})
         assert os.path.exists(journal.snapshot_path)
+        journal.close()
 
     def test_replay_twice_equals_replay_once(self, tmp_path):
         journal = self._journal(tmp_path)
@@ -252,6 +258,7 @@ class TestRequestJournal:
         journal.recover()
         twice = {rid: e.to_dict() for rid, e in journal.states().items()}
         assert once == twice
+        journal.close()
 
     def test_closed_journal_refuses_events(self, tmp_path):
         journal = self._journal(tmp_path)
@@ -1019,7 +1026,7 @@ class TestRequestsThatCannotStart:
             try:
                 futures = [pool.submit(bad), pool.submit(bad)]
                 while pool.step():
-                    pool.wait(0.05)
+                    pool.wait(0.005)
                 for future in futures:
                     with pytest.raises(RequestFailed, match="population"):
                         future.result(timeout=0)
