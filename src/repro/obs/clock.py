@@ -1,10 +1,10 @@
 """Injected clocks: the only module in the repository that reads ``time.*``.
 
-Everything the observability layer timestamps — span durations, policy pick
-latency, exporter event times — flows through a :class:`Clock` instance that
-the *caller* injects, never through a direct ``time.monotonic()`` call at the
-point of measurement.  That indirection is what lets instrumented code obey
-the repository's determinism contracts:
+Everything the observability layer timestamps — span durations, request
+latencies, exporter event times — flows through a :class:`Clock` instance
+that the *caller* injects, never through a direct ``time.monotonic()`` call
+at the point of measurement.  That indirection is what lets instrumented
+code obey the repository's determinism contracts:
 
 * **core stays deterministic** — instrumented code in ``src/repro/core/`` and
   ``src/repro/gpusim/`` runs with :data:`NULL_CLOCK` (reads return ``0.0``,

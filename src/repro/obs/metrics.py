@@ -57,7 +57,7 @@ BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 GROUP_COUNT_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 #: packing benefit: configs in a packed call / largest single slice (>= 1).
 FILL_RATIO_BOUNDS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
-#: seconds, log-spaced from microseconds to a second (policy picks, rounds).
+#: seconds, log-spaced from microseconds to a second (request latencies).
 LATENCY_BOUNDS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 

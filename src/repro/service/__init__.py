@@ -16,8 +16,6 @@ batches:
   over their search generators), and packs proposal batches from
   different requests into shared executor calls
   (:meth:`~repro.gpusim.executor.GPUExecutor.run_batch_groups`).
-* :class:`SchedulingPolicy` — which runs propose each round: uniform
-  (default), budget-weighted fair share, earliest-deadline-first.
 * :class:`TuningWorkerPool` — shards big workloads across long-lived worker
   processes that *stream* best-known records to each other mid-workload
   (parent folds each completed run's record into the shared database
@@ -50,7 +48,7 @@ algorithms side by side, packing their measurement batches together::
     from repro.service import TuningRequest, TuningService
 
     layer = ConvParams.square(28, 128, 128, kernel=3, stride=1, padding=1)
-    service = TuningService(policy="fair_share")   # or "uniform" / "edf"
+    service = TuningService()
     futures = [
         # the ATE engine on the pruned Table-1 domain (database-backed)
         service.submit(TuningRequest(layer, V100, max_measurements=96)),
@@ -62,10 +60,7 @@ algorithms side by side, packing their measurement batches together::
                 tuner_params={"chains": 8},
             )
         ),
-        # an urgent request: EDF schedules it ahead of everything else
-        service.submit(
-            TuningRequest(layer, V100, pruned=False, tuner="genetic", deadline=1.0)
-        ),
+        service.submit(TuningRequest(layer, V100, pruned=False, tuner="genetic")),
     ]
     service.drain()                     # or run step() from a driver thread
     results = [f.result() for f in futures]
@@ -101,13 +96,6 @@ from .journal import (
     result_from_wire,
     result_to_wire,
 )
-from .policy import (
-    EarliestDeadlinePolicy,
-    FairSharePolicy,
-    SchedulingPolicy,
-    UniformPolicy,
-    make_policy,
-)
 from .pool import PoolStats, TuningWorkerPool
 from .request import TUNERS, TuningRequest
 from .scheduler import ServiceStats, TuningService
@@ -119,8 +107,6 @@ __all__ = [
     "DaemonSocketServer",
     "DaemonStats",
     "DeadlineExpired",
-    "EarliestDeadlinePolicy",
-    "FairSharePolicy",
     "FakeTransport",
     "NotReady",
     "Overloaded",
@@ -131,7 +117,6 @@ __all__ = [
     "RequestFailed",
     "RequestJournal",
     "RequestTimeout",
-    "SchedulingPolicy",
     "ServiceStats",
     "SocketTransport",
     "TUNERS",
@@ -140,11 +125,9 @@ __all__ = [
     "TuningRequest",
     "TuningService",
     "TuningWorkerPool",
-    "UniformPolicy",
     "UnknownRequest",
     "daemonize",
     "error_from_wire",
-    "make_policy",
     "serve_forever",
     "request_from_wire",
     "request_id",

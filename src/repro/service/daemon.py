@@ -100,7 +100,6 @@ from .journal import (
     request_to_wire,
     result_to_wire,
 )
-from .policy import SchedulingPolicy
 from .pool import TuningWorkerPool
 from .request import TuningRequest
 from .scheduler import TuningService
@@ -175,7 +174,6 @@ class TuningDaemon:
         *,
         backend: Union[str, TuningWorkerPool] = "service",
         database: Optional[TuningDatabase] = None,
-        policy: Union[str, SchedulingPolicy, None] = None,
         obs: Optional[Observability] = None,
         clock: Optional[Clock] = None,
         max_active: int = 64,
@@ -192,12 +190,12 @@ class TuningDaemon:
         self.obs = obs if obs is not None else NULL_OBS
         self.database = database if database is not None else TuningDatabase()
         if backend == "pool":
-            backend = TuningWorkerPool(policy=policy, obs=self.obs)
+            backend = TuningWorkerPool(obs=self.obs)
         if isinstance(backend, TuningWorkerPool):
             backend.start(database=self.database)
             self.backend_kind = "pool"
         elif backend == "service":
-            backend = TuningService(database=self.database, policy=policy, obs=self.obs)
+            backend = TuningService(database=self.database, obs=self.obs)
             self.backend_kind = "service"
         else:
             raise ValueError(
@@ -381,8 +379,11 @@ class TuningDaemon:
             raise BadRequest(f"malformed tuning request: {exc}") from exc
         timeout = op.get("timeout")
         if timeout is not None:
-            timeout = float(timeout)
-            if timeout <= 0.0:
+            try:
+                timeout = float(timeout)
+            except (TypeError, ValueError, OverflowError):
+                raise BadRequest(f"timeout must be a number, got {timeout!r}") from None
+            if not timeout > 0.0:  # NaN too: it would never expire
                 raise BadRequest(f"timeout must be > 0, got {timeout}")
         rid = self.submit(request, timeout=timeout)
         with self._lock:

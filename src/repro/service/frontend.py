@@ -21,8 +21,8 @@ Two transports speak the identical wire format:
   model is property-tested under: ops and replies make a full
   ``json.dumps``/``loads`` round trip (so anything that would not survive
   the socket does not survive the fake either), connection failures and
-  daemon kills are injectable, and each call optionally pumps one daemon
-  tick so client retry/poll loops make deterministic progress.
+  daemon kills are injectable, and each call pumps one daemon tick so
+  client retry/poll loops make deterministic progress.
 
 :class:`DaemonClient` is the thin submit/await API on top of either
 transport: retryable errors (``RETRY_AFTER`` admission pushback,
@@ -60,6 +60,8 @@ __all__ = [
 PROTOCOL_VERSION = 1
 
 _MAX_LINE_BYTES = 16 * 1024 * 1024
+#: the socket server pump's pause after an idle tick (pacing only).
+_IDLE_SLEEP = 0.002
 
 
 def encode_line(payload: Dict[str, object]) -> bytes:
@@ -81,10 +83,10 @@ class FakeTransport:
     """Deterministic in-process transport over a live ``TuningDaemon``.
 
     Every call JSON round-trips the op and the reply, so wire-compatibility
-    is enforced even without sockets.  ``auto_pump`` (default) runs one
-    daemon tick before handling each op, so a client polling ``result``
-    advances the daemon's scheduling deterministically — the property tests
-    drive crash, overload and timeout scenarios this way with zero threads.
+    is enforced even without sockets.  Each call runs one daemon tick
+    before handling its op, so a client polling ``result`` advances the
+    daemon's scheduling deterministically — the property tests drive crash,
+    overload and timeout scenarios this way with zero threads.
 
     Fault injection: :meth:`kill` makes every later call raise
     ``ConnectionError`` (the client sees exactly what a daemon SIGKILL
@@ -92,9 +94,8 @@ class FakeTransport:
     connection failures for retry-path tests.
     """
 
-    def __init__(self, daemon, *, auto_pump: bool = True) -> None:
+    def __init__(self, daemon) -> None:
         self.daemon = daemon
-        self.auto_pump = auto_pump
         self.calls = 0
         self._killed = False
         self._fail_next = 0
@@ -120,8 +121,7 @@ class FakeTransport:
             raise ConnectionError("injected transport fault")
         self.calls += 1
         wire_op = decode_line(encode_line(op))
-        if self.auto_pump:
-            self.daemon.tick()
+        self.daemon.tick()
         reply = self.daemon.handle(wire_op)
         return decode_line(encode_line(reply))
 
@@ -232,12 +232,10 @@ class DaemonSocketServer:
         daemon,
         path: str,
         *,
-        idle_sleep: float = 0.002,
         max_line_bytes: int = _MAX_LINE_BYTES,
     ) -> None:
         self.daemon = daemon
         self.path = path
-        self._idle_sleep = idle_sleep
         #: per-connection buffer cap: a client that streams bytes without
         #: ever sending a newline is answered BAD_REQUEST and disconnected
         #: instead of growing the buffer unboundedly.
@@ -377,8 +375,7 @@ class DaemonSocketServer:
                 if self.daemon.tick():
                     self.daemon.wait()
                 else:
-                    # Pacing between idle rounds, not a timing source.
-                    time.sleep(self._idle_sleep)
+                    time.sleep(_IDLE_SLEEP)
         except Exception as exc:
             # A round raised (a failed journal write): stop serving work
             # that no pump would finish.

@@ -123,7 +123,7 @@ def request_id(request: TuningRequest) -> str:
     ``deadline``.
 
     Mirrors the frozen dataclass's equality (``deadline`` is ``compare=False``
-    scheduling metadata), so two requests coalesce in the service exactly
+    admission metadata), so two requests coalesce in the service exactly
     when they share a request id at the daemon — a client retrying a submit
     (same request, any deadline) lands on the same journal entry instead of
     duplicating work.

@@ -116,7 +116,6 @@ from ..obs import (
 from .errors import RequestCancelled, RequestFailed, as_request_error, error_from_wire
 from .futures import TuningFuture
 from .journal import request_id
-from .policy import SchedulingPolicy, make_policy
 from .request import TuningRequest
 from .scheduler import ServiceStats, TuningService
 
@@ -228,12 +227,11 @@ class _ShardRunner:
 
     def __init__(
         self,
-        policy: Optional[SchedulingPolicy] = None,
         admit_window: int = 0,
         database: Optional[TuningDatabase] = None,
         obs: Optional[Observability] = None,
     ) -> None:
-        self.service = TuningService(database=database, policy=policy, obs=obs)
+        self.service = TuningService(database=database, obs=obs)
         self.admit_window = admit_window
         #: backlog of (ticket, request); duplicates may be admitted out of
         #: backlog order (to coalesce onto their twin's in-flight run), so
@@ -344,7 +342,6 @@ class _ShardRunner:
 
 def _serve_shard(
     shard_index: int,
-    policy: Optional[SchedulingPolicy],
     admit_window: int,
     backlog: Sequence[Tuple[int, TuningRequest]],
     inbox,
@@ -388,7 +385,7 @@ def _serve_shard(
     obs = Observability(
         enabled=obs_enabled, clock=MonotonicClock() if obs_enabled else None
     )
-    runner = _ShardRunner(policy=policy, admit_window=admit_window, obs=obs)
+    runner = _ShardRunner(admit_window=admit_window, obs=obs)
     for ticket, request in backlog:
         runner.enqueue(ticket, request)
     poisoned = 0
@@ -468,7 +465,6 @@ class TuningWorkerPool:
     def __init__(
         self,
         num_workers: int = 0,
-        policy: "Optional[object]" = None,
         admit_window: int = 4,
         use_processes: Optional[bool] = None,
         obs: Optional[Observability] = None,
@@ -476,9 +472,6 @@ class TuningWorkerPool:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0 (0 = one per CPU, capped)")
         self.num_workers = num_workers or min(4, os.cpu_count() or 1)
-        #: scheduling policy every worker's in-process service runs with
-        #: (instance or registry name; normalised here so bad names fail fast).
-        self.policy = make_policy(policy)
         self.admit_window = admit_window
         self.use_processes = use_processes
         self.obs = obs if obs is not None else NULL_OBS
@@ -726,9 +719,7 @@ class TuningWorkerPool:
         if not started:
             for i in range(num_shards):
                 self._serve_runners[i] = _ShardRunner(
-                    policy=self.policy,
-                    admit_window=self.admit_window,
-                    obs=self.obs,
+                    admit_window=self.admit_window, obs=self.obs
                 )
                 self._serve_inboxes[i] = []
                 for ticket, request in backlogs[i]:
@@ -750,7 +741,6 @@ class TuningWorkerPool:
                     target=_serve_shard,
                     args=(
                         i,
-                        self.policy,
                         self.admit_window,
                         backlogs[i],
                         self._serve_worker_inboxes[i],
@@ -1034,10 +1024,7 @@ class TuningWorkerPool:
         database = TuningDatabase()
         database.apply(self._serve_exchange)
         runner = _ShardRunner(
-            policy=self.policy,
-            admit_window=self.admit_window,
-            database=database,
-            obs=self.obs,
+            admit_window=self.admit_window, database=database, obs=self.obs
         )
         for ticket in sorted(
             t for t, (s, _) in self._serve_tickets.items() if s == shard

@@ -10,9 +10,10 @@ fields, the request itself is the coalescing key: two requests compare equal
 exactly when running their tuner directly would produce bit-identical
 results, so the service can safely answer both from one tuning run.
 
-The only non-identity field is ``deadline`` — pure scheduling metadata for
-deadline-aware policies (see :mod:`repro.service.policy`); two requests that
-differ only in urgency still coalesce onto one run.
+The only non-identity field is ``deadline`` — admission metadata: a
+request whose deadline has already passed is rejected at submit
+(``DEADLINE_EXPIRED``); two requests that differ only in deadline still
+coalesce onto one run.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class TuningRequest:
     producing tuner's name).  ``noise`` and ``noise_seed`` are the executor's
     measurement conditions — requests measured under different conditions
     never coalesce because their times would not be comparable.  ``deadline``
-    (optional, smaller = more urgent) is scheduling metadata only: it is
+    (optional) is admission metadata only: a submit after it, on the
+    service's or daemon's clock, is rejected (``DEADLINE_EXPIRED``).  It is
     excluded from equality/hash, so identical requests with different
     deadlines still coalesce.
     """

@@ -23,19 +23,14 @@ remove the redundancy a naive per-request loop would pay:
    run carries every future waiting on it, so N concurrent requests for the
    same search cost exactly one run.
 3. **Cross-request measurement batching** — every scheduling round
-   (:meth:`TuningService.step`) collects the next proposal batch of each
-   *scheduled* tuning session, lowers each with its own
+   (:meth:`TuningService.step`) collects the next proposal batch of every
+   active tuning session, lowers each with its own
    :meth:`~repro.core.autotune.config.Measurer.prepare_batch`, and packs all
    slices that share a device and measurement conditions into one
    :meth:`~repro.gpusim.executor.GPUExecutor.run_batch_groups` call, keeping
    the vectorised executor's batches full even when individual requests
    propose small batches (a sequential SA chain proposes one configuration
    per round — packed with its neighbours it still rides full batches).
-
-Which sessions are scheduled each round is a pluggable
-:class:`~repro.service.policy.SchedulingPolicy` — uniform rounds (default),
-budget-weighted fair share, or earliest-deadline-first — that controls
-fairness and latency only, never trajectories.
 
 Results are **bit-identical** to driving each request's tuner directly
 (:meth:`~repro.service.request.TuningRequest.tune_direct`): sessions own all
@@ -55,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.autotune.config import Measurer
 from ..core.autotune.database import TuningDatabase, TuningRecord
@@ -63,7 +58,6 @@ from ..core.autotune.session import Tuner, TuningResult, TuningSession
 from ..obs import (
     FILL_RATIO_BOUNDS,
     GROUP_COUNT_BOUNDS,
-    LATENCY_BOUNDS,
     NULL_OBS,
     BATCH_SIZE_BOUNDS,
     MetricsRegistry,
@@ -72,7 +66,6 @@ from ..obs import (
 )
 from .errors import DeadlineExpired, RequestCancelled
 from .futures import TuningFuture
-from .policy import SchedulingPolicy, make_policy
 from .request import TuningRequest
 
 __all__ = ["ServiceStats", "TuningService"]
@@ -149,29 +142,23 @@ class TuningService:
     :meth:`terminate` are the serving contract the daemon drives, shared
     with :class:`~repro.service.pool.TuningWorkerPool`.
 
-    ``policy`` picks which active runs propose each round (see
-    :mod:`repro.service.policy`); pass an instance or a registry name
-    (``"uniform"``, ``"fair_share"``, ``"edf"``).
-
     ``obs`` is an optional :class:`~repro.obs.Observability` bundle.  The
     accounting behind :attr:`stats` is always live (a private registry of
     thread-safe counters — that is what makes :attr:`stats` reads race-free);
-    ``obs`` only adds the extras: packing histograms, per-policy pick
-    latency, spans, and database/measurer/engine telemetry.  Observability
-    is write-only — it never touches session RNG or database state, so
-    trajectories stay bit-identical with it enabled or disabled.
+    ``obs`` only adds the extras: packing histograms, spans, and
+    database/measurer/engine telemetry.  Observability is write-only — it
+    never touches session RNG or database state, so trajectories stay
+    bit-identical with it enabled or disabled.
     """
 
     def __init__(
         self,
         database: Optional[TuningDatabase] = None,
-        policy: Union[str, SchedulingPolicy, None] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         #: shared across all requests; pruned-domain results are stored here
         #: and repeat requests are answered from it.
         self.database = database if database is not None else TuningDatabase()
-        self.policy = make_policy(policy)
         self.obs = obs if obs is not None else NULL_OBS
         # Always-live accounting registry: one counter per ServiceStats
         # field, pre-bound so the scheduling hot paths pay one attribute
@@ -197,9 +184,6 @@ class TuningService:
         )
         self._h_call_sessions = reg.histogram(
             "service.pack.sessions_per_call", GROUP_COUNT_BOUNDS
-        )
-        self._h_policy_select = reg.histogram(
-            f"service.policy.{self.policy.name}.select_seconds", LATENCY_BOUNDS
         )
         self._tracer = self.obs.tracer
         self._clock = self.obs.clock
@@ -339,10 +323,10 @@ class TuningService:
     def step(self) -> bool:
         """Run one scheduling round; returns False once no work remains.
 
-        A round asks the :attr:`policy` which active sessions to schedule,
-        collects those sessions' next proposal batches, finalises the ones
-        that are done, and executes everyone else's lowered slices grouped
-        per ``(GPU, noise conditions)`` through single packed executor calls.
+        A round collects every active session's next proposal batch,
+        finalises the sessions that are done, and executes everyone else's
+        lowered slices grouped per ``(GPU, noise conditions)`` through
+        single packed executor calls.
         """
         with self._lock:
             if not self._runs:
@@ -350,25 +334,9 @@ class TuningService:
             self._c_rounds.inc()
             runs = list(self._runs.values())
             with self._tracer.span("service.step", active=len(runs)):
-                # Phase 0: the policy picks this round's runs.  Deduplicate,
-                # drop anything the policy invented, and never accept an empty
-                # selection — a policy bug must not stall the service.
-                active = {id(run): run for run in runs}
-                selected: List[_ActiveRun] = []
-                seen: set = set()
-                select_start = self._clock.now()
-                picked = self.policy.select(list(runs))
-                self._h_policy_select.observe(self._clock.now() - select_start)
-                for run in picked:
-                    if id(run) in active and id(run) not in seen:
-                        seen.add(id(run))
-                        selected.append(run)
-                if not selected:
-                    selected = runs
-
                 # Phase 1: collect proposals; finalise finished sessions.
                 work: List[Tuple[_ActiveRun, list, object]] = []
-                for run in selected:
+                for run in runs:
                     try:
                         configs = run.session.propose()
                         if not configs:
@@ -529,7 +497,6 @@ class TuningService:
             return {
                 "kind": "TuningService",
                 "active": self.num_active,
-                "policy": self.policy.name,
                 "stats": dataclasses.asdict(self.stats),
                 "database": self.database.describe(),
             }

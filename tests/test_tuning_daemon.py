@@ -172,7 +172,7 @@ class TestWireCodecs:
         assert request_from_wire(wire).deadline == 9.5
 
     def test_request_id_excludes_deadline(self):
-        # deadline is compare=False scheduling metadata: same key, so a
+        # deadline is compare=False admission metadata: same key, so a
         # retried submit with a refreshed deadline coalesces, not duplicates.
         assert request_id(_request(deadline=None)) == request_id(_request(deadline=5.0))
         assert request_id(_request(seed=0)) != request_id(_request(seed=1))
@@ -309,6 +309,21 @@ class TestProtocol:
         )
         assert reply["ok"] is False
         assert reply["error"]["code"] == "BAD_REQUEST"
+
+    @pytest.mark.parametrize("timeout", ["soon", [1], {}, float("nan")])
+    def test_submit_rejects_malformed_timeout(self, tmp_path, timeout):
+        # Regression: the first three raised out of handle() instead of
+        # being answered, and a NaN passed the `<= 0` check and its run
+        # never expired.  Either way nothing may be journaled.
+        daemon = TuningDaemon(tmp_path / "j.log")
+        request = _request()
+        reply = daemon.handle(
+            {"op": "submit", "request": request_to_wire(request), "timeout": timeout}
+        )
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "BAD_REQUEST"
+        assert daemon.journal.get(request_id(request)) is None
+        assert daemon.stats.accepted == 0
 
 
 # -- admission control ---------------------------------------------------- #
@@ -1254,6 +1269,29 @@ class TestSocketServerRobustness:
         finally:
             server.stop()
             daemon.close()
+
+    def test_malformed_timeout_is_answered_on_the_same_connection(
+        self, tmp_path, monkeypatch
+    ):
+        # Regression: a timeout that float() rejects raised in the
+        # connection thread, which died without writing a reply line.
+        entered = _count_connections(monkeypatch)
+        path, daemon, server = self._serving(tmp_path)
+        transport = SocketTransport(path, timeout=5.0)
+        try:
+            wire = request_to_wire(_request())
+            for timeout in ("soon", [1], {}, float("nan")):
+                reply = transport.call(
+                    {"op": "submit", "request": wire, "timeout": timeout}
+                )
+                assert reply["error"]["code"] == "BAD_REQUEST"
+            assert transport.call({"op": "ping"})["pong"] is True
+            assert daemon.stats.accepted == 0
+        finally:
+            transport.close()
+            server.stop()
+            daemon.close()
+        assert len(entered) == 1
 
     def test_slow_client_split_op_is_served(self, tmp_path):
         path, daemon, server = self._serving(tmp_path)

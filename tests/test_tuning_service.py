@@ -45,6 +45,25 @@ def _trajectory(result):
     return [(t.config.key(), t.time_seconds) for t in result.trials]
 
 
+def _sa_request(budget, seed, deadline=None):
+    """A deterministic one-measurement-per-round session (no patience exit)."""
+    return _request(
+        budget=budget,
+        seed=seed,
+        pruned=False,
+        tuner="simulated_annealing",
+        deadline=deadline,
+    )
+
+
+def _measured(service, future):
+    """Measurements taken so far by the run answering ``future``."""
+    run = service._runs.get(future.request)
+    if run is None:
+        return None  # already finalised
+    return run.session.result.num_measurements
+
+
 class TestTuningSession:
     def test_session_drive_matches_tune(self):
         request = _request()
@@ -140,7 +159,7 @@ class TestCoalescing:
         service = TuningService()
         assert not service.in_flight(request)
         service.submit(request)
-        # The deadline is scheduling metadata: the same request still joins.
+        # The deadline is admission metadata: the same request still joins.
         assert service.in_flight(_request(deadline=5.0))
         assert not service.in_flight(_request(seed=2))
         service.drain()
@@ -158,6 +177,23 @@ class TestCoalescing:
         assert not service.in_flight(request)
         assert service.num_active == 0
         assert not service.step()
+
+
+class TestRounds:
+    def test_uniform_is_not_proportional(self):
+        # The round contract: one step() advances every active run by one
+        # proposal batch, whatever its budget, so a big and a small request
+        # progress in lockstep and the big one is nowhere near proportional
+        # progress when the small one finishes.
+        service = TuningService()
+        big = service.submit(_sa_request(budget=40, seed=1))
+        small = service.submit(_sa_request(budget=10, seed=2))
+        service.step()
+        assert _measured(service, big) == _measured(service, small) == 1
+        while not small.done():
+            service.step()
+        assert _measured(service, big) <= 12
+        service.drain()
 
 
 class TestCancellation:
@@ -182,6 +218,80 @@ class TestCancellation:
         # a second cancel finds nothing to cancel.
         assert not service.step()
         assert not service.cancel(request)
+
+
+class TestDeadlineExpiredAtSubmit:
+    """Regression: an already-passed deadline is a typed up-front
+    rejection, never an admit-then-time-out."""
+
+    def _service(self, now):
+        from repro.obs import FakeClock, Observability
+
+        clock = FakeClock(now)
+        return TuningService(obs=Observability(enabled=True, clock=clock))
+
+    def test_expired_deadline_rejected_up_front(self):
+        from repro.service import DeadlineExpired
+
+        service = self._service(now=10.0)
+        with pytest.raises(DeadlineExpired, match="already passed"):
+            service.submit(_sa_request(budget=4, seed=0, deadline=5.0))
+        # Never admitted: no active run, no request accounted, nothing to
+        # time out later.
+        assert service.num_active == 0
+        assert service.stats.requests == 0
+
+    def test_future_deadline_still_admitted(self):
+        service = self._service(now=10.0)
+        future = service.submit(_sa_request(budget=4, seed=0, deadline=15.0))
+        service.drain()
+        assert future.result().num_measurements == 4
+
+    def test_null_clock_keeps_legacy_deadline_semantics(self):
+        # Without an injected clock the service clock reads 0.0 forever, so
+        # no positive deadline ever passes: the request is admitted and runs
+        # to completion.
+        service = TuningService()
+        future = service.submit(_sa_request(budget=4, seed=0, deadline=1.0))
+        service.drain()
+        assert future.result().num_measurements == 4
+
+
+class TestCancel:
+    def test_cancel_answers_all_futures_with_typed_error(self):
+        from repro.service import RequestTimeout
+
+        service = TuningService()
+        request = _sa_request(budget=50, seed=3)
+        primary = service.submit(request)
+        duplicate = service.submit(_sa_request(budget=50, seed=3))
+        service.step()
+        assert service.cancel(request, RequestTimeout("took too long"))
+        for future in (primary, duplicate):
+            with pytest.raises(RequestTimeout):
+                future.result(timeout=0)
+        # The run is retired: nothing active, and a re-cancel finds nothing.
+        assert service.num_active == 0
+        assert not service.cancel(request)
+        # Default exception type.
+        again = service.submit(_sa_request(budget=50, seed=4))
+        assert service.cancel(again.request)
+        with pytest.raises(RequestCancelled):
+            again.result(timeout=0)
+
+    def test_cancel_accounts_partial_measurements(self):
+        service = TuningService()
+        request = _sa_request(budget=50, seed=5)
+        service.submit(request)
+        for _ in range(3):
+            service.step()
+        partial = service._runs[request].measurer.num_measurements
+        assert partial > 0
+        assert service.cancel(request)
+        # The partial work done before the cancel is accounted exactly like a
+        # failed run's: the service-side measurement count, no more, no less.
+        assert service.stats.measurements == partial
+        assert service.stats.completed_runs == 1
 
 
 class TestBitIdentity:
