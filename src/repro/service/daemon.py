@@ -65,6 +65,7 @@ everything the wrapped backend exports.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -380,11 +381,13 @@ class TuningDaemon:
         timeout = op.get("timeout")
         if timeout is not None:
             try:
+                if isinstance(timeout, bool):  # float(True) would be a 1 s timeout
+                    raise TypeError(timeout)
                 timeout = float(timeout)
             except (TypeError, ValueError, OverflowError):
                 raise BadRequest(f"timeout must be a number, got {timeout!r}") from None
-            if not timeout > 0.0:  # NaN too: it would never expire
-                raise BadRequest(f"timeout must be > 0, got {timeout}")
+            if not 0.0 < timeout < math.inf:  # NaN and inf would never expire
+                raise BadRequest(f"timeout must be finite and > 0, got {timeout}")
         rid = self.submit(request, timeout=timeout)
         with self._lock:
             entry = self.journal.get(rid)

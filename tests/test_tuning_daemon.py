@@ -310,11 +310,14 @@ class TestProtocol:
         assert reply["ok"] is False
         assert reply["error"]["code"] == "BAD_REQUEST"
 
-    @pytest.mark.parametrize("timeout", ["soon", [1], {}, float("nan")])
+    @pytest.mark.parametrize(
+        "timeout", ["soon", [1], {}, float("nan"), True, False, float("inf")]
+    )
     def test_submit_rejects_malformed_timeout(self, tmp_path, timeout):
         # Regression: the first three raised out of handle() instead of
-        # being answered, and a NaN passed the `<= 0` check and its run
-        # never expired.  Either way nothing may be journaled.
+        # being answered, a NaN or an infinity passed the `<= 0` check and
+        # its run never expired, and `true` passed float() as a 1 s
+        # timeout.  Either way nothing may be journaled.
         daemon = TuningDaemon(tmp_path / "j.log")
         request = _request()
         reply = daemon.handle(
@@ -324,6 +327,18 @@ class TestProtocol:
         assert reply["error"]["code"] == "BAD_REQUEST"
         assert daemon.journal.get(request_id(request)) is None
         assert daemon.stats.accepted == 0
+
+    def test_each_fake_call_ticks_the_daemon_once_before_its_op(self, tmp_path):
+        # A client polling over FakeTransport drives the daemon: the submit's
+        # own tick runs before the request is admitted, and every later call
+        # runs exactly one scheduling round.
+        daemon = TuningDaemon(tmp_path / "j.log")
+        transport = FakeTransport(daemon)
+        transport.call({"op": "submit", "request": request_to_wire(_sa_request())})
+        assert daemon.backend.stats.rounds == 0
+        for calls in range(1, 4):
+            assert transport.call({"op": "ping"})["pong"] is True
+            assert daemon.backend.stats.rounds == calls
 
 
 # -- admission control ---------------------------------------------------- #
@@ -1280,7 +1295,7 @@ class TestSocketServerRobustness:
         transport = SocketTransport(path, timeout=5.0)
         try:
             wire = request_to_wire(_request())
-            for timeout in ("soon", [1], {}, float("nan")):
+            for timeout in ("soon", [1], {}, float("nan"), True, float("inf")):
                 reply = transport.call(
                     {"op": "submit", "request": wire, "timeout": timeout}
                 )

@@ -178,6 +178,18 @@ class TestCoalescing:
         assert service.num_active == 0
         assert not service.step()
 
+    def test_deadline_is_not_part_of_the_coalescing_key(self):
+        # Identical searches with different deadlines share one run: the
+        # deadline only decides admission.
+        service = TuningService()
+        first = service.submit(_sa_request(budget=12, seed=1, deadline=1.0))
+        second = service.submit(_sa_request(budget=12, seed=1, deadline=9.0))
+        assert second.coalesced
+        assert service.stats.coalesced == 1
+        assert service.stats.tuning_runs == 1
+        service.drain()
+        assert _trajectory(second.result()) == _trajectory(first.result())
+
 
 class TestRounds:
     def test_uniform_is_not_proportional(self):
@@ -194,6 +206,54 @@ class TestRounds:
             service.step()
         assert _measured(service, big) <= 12
         service.drain()
+
+    def test_equal_budgets_round_robin_in_lockstep(self):
+        service = TuningService()
+        a = service.submit(_sa_request(budget=12, seed=1))
+        b = service.submit(_sa_request(budget=12, seed=2))
+        service.step()
+        assert _measured(service, a) == _measured(service, b) == 1
+        service.drain()
+        assert a.result().num_measurements == b.result().num_measurements == 12
+
+    def test_deadline_does_not_reorder_rounds(self):
+        # A deadline is admission metadata, not priority: an urgent run and
+        # one without a deadline both measure in every round.
+        service = TuningService()
+        background = service.submit(_sa_request(budget=16, seed=1))
+        urgent = service.submit(_sa_request(budget=16, seed=2, deadline=1.0))
+        for rounds in range(1, 4):
+            service.step()
+            assert _measured(service, background) == rounds
+            assert _measured(service, urgent) == rounds
+        service.drain()
+
+    def test_deadlines_do_not_order_completion(self):
+        # Equal budgets finish in the same round whatever their deadlines.
+        service = TuningService()
+        later = service.submit(_sa_request(budget=12, seed=1, deadline=5.0))
+        sooner = service.submit(_sa_request(budget=12, seed=2, deadline=2.0))
+        while not sooner.done():
+            assert not later.done()
+            service.step()
+        assert later.done()
+
+    def test_step_records_no_selection_metric(self):
+        # A round has no selection phase, so it times none.
+        from repro.obs import FakeClock, Observability
+
+        obs = Observability(enabled=True, clock=FakeClock())
+        service = TuningService(obs=obs)
+        service.tune([_sa_request(budget=8, seed=1), _request(LAYER)])
+        snap = obs.snapshot()
+        names = set(snap.counters) | set(snap.gauges) | set(snap.histograms)
+        assert "service.pack.fill_ratio" in names
+        assert not [name for name in names if name.startswith("service.policy")]
+
+    def test_describe_reports_no_policy(self):
+        service = TuningService()
+        service.tune([_sa_request(budget=4, seed=1)])
+        assert set(service.describe()) == {"kind", "active", "stats", "database"}
 
 
 class TestCancellation:
@@ -313,6 +373,11 @@ class TestBitIdentity:
         # Primary runs reproduce the full trajectory, not just the optimum.
         assert _trajectory(results[0]) == _trajectory(_direct(requests[0])[0])
         assert _trajectory(results[1]) == _trajectory(_direct(requests[1])[0])
+
+    def test_deadlined_request_matches_direct_tuning(self):
+        request = _sa_request(budget=16, seed=5, deadline=1.0)
+        result = TuningService().tune([_sa_request(budget=16, seed=6), request])[1]
+        assert _trajectory(result) == _trajectory(request.tune_direct())
 
     def test_cross_request_packing_is_accounted(self):
         requests = [_request(SMALL), _request(LAYER), _request(THIRD)]
@@ -481,6 +546,19 @@ class TestWorkerPool:
 
     def test_empty_workload(self):
         assert TuningWorkerPool().tune([]) == []
+
+    def test_serving_shard_advances_every_admitted_run_each_step(self):
+        # A shard's service keeps the one round rule: every run inside the
+        # admission window measures in every step, and the rest wait.
+        pool = TuningWorkerPool(num_workers=1, admit_window=2, use_processes=False)
+        pool.start()
+        futures = [pool.submit(_sa_request(budget=10, seed=s)) for s in (1, 2, 3)]
+        for rounds in range(1, 4):
+            pool.step()
+            service = pool._serve_runners[0].service
+            assert [_measured(service, f) for f in futures] == [rounds, rounds, None]
+        pool.stop()
+        assert [f.result().num_measurements for f in futures] == [10, 10, 10]
 
     def test_caller_database_serves_covered_requests(self):
         # The pool must honour the caller's database exactly like the
