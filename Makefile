@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint reprolint stress daemonize-smoke digest bench bench-batched bench-service bench-explorer bench-cost-model bench-store bench-daemon bench-paper bench-e2e-selftest compare-bench
+.PHONY: test lint reprolint stress daemonize-smoke digest e2e-pairs bench bench-batched bench-service bench-explorer bench-cost-model bench-store bench-daemon bench-paper bench-e2e-selftest compare-bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -89,3 +89,16 @@ bench-e2e-selftest:
 # (exit non-zero on regressions beyond the tolerance; CI runs it as a hard gate).
 compare-bench:
 	$(PYTHON) benchmarks/compare_bench.py --bench-dir .
+
+# Alternating parent/change pairs of the end-to-end benchmark, then
+# `run.py compare` (tools/e2e_pairs.py; ~80 s per pair and workload).  The
+# parent is a git revision exported into its own tree, the change is this
+# working tree: PARENT=HEAD compares uncommitted work with the last commit.
+# Outputs go to E2E_PAIRS_OUT, which must not exist yet.
+PARENT ?= HEAD
+PAIRS ?= 10
+SEED ?= 970
+E2E_PAIRS_OUT ?= e2e-pairs
+e2e-pairs:
+	$(PYTHON) tools/e2e_pairs.py --parent $(PARENT) --pairs $(PAIRS) --seed $(SEED) \
+		--out $(E2E_PAIRS_OUT) $(foreach w,$(WORKLOAD),--workload $(w))

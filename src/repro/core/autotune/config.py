@@ -146,6 +146,24 @@ class Configuration:
         d["layout"] = self.layout.value
         return d
 
+    @classmethod
+    def from_dict(cls, d: Dict[str, object]) -> "Configuration":
+        """The validated inverse of :meth:`as_dict`.
+
+        Accepts and rejects exactly what ``Configuration(**d)`` does.  A
+        dict holding every field (what ``as_dict`` writes) is filled by one
+        dict update instead of the frozen ``__init__``'s per-field
+        ``object.__setattr__``, then checked by ``__post_init__`` as the
+        constructor checks it; anything else goes through the constructor.
+        Every result and record decode builds one configuration per trial."""
+        if type(d) is not dict or d.keys() != _CONFIG_FIELDS.keys():
+            return cls(**d)
+        config = object.__new__(cls)
+        config.__dict__.update(_CONFIG_FIELDS)  # declaration order
+        config.__dict__.update(d)
+        config.__post_init__()
+        return config
+
     def describe(self) -> str:
         base = (
             f"{self.algorithm}[tile={self.tile_x}x{self.tile_y}x{self.tile_z}, "
@@ -156,6 +174,10 @@ class Configuration:
             base += f", e={self.e}"
         return base + "]"
 
+
+#: Configuration's field names in declaration order: the keys
+#: Configuration.from_dict takes without the constructor.
+_CONFIG_FIELDS: Dict[str, None] = dict.fromkeys(f.name for f in dataclasses.fields(Configuration))
 
 #: code tables shared by every structure-of-arrays consumer.  The codes are
 #: positions in the canonical option tuples, so ``ConfigArray`` round-trips

@@ -215,7 +215,7 @@ class TuningRecord:
             params=_params_from_dict(d["params"]),
             gpu=str(d["gpu"]),
             algorithm=str(d["algorithm"]),
-            config=Configuration(**d["config"]),
+            config=Configuration.from_dict(d["config"]),
             time_seconds=float(d["time_seconds"]),
             gflops=float(d["gflops"]),
             tuner=str(d.get("tuner", "ate")),
@@ -313,12 +313,17 @@ def _atomic_write_json(path: str, payload: dict, fsync: bool = False) -> str:
     )
 
 
-def _check_format(payload: object, path: Union[str, os.PathLike], kind: str) -> dict:
+def _check_format(
+    payload: object,
+    path: Union[str, os.PathLike],
+    kind: str,
+    newest: int = FORMAT_VERSION,
+) -> dict:
     """Validate a store file header/payload; raise naming the problem.
 
-    Enforces the satellite fix for forward compatibility: a file stamped
-    with a *newer* ``"format"`` raises :class:`TuningDatabaseError` naming
-    the format version (never a bare ``KeyError``), so a downgrade is
+    Enforces forward compatibility: a file stamped with a ``"format"``
+    newer than ``newest`` raises :class:`TuningDatabaseError` naming the
+    format version (never a bare ``KeyError``), so a downgrade is
     diagnosed instead of crashing or clobbering newer data.
     """
     name = os.fspath(path)
@@ -332,10 +337,10 @@ def _check_format(payload: object, path: Union[str, os.PathLike], kind: str) -> 
         raise TuningDatabaseError(
             f"{name!r}: record-store format marker {fmt!r} is not an integer"
         )
-    if fmt > FORMAT_VERSION:
+    if fmt > newest:
         raise TuningDatabaseError(
             f"{name!r}: record-store format {fmt} is newer than this build "
-            f"supports (format {FORMAT_VERSION}); read it with the build that "
+            f"supports (format {newest}); read it with the build that "
             "wrote it, or export it to the older format there"
         )
     found = payload.get("kind", "map")  # pre-kind files are all map files
@@ -356,9 +361,12 @@ class AppendLog:
 
     The file work behind the tuning database on a path and the daemon's
     request journal, each of which is a fold over it.  On disk, ``path``
-    holds an atomically installed header line ``{"format": 1, "kind":
-    <kind>, ...}`` followed by one JSON object per line, and ``path +
-    ".snap"`` holds the compaction snapshot (kind ``<kind>-snapshot``).
+    holds an atomically installed header line ``{"format": <version>,
+    "kind": <kind>, ...}`` followed by one JSON object per line, and
+    ``path + ".snap"`` holds the compaction snapshot (kind
+    ``<kind>-snapshot``).  Both are stamped with ``format_version``
+    (:data:`FORMAT_VERSION` unless the owner bumps its own), and recovery
+    refuses a newer one; an older one is the owner's to read.
 
     * **Appends** write one line, flushed always and fsync'd when
       ``fsync_appends`` is set.  A failed append is cut back off the file,
@@ -377,11 +385,16 @@ class AppendLog:
     """
 
     def __init__(
-        self, path: Union[str, os.PathLike], kind: str, fsync_appends: bool = False
+        self,
+        path: Union[str, os.PathLike],
+        kind: str,
+        fsync_appends: bool = False,
+        format_version: int = FORMAT_VERSION,
     ) -> None:
         self.path = os.fspath(path)
         self.snapshot_path = self.path + ".snap"
         self.kind = kind
+        self.format_version = int(format_version)
         self._fsync_appends = bool(fsync_appends)
         self._file: Optional[IO[str]] = None
         self.lines = 0
@@ -436,7 +449,7 @@ class AppendLog:
           the *old* log; later appends extend it, replay only over-delivers.
         """
         fh = self._open_file()
-        body = {"format": FORMAT_VERSION, "kind": f"{self.kind}-snapshot", **payload}
+        body = {"format": self.format_version, "kind": f"{self.kind}-snapshot", **payload}
         # One unindented dumps: CPython's C encoder, which an indent (or
         # json.dump) never reaches.  Recovery reads either layout.
         text = json.dumps(body, sort_keys=True)
@@ -452,7 +465,7 @@ class AppendLog:
     def _install_header(self, fields: Dict[str, object]) -> Dict[str, object]:
         """Atomically install a header-only log, so a half-written header
         can never exist on disk."""
-        header = {"format": FORMAT_VERSION, "kind": self.kind, **fields}
+        header = {"format": self.format_version, "kind": self.kind, **fields}
         line = json.dumps(header, sort_keys=True) + "\n"
         _atomic_write(self.path, lambda fh: fh.write(line), fsync=True)
         return header
@@ -493,7 +506,9 @@ class AppendLog:
                     f"{name!r} is not a valid {self.kind} snapshot (it is written "
                     f"atomically, so this is corruption, not a crash): {exc}"
                 ) from exc
-        payload = _check_format(payload, name, kind=f"{self.kind}-snapshot")
+        payload = _check_format(
+            payload, name, kind=f"{self.kind}-snapshot", newest=self.format_version
+        )
         try:
             fold(payload)
         except TuningDatabaseError:
@@ -514,7 +529,7 @@ class AppendLog:
                 f"{name!r} has an undecodable {self.kind} header (the header is "
                 f"installed atomically, so this is not a crash artifact): {exc}"
             ) from exc
-        _check_format(header, name, kind=self.kind)
+        _check_format(header, name, kind=self.kind, newest=self.format_version)
         for index, line in enumerate(lines[1:], start=2):
             try:
                 entry = json.loads(line)

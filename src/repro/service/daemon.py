@@ -65,6 +65,7 @@ everything the wrapped backend exports.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 import threading
@@ -92,7 +93,7 @@ from .errors import (
     as_request_error,
     error_from_wire,
 )
-from .frontend import PROTOCOL_VERSION
+from .frontend import PROTOCOL_VERSION, RawJSON
 from .futures import TuningFuture
 from .journal import (
     RequestJournal,
@@ -351,7 +352,10 @@ class TuningDaemon:
 
         Typed :class:`~repro.service.errors.RequestError` rejections become
         ``{"ok": false, "error": {...}}`` replies — the daemon never raises
-        at a transport and never leaves an op unanswered.
+        at a transport and never leaves an op unanswered.  A ``result``
+        reply carries the journaled result as its
+        :class:`~repro.service.frontend.RawJSON` text, which ``encode_line``
+        sends as the result object it encodes.
         """
         try:
             if not isinstance(op, dict):
@@ -418,7 +422,12 @@ class TuningDaemon:
             if entry is None:
                 raise UnknownRequest(f"no journaled request {rid!r}")
             if entry.status == "done":
-                return {"ok": True, "rid": rid, "state": "done", "result": entry.result}
+                return {
+                    "ok": True,
+                    "rid": rid,
+                    "state": "done",
+                    "result": RawJSON(entry.result),
+                }
             if entry.status == "failed":
                 raise _error_from_entry(entry.error)
             raise NotReady(
@@ -537,7 +546,7 @@ class TuningDaemon:
         """The journaled result wire payload for a done request (raises the
         journaled typed error for failed, ``NotReady`` for in-flight)."""
         reply = self._op_result({"op": "result", "rid": rid})
-        return dict(reply["result"])
+        return json.loads(reply["result"])
 
     # -- progress -------------------------------------------------------- #
     def tick(self) -> bool:

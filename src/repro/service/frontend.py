@@ -51,6 +51,7 @@ __all__ = [
     "DaemonClient",
     "DaemonSocketServer",
     "FakeTransport",
+    "RawJSON",
     "SocketTransport",
     "decode_line",
     "encode_line",
@@ -64,9 +65,31 @@ _MAX_LINE_BYTES = 16 * 1024 * 1024
 _IDLE_SLEEP = 0.002
 
 
+class RawJSON(str):
+    """JSON text that :func:`encode_line` writes as is, not as a string.
+
+    For a value encoded once, canonically (``json.dumps(value,
+    sort_keys=True)``), and sent many times, as the daemon re-serves a
+    journaled result: the line is byte for byte the one ``encode_line``
+    writes for the decoded value."""
+
+    __slots__ = ()
+
+
 def encode_line(payload: Dict[str, object]) -> bytes:
-    """One wire line: canonical (sorted-keys) JSON + newline."""
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    """One wire line: canonical (sorted-keys) JSON + newline.
+
+    A top-level :class:`RawJSON` value is spliced in verbatim, between the
+    same separators ``json.dumps`` puts around an encoded one."""
+    if not any(isinstance(value, RawJSON) for value in payload.values()):
+        return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    fields = ", ".join(
+        json.dumps(key)
+        + ": "
+        + (value if isinstance(value, RawJSON) else json.dumps(value, sort_keys=True))
+        for key, value in sorted(payload.items())
+    )
+    return ("{" + fields + "}\n").encode("utf-8")
 
 
 def decode_line(line: bytes) -> Dict[str, object]:
@@ -493,7 +516,7 @@ class DaemonClient:
                     f"request {rid} not ready after {self.poll_attempts} polls"
                 ) from error
             raise
-        return result_from_wire(dict(reply["result"]))
+        return result_from_wire(reply["result"])
 
     def submit_and_wait(
         self, request: TuningRequest, *, timeout: Optional[float] = None

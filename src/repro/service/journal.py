@@ -16,6 +16,15 @@ that fails is counted and retried at the next append; it never fails the
 event whose line is already written.  The log owns flushing, fsync, the
 crash windows and the torn-tail rule.
 
+A result is encoded once, by :meth:`RequestJournal.complete`: canonical
+JSON text (``sort_keys``, as the wire's ``encode_line``).  The done line
+and every snapshot carry that text as a JSON string, recovery reads it
+back as text, and the daemon splices it into every ``result`` reply, so
+no re-serve or compaction walks the result again.  That is journal format
+:data:`JOURNAL_FORMAT` (2); a format-1 journal, which held result objects,
+recovers and is rewritten in format 2 before anything is appended, so an
+older build refuses the journal by its format marker.
+
 The fold is **monotonic and idempotent**: ``accepted < running < terminal``,
 the first terminal event wins, and duplicate or stale events are no-ops —
 which is what makes "replay twice == replay once" hold and lets a restarted
@@ -54,6 +63,7 @@ from ..gpusim.spec import GPUSpec
 from .request import TuningRequest
 
 __all__ = [
+    "JOURNAL_FORMAT",
     "JournalEntry",
     "RequestJournal",
     "request_from_wire",
@@ -66,6 +76,8 @@ __all__ = [
 #: request states a journal entry may hold, in lifecycle order.
 _ORDER = {"accepted": 0, "running": 1, "done": 2, "failed": 2}
 _TERMINAL = ("done", "failed")
+#: the journal's on-disk format: 2 since done results are kept as text.
+JOURNAL_FORMAT = 2
 
 
 # -- wire codecs --------------------------------------------------------- #
@@ -73,11 +85,12 @@ def request_to_wire(request: TuningRequest) -> Dict[str, object]:
     """JSON-native form of a :class:`TuningRequest`, GPU spec inlined.
 
     The spec is serialized field-by-field (it is a frozen dataclass of
-    scalars), not by registry name, so a journal written against a custom
-    GPU model replays without that GPU being registered."""
+    scalars, so a shallow copy of its fields), not by registry name, so a
+    journal written against a custom GPU model replays without that GPU
+    being registered."""
     return {
         "params": _params_to_dict(request.params),
-        "spec": dataclasses.asdict(request.spec),
+        "spec": dict(request.spec.__dict__),
         "algorithm": request.algorithm,
         "max_measurements": request.max_measurements,
         "batch_size": request.batch_size,
@@ -170,7 +183,11 @@ def result_to_wire(result: TuningResult) -> Dict[str, object]:
 
 
 def result_from_wire(wire: Dict[str, object]) -> TuningResult:
-    """Inverse of :func:`result_to_wire`."""
+    """Inverse of :func:`result_to_wire`.
+
+    Each trial is built as :meth:`Configuration.from_dict` builds its
+    configuration: its fields filled in one dict update, not through the
+    frozen ``__init__`` (a client decodes one trial per measurement)."""
     result = TuningResult(
         tuner=str(wire["tuner"]),
         params=_params_from_dict(dict(wire["params"])),
@@ -180,18 +197,31 @@ def result_from_wire(wire: Dict[str, object]) -> TuningResult:
     )
     for t in wire.get("trials", []):
         time_seconds = t.get("time_seconds")
-        result.trials.append(
-            TrialRecord(
-                index=int(t["index"]),
-                config=Configuration(**t["config"]),
-                time_seconds=float("inf") if time_seconds is None else float(time_seconds),
-                gflops=float(t.get("gflops", 0.0)),
-            )
+        trial = object.__new__(TrialRecord)
+        trial.__dict__.update(
+            index=int(t["index"]),
+            config=Configuration.from_dict(t["config"]),
+            time_seconds=float("inf") if time_seconds is None else float(time_seconds),
+            gflops=float(t.get("gflops", 0.0)),
         )
+        result.trials.append(trial)
     return result
 
 
 # -- the journal --------------------------------------------------------- #
+def _result_text(result: object) -> Optional[str]:
+    """A journaled result as canonical JSON text: format 2's text as is, or
+    a format-1 result object encoded the way :meth:`RequestJournal.complete`
+    encodes one."""
+    if result is None or isinstance(result, str):
+        return result
+    if isinstance(result, dict):
+        return json.dumps(result, sort_keys=True)
+    raise TuningDatabaseError(
+        f"journaled result is {type(result).__name__}, expected text or an object"
+    )
+
+
 @dataclasses.dataclass
 class JournalEntry:
     """Folded state of one journaled request (one id, one promise)."""
@@ -199,7 +229,9 @@ class JournalEntry:
     rid: str
     request: Dict[str, object]
     status: str = "accepted"
-    result: Optional[Dict[str, object]] = None
+    #: a done request's result wire as canonical JSON text (see
+    #: :meth:`RequestJournal.complete`).
+    result: Optional[str] = None
     error: Optional[Dict[str, object]] = None
 
     @property
@@ -224,7 +256,7 @@ class JournalEntry:
             rid=str(d["rid"]),
             request=dict(d["request"]),
             status=status,
-            result=None if d.get("result") is None else dict(d["result"]),
+            result=_result_text(d.get("result")),
             error=None if d.get("error") is None else dict(d["error"]),
         )
 
@@ -247,7 +279,9 @@ class RequestJournal:
         fsync_appends: bool = False,
         snapshot_min_entries: int = 4096,
     ) -> None:
-        self._log = AppendLog(path, "journal", fsync_appends=fsync_appends)
+        self._log = AppendLog(
+            path, "journal", fsync_appends=fsync_appends, format_version=JOURNAL_FORMAT
+        )
         self.path = self._log.path
         self.snapshot_path = self._log.snapshot_path
         self._snapshot_min_entries = int(snapshot_min_entries)
@@ -281,7 +315,9 @@ class RequestJournal:
                 return None
             return JournalEntry(rid, entry.request, "running")
         if kind == "done":
-            return JournalEntry(rid, entry.request, "done", result=dict(event["result"]))
+            return JournalEntry(
+                rid, entry.request, "done", result=_result_text(event["result"])
+            )
         if kind == "failed":
             return JournalEntry(rid, entry.request, "failed", error=dict(event["error"]))
         raise TuningDatabaseError(
@@ -332,9 +368,13 @@ class RequestJournal:
             return self._append_locked({"event": "running", "rid": rid})
 
     def complete(self, rid: str, result_wire: Dict[str, object]) -> bool:
-        """Record the request's result; re-served bit-identically forever after."""
+        """Record the request's result; re-served bit-identically forever after.
+
+        The one encode of the result: the entry, the done line, every
+        snapshot and every re-serve carry this text."""
+        text = json.dumps(result_wire, sort_keys=True)
         with self._lock:
-            return self._append_locked({"event": "done", "rid": rid, "result": result_wire})
+            return self._append_locked({"event": "done", "rid": rid, "result": text})
 
     def fail(self, rid: str, error_wire: Dict[str, object]) -> bool:
         with self._lock:
@@ -398,7 +438,12 @@ class RequestJournal:
         the same state map (replay twice == replay once)."""
         with self._lock:
             self._entries = {}
-            self._log.recover(self._fold_snapshot_locked, self._fold_event_locked)
+            header = self._log.recover(self._fold_snapshot_locked, self._fold_event_locked)
+            if header.get("format", 1) < JOURNAL_FORMAT:
+                # An older build's journal: rewrite it in this format before
+                # a text result is appended, so that build refuses the
+                # journal by its format marker instead of misreading it.
+                self._snapshot_locked()
             self._recoveries += 1
             return len(self._entries)
 

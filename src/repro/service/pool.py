@@ -8,8 +8,8 @@ its own private :class:`~repro.core.autotune.database.TuningDatabase`.
 
 There is one execution path, the **serving session**:
 :meth:`~TuningWorkerPool.start` brings up the shard fleet with empty
-backlogs, :meth:`~TuningWorkerPool.submit` routes one request at a time to
-its shard and returns a per-request
+backlogs, :meth:`~TuningWorkerPool.submit` places one request at a time on
+a shard and returns a per-request
 :class:`~repro.service.futures.TuningFuture` immediately,
 :meth:`~TuningWorkerPool.step` pumps the fleet one round without blocking
 (drain streamed records and per-request completions, advance in-parent
@@ -20,12 +20,11 @@ between busy steps (until a worker's message arrives) and
 requests the caller's database covers are answered before any worker
 starts, the rest are placed round-robin over ``min(num_workers, distinct
 requests)`` shards that each start with their share as backlog, pumped
-until every future settles, and stopped.  Submits are placed by a
-stable hash of the request's idempotency digest instead
-(:func:`~repro.service.journal.request_id` — the coalescing key minus
-``deadline``), so identical rids always land in the same shard and
-coalesce there, across submits and restarts; Python's per-process salted
-``hash()`` could guarantee neither.
+until every future settles, and stopped.  A submit goes to the shard with
+the fewest open tickets (the lowest-numbered on a tie), so no request waits
+in a full shard's backlog while another shard has room; a request equal to
+one with an open ticket goes to that ticket's shard instead and coalesces
+there.
 
 The shards **stream**.  A shard advances one :meth:`_ShardRunner.round` at
 a time: inject the records other shards sent, run one scheduling round, and
@@ -115,7 +114,6 @@ from ..obs import (
 )
 from .errors import RequestCancelled, RequestFailed, as_request_error, error_from_wire
 from .futures import TuningFuture
-from .journal import request_id
 from .request import TuningRequest
 from .scheduler import ServiceStats, TuningService
 
@@ -168,18 +166,6 @@ class PoolStats:
             f"{self.poisoned_envelopes} poisoned), "
             f"{self.worker_failures} worker failures]"
         )
-
-
-def _shard_for_request(request: TuningRequest, num_shards: int) -> int:
-    """Submit-time shard assignment: a stable hash of the coalescing key.
-
-    Hashes the daemon's idempotency digest (:func:`request_id` — canonical
-    wire form minus ``deadline``), so identical rids always map to the same
-    shard and coalesce inside that shard's service, across submits,
-    restarts and processes.  Python's builtin ``hash()`` is salted per
-    process and would guarantee none of that.
-    """
-    return int(request_id(request)[:8], 16) % num_shards
 
 
 def _decode_envelope(wire: object) -> Optional[RecordEnvelope]:
@@ -767,10 +753,10 @@ class TuningWorkerPool:
 
         Pruned requests the shared database already covers are answered on
         the spot (``from_database``, zero measurements) exactly like
-        :meth:`TuningService.submit`; everything else is routed to its
-        rid-stable shard (:func:`_shard_for_request`), where identical
-        requests coalesce.  The future settles as :meth:`step` pumps the
-        fleet.
+        :meth:`TuningService.submit`.  Everything else goes to the shard of
+        an open ticket for an equal request, where the two coalesce, or else
+        to the shard with the fewest open tickets.  The future settles as
+        :meth:`step` pumps the fleet.
         """
         if not self._serving:
             raise RuntimeError("pool is not serving; call start() first")
@@ -782,7 +768,12 @@ class TuningWorkerPool:
             future.from_database = True
             future._set_result(record.as_result())
             return future
-        return self._enqueue(request, _shard_for_request(request, self._serve_shards))
+        load = [0] * self._serve_shards
+        for shard, ticketed in self._serve_tickets.values():
+            if ticketed == request:
+                return self._enqueue(request, shard)
+            load[shard] += 1
+        return self._enqueue(request, load.index(min(load)))
 
     def _enqueue(self, request: TuningRequest, shard: int) -> TuningFuture:
         """Ticket ``request`` onto a running ``shard``'s backlog."""

@@ -33,6 +33,7 @@ from repro.core.autotune import store
 from repro.core.autotune.store import FORMAT_VERSION
 from repro.gpusim import V100
 from repro.service import RequestJournal
+from repro.service.journal import JOURNAL_FORMAT
 
 LAYER = ConvParams.square(8, 16, 32, kernel=3, stride=1, padding=1)
 CONFIG = SearchSpace(LAYER, V100, "direct", pruned=True).random_configuration(
@@ -51,6 +52,7 @@ class StoreFold:
 
     name = "store"
     kind = "log"
+    format = FORMAT_VERSION
     fresh_header = b'{"format": 1, "kind": "log", "snapshot_revision": 0}\n'
     #: the store publishes a put before writing it (puts are not
     #: acknowledgements); the journal stores an event only once written.
@@ -97,7 +99,8 @@ JOURNAL_EVENTS = (
 class JournalFold:
     name = "journal"
     kind = "journal"
-    fresh_header = b'{"format": 1, "kind": "journal"}\n'
+    format = JOURNAL_FORMAT
+    fresh_header = b'{"format": 2, "kind": "journal"}\n'
     publishes_first = False
 
     def make(self, path, **kwargs):
@@ -291,7 +294,7 @@ def test_zero_byte_log_recovers_empty(fold, path, tmp_path):
 
 @pytest.mark.parametrize("target", ["header", "snapshot"])
 def test_newer_format_is_rejected_naming_it(fold, path, target):
-    newer = FORMAT_VERSION + 1
+    newer = fold.format + 1
     if target == "header":
         path.write_text(json.dumps({"format": newer, "kind": fold.kind}) + "\n")
     else:

@@ -1,6 +1,7 @@
 """Tests for configurations, search spaces and feature extraction."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -120,6 +121,120 @@ class TestConfiguration:
     def test_as_dict_roundtrip(self):
         c = _config(layout="CWH", unroll=8)
         assert Configuration(**c.as_dict()) == c
+
+
+#: a field value that stands for "leave the field out of the mapping".
+_ABSENT = object()
+
+
+def _verdict(build, d):
+    """What ``build(d)`` does: ``("ok", config)`` or ``("raises", type)``."""
+    try:
+        return "ok", build(d)
+    except Exception as exc:
+        return "raises", type(exc)
+
+
+def _assert_same_verdict(d):
+    """``Configuration.from_dict(d)`` does what ``Configuration(**d)`` does:
+    raises the same exception type, or returns an equal configuration with
+    an equal hash, equal fields and the fields in declaration order."""
+    direct = _verdict(lambda m: Configuration(**m), d)
+    decoded = _verdict(Configuration.from_dict, d)
+    if direct[0] == "raises":
+        assert decoded == direct, d
+        return
+    assert decoded[0] == "ok", (d, decoded)
+    expected, config = direct[1], decoded[1]
+    assert config == expected
+    assert hash(config) == hash(expected)
+    assert config.key() == expected.key()
+    assert list(vars(config).items()) == list(vars(expected).items())
+
+
+class TestConfigurationFromDict:
+    """``Configuration.from_dict`` is ``Configuration(**d)``, without the
+    frozen ``__init__`` for a dict of every field: it accepts and rejects
+    the same mappings."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"bogus": 1},
+            {"tile_x": _ABSENT},
+            {"algorithm": _ABSENT},
+            {"tile_x": 0},
+            {"tile_y": "3"},
+            {"threads_z": -1},
+            {"tile_z": 2.0},
+            {"algorithm": "fft"},
+            {"layout": "XYZ"},
+            {"layout": None},
+            {"layout": ["CHW"]},
+            {"unroll": 3},
+            {"unroll": "4"},
+            {"loop_order": "abc"},
+            {"smem_per_block": 0},
+            {"smem_per_block": "big"},
+            {"e": 0},
+        ],
+        ids=repr,
+    )
+    def test_rejects_what_the_constructor_rejects(self, change):
+        d = _config().as_dict()
+        for name, value in change.items():
+            if value is _ABSENT:
+                del d[name]
+            else:
+                d[name] = value
+        with pytest.raises(Exception) as direct:
+            Configuration(**d)
+        with pytest.raises(direct.type):
+            Configuration.from_dict(d)
+        _assert_same_verdict(d)
+
+    def test_defaults_fill_optional_fields(self):
+        d = _config(e=3).as_dict()
+        for name in ("layout", "smem_per_block", "unroll", "loop_order"):
+            del d[name]
+        _assert_same_verdict(d)
+        assert Configuration.from_dict(d).layout is Layout.CHW
+
+    def test_other_mappings_go_through_the_constructor(self):
+        d = _config().as_dict()
+        _assert_same_verdict(types.MappingProxyType(d))
+        _assert_same_verdict(list(d.items()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space=_spaces(),
+        rng=st.randoms(use_true_random=False),
+        drop=st.sets(st.sampled_from(("layout", "smem_per_block", "e", "unroll", "loop_order"))),
+        field=st.sampled_from(tuple(_config().as_dict())),
+        value=st.one_of(
+            st.just(_ABSENT),
+            st.integers(-2, 9),
+            st.booleans(),
+            st.floats(allow_nan=False),
+            st.text(max_size=3),
+            st.none(),
+            st.sampled_from(("direct", "winograd", "HWC", "zxy", Layout.CWH)),
+        ),
+    )
+    def test_same_verdict_over_sampled_spaces(self, space, rng, drop, field, value):
+        config = space.random_configuration(rng)
+        d = config.as_dict()
+        # A wire payload's key order (sorted), as a client decodes it.
+        _assert_same_verdict(dict(sorted(d.items())))
+        assert Configuration.from_dict(d) == config
+        for name in drop:
+            del d[name]
+        _assert_same_verdict(d)
+        if value is _ABSENT:
+            d.pop(field, None)
+        else:
+            d[field] = value
+        _assert_same_verdict(d)
 
 
 class TestBuildProfile:

@@ -766,15 +766,61 @@ class TestServingMode:
         pool.stop()
         assert not pool.serving
 
-    def test_shard_assignment_is_rid_stable(self):
-        # Equal requests always land in the same shard — across deadline
-        # variants (excluded from the rid) and across pool instances (no
-        # dependence on Python's per-process salted hash()).
-        for shards in (1, 2, 3, 7):
-            a = pool_module._shard_for_request(_request(A, seed=1), shards)
-            b = pool_module._shard_for_request(_request(A, seed=1, deadline=9.0), shards)
-            assert a == b
-            assert 0 <= a < shards
+    @staticmethod
+    def _open_shards(pool):
+        """Shard of every open ticket, in ticket order."""
+        return [shard for _, (shard, _) in sorted(pool._serve_tickets.items())]
+
+    def test_distinct_submits_split_evenly_and_all_admit_in_one_round(self):
+        # Two shards with an admission window of 4 each take 8 distinct
+        # requests in their first round: no request waits in a full
+        # shard's backlog while the other shard has room.
+        pool = TuningWorkerPool(num_workers=2, admit_window=4, use_processes=False)
+        pool.start()
+        requests = [_request(params, seed=seed) for params in (A, B) for seed in (1, 2, 3, 4)]
+        futures = [pool.submit(request) for request in requests]
+        assert self._open_shards(pool) == [0, 1] * 4
+        pool.step()
+        assert [len(runner.pending) for runner in pool._serve_runners.values()] == [0, 0]
+        assert [runner.service.num_active for runner in pool._serve_runners.values()] == [4, 4]
+        _pump(pool)
+        for request, future in zip(requests, futures):
+            assert _trajectory(future.result(timeout=0)) == _trajectory(request.tune_direct())
+        pool.stop()
+
+    def test_duplicate_follows_its_open_twin(self):
+        # Shard 0 holds A and C, shard 1 holds B: the least-loaded shard is
+        # 1, but A's twin (another deadline, the same request) joins A's
+        # shard and coalesces onto its run.
+        pool = TuningWorkerPool(num_workers=2, use_processes=False)
+        pool.start()
+        first = pool.submit(_request(A, seed=1))
+        pool.submit(_request(B, seed=1))
+        pool.submit(_request(C, seed=1))
+        twin = pool.submit(_request(A, seed=1, deadline=1e9))
+        assert self._open_shards(pool) == [0, 1, 0, 0]
+        _pump(pool)
+        assert first.done() and twin.done()
+        assert pool.stats.coalesced == 1
+        assert pool.stats.tuning_runs == 3
+        pool.stop()
+
+    def test_settled_ticket_frees_its_shard(self):
+        pool = TuningWorkerPool(num_workers=2, use_processes=False)
+        pool.start()
+        slow = pool.submit(_request(A, seed=1, budget=96))
+        quick = pool.submit(_request(B, seed=1, budget=6))
+        for _ in range(1000):
+            if quick.done():
+                break
+            pool.step()
+        assert quick.done() and not slow.done()
+        assert self._open_shards(pool) == [0]
+        # Shard 1's only ticket settled, so shard 1 is now the least loaded.
+        pool.submit(_request(C, seed=1))
+        assert self._open_shards(pool) == [0, 1]
+        _pump(pool)
+        pool.stop()
 
     def test_tune_refuses_while_serving_and_submit_refuses_before_start(self):
         pool = TuningWorkerPool(num_workers=1, use_processes=False)
@@ -1111,15 +1157,10 @@ class TestWait:
 
 # -- one result pipe per worker ------------------------------------------- #
 def _one_request_per_shard():
-    """Requests that a two-shard serving pool routes to shards 0 and 1, on
-    two problems, so neither can be served from the other's record."""
-    requests = []
-    for shard, params in enumerate((A, B)):
-        seed = 1
-        while pool_module._shard_for_request(_request(params, seed=seed), 2) != shard:
-            seed += 1
-        requests.append(_request(params, seed=seed))
-    return requests
+    """Requests that an idle two-shard serving pool places on shards 0 and
+    1, submitted in this order, on two problems, so neither can be served
+    from the other's record."""
+    return [_request(A, seed=1), _request(B, seed=1)]
 
 
 #: seeded delays between shard 0's worker starting its large send and the

@@ -37,7 +37,7 @@ import pytest
 
 from repro.conv import ConvParams
 from repro.core.autotune import TuningDatabase, TuningRecord
-from repro.core.autotune.store import TuningDatabaseError
+from repro.core.autotune.store import AppendLog, TuningDatabaseError
 from repro.gpusim import V100
 from repro.obs import FakeClock, MonotonicClock, Observability
 from repro.service import frontend
@@ -53,6 +53,7 @@ from repro.service import (
     RequestFailed,
     RequestJournal,
     RequestTimeout,
+    TUNERS,
     SocketTransport,
     TuningDaemon,
     TuningRequest,
@@ -64,6 +65,7 @@ from repro.service import (
     result_from_wire,
     result_to_wire,
 )
+from repro.service.journal import JOURNAL_FORMAT
 from tests.hang_guard import within
 
 SMALL = ConvParams.square(8, 16, 32, kernel=3, stride=1, padding=1)
@@ -203,7 +205,7 @@ class TestRequestJournal:
         recovered = self._journal(tmp_path)
         entry = recovered.get("r1")
         assert entry.status == "done"
-        assert entry.result == {"tuner": "x"}
+        assert entry.result == '{"tuner": "x"}'  # the canonical text, encoded once
         assert entry.request == json.loads(json.dumps(wire))
         recovered.close()
 
@@ -265,6 +267,143 @@ class TestRequestJournal:
         journal.close()
         with pytest.raises(TuningDatabaseError):
             journal.accept("r1", {})
+
+
+# -- one encode per result ----------------------------------------------- #
+def _dict_reply(rid, result):
+    """The ``result`` reply as a dict, the shape the wire line encodes."""
+    return {"ok": True, "rid": rid, "state": "done", "result": result_to_wire(result)}
+
+
+def _with_infinite_trial(result):
+    """``result`` with its first trial invalid (infinite time, sent as null)."""
+    result.trials[0] = dataclasses.replace(result.trials[0], time_seconds=float("inf"))
+    return result
+
+
+def _write_format1_journal(path, snapshotted, tail):
+    """A journal as the format-1 build wrote it: result objects in the
+    snapshot's done entries and in the log tail's done lines.
+
+    ``snapshotted`` and ``tail`` are ``(rid, request, result)`` triples."""
+    snapshot = {
+        "format": 1,
+        "kind": "journal-snapshot",
+        "entries": [
+            {
+                "rid": rid,
+                "request": request_to_wire(request),
+                "status": "done",
+                "result": result_to_wire(result),
+                "error": None,
+            }
+            for rid, request, result in snapshotted
+        ],
+    }
+    with open(f"{path}.snap", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(snapshot, sort_keys=True))
+    lines = [{"format": 1, "kind": "journal"}]
+    for rid, request, result in tail:
+        lines.append({"event": "accepted", "rid": rid, "request": request_to_wire(request)})
+        lines.append({"event": "running", "rid": rid})
+        lines.append({"event": "done", "rid": rid, "result": result_to_wire(result)})
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+
+
+class TestSerializeOnce:
+    """The journal encodes a done result once; every ``result`` reply
+    splices that text in, and the line is byte for byte the one the dict
+    reply encodes to."""
+
+    @pytest.mark.parametrize("algorithm", ("direct", "winograd"))
+    @pytest.mark.parametrize("tuner", TUNERS)
+    def test_spliced_reply_is_byte_identical(self, tmp_path, tuner, algorithm):
+        daemon = TuningDaemon(tmp_path / "j.log")
+        requests = [
+            TuningRequest(
+                SMALL,
+                V100,
+                algorithm=algorithm,
+                max_measurements=20,
+                seed=seed,
+                pruned=False,
+                tuner=tuner,
+            )
+            for seed in (0, 1, 2)
+        ]
+        rids = [daemon.submit(request) for request in requests]
+        daemon.run_until_idle()
+        for request, rid in zip(requests, rids):
+            reply = daemon.handle({"op": "result", "rid": rid})
+            expected = frontend.encode_line(_dict_reply(rid, request.tune_direct()))
+            assert frontend.encode_line(reply) == expected
+            assert json.loads(reply["result"]) == daemon.result(rid)
+
+    def test_infinite_time_trial_splices_as_null(self, tmp_path):
+        result = _with_infinite_trial(_request(budget=6).tune_direct())
+        journal = RequestJournal(tmp_path / "j.log")
+        journal.accept("r1", request_to_wire(_request(budget=6)))
+        journal.complete("r1", result_to_wire(result))
+        journal.close()
+        daemon = TuningDaemon(tmp_path / "j.log")
+        line = frontend.encode_line(daemon.handle({"op": "result", "rid": "r1"}))
+        assert line == frontend.encode_line(_dict_reply("r1", result))
+        assert b'"time_seconds": null' in line
+        decoded = result_from_wire(frontend.decode_line(line)["result"])
+        assert _trials(decoded) == _trials(result)
+
+    def test_database_answer_splices_byte_identically(self, tmp_path):
+        database = TuningDatabase()
+        daemon = TuningDaemon(tmp_path / "j.log", database=database)
+        tuned = dataclasses.replace(_request(budget=8), pruned=True)
+        daemon.submit(tuned)
+        daemon.run_until_idle()
+        cached = dataclasses.replace(tuned, seed=7)
+        rid = daemon.submit(cached)
+        reply = daemon.handle({"op": "result", "rid": rid})
+        assert json.loads(reply["result"])["from_cache"] is True
+        expected = _dict_reply(rid, cached.lookup(database).as_result())
+        assert frontend.encode_line(reply) == frontend.encode_line(expected)
+
+    def test_fake_transport_and_client_see_the_dict_reply(self, tmp_path):
+        daemon = TuningDaemon(tmp_path / "j.log")
+        client = DaemonClient(FakeTransport(daemon))
+        request = _request(budget=8)
+        rid = client.submit(request)
+        assert _trials(client.result(rid)) == _trials(request.tune_direct())
+        reply = client.transport.call({"op": "result", "rid": rid})
+        assert reply["result"] == result_to_wire(request.tune_direct())
+
+    def test_format1_journal_recovers_and_reserves_bit_identically(self, tmp_path):
+        path = tmp_path / "j.log"
+        old = [_request(seed=seed, budget=6) for seed in range(4)]
+        results = [request.tune_direct() for request in old]
+        _with_infinite_trial(results[3])
+        rids = [request_id(request) for request in old]
+        triples = list(zip(rids, old, results))
+        _write_format1_journal(path, snapshotted=triples[:2], tail=triples[2:])
+        daemon = TuningDaemon(path)
+        assert daemon.stats.recovered == 4 and daemon.stats.replayed == 0
+        for rid, result in zip(rids, results):
+            line = frontend.encode_line(daemon.handle({"op": "result", "rid": rid}))
+            assert line == frontend.encode_line(_dict_reply(rid, result))
+            assert _trials(result_from_wire(daemon.result(rid))) == _trials(result)
+        # Recovery rewrote the journal in this format, so a format-1 build
+        # refuses it by its marker instead of misreading a text result.
+        with open(path, "r", encoding="utf-8") as fh:
+            assert json.loads(fh.readline())["format"] == JOURNAL_FORMAT
+        with pytest.raises(TuningDatabaseError, match=f"format {JOURNAL_FORMAT}"):
+            AppendLog(path, "journal", format_version=1).recover(dict, dict)
+        once = {rid: e.to_dict() for rid, e in daemon.journal.states().items()}
+        daemon.journal.recover()
+        daemon.journal.recover()
+        assert {rid: e.to_dict() for rid, e in daemon.journal.states().items()} == once
+        daemon.close()
+        reopened = TuningDaemon(path)
+        for rid, result in zip(rids, results):
+            line = frontend.encode_line(reopened.handle({"op": "result", "rid": rid}))
+            assert line == frontend.encode_line(_dict_reply(rid, result))
 
 
 # -- protocol over FakeTransport ------------------------------------------ #
