@@ -94,11 +94,13 @@ compare-bench:
 # `run.py compare` (tools/e2e_pairs.py; ~80 s per pair and workload).  The
 # parent is a git revision exported into its own tree, the change is this
 # working tree: PARENT=HEAD compares uncommitted work with the last commit.
-# Outputs go to E2E_PAIRS_OUT, which must not exist yet.
+# Outputs go to E2E_PAIRS_OUT, which must not exist yet.  SEED, the first
+# pair's seed, has no default: a gain is judged on seeds not used while the
+# change was developed.
 PARENT ?= HEAD
 PAIRS ?= 10
-SEED ?= 970
 E2E_PAIRS_OUT ?= e2e-pairs
 e2e-pairs:
+	$(if $(SEED),,$(error set SEED to the first of seeds not used in development))
 	$(PYTHON) tools/e2e_pairs.py --parent $(PARENT) --pairs $(PAIRS) --seed $(SEED) \
 		--out $(E2E_PAIRS_OUT) $(foreach w,$(WORKLOAD),--workload $(w))

@@ -60,6 +60,8 @@ __all__ = [
 #: low-level knob gains shared by the scalar and the vectorised lowering.
 _UNROLL_GAIN = {1: 0.88, 2: 0.96, 4: 1.0, 8: 0.94}
 _CONTIGUOUS_AXIS = {Layout.CHW: "x", Layout.CWH: "y", Layout.HWC: "z"}
+#: each layout by its value, the string ``as_dict`` writes.
+_LAYOUT_OF_VALUE = {layout.value: layout for layout in Layout.all()}
 #: final coalescing per (layout, loop-order-ends-on-contiguous-axis), built
 #: with the exact scalar expression so both paths agree bit-for-bit.
 _COALESCING_LUT = {
@@ -107,7 +109,10 @@ class Configuration:
         if self.loop_order not in self.LOOP_ORDERS:
             raise ValueError(f"loop_order must be one of {self.LOOP_ORDERS}")
         if not isinstance(self.layout, Layout):
-            object.__setattr__(self, "layout", Layout(self.layout))
+            # A decoded layout string is a table lookup; the enum call costs
+            # a third of a configuration decode.
+            layout = _LAYOUT_OF_VALUE.get(self.layout) if type(self.layout) is str else None
+            object.__setattr__(self, "layout", Layout(self.layout) if layout is None else layout)
 
     # ------------------------------------------------------------------ #
     @property

@@ -53,6 +53,13 @@ __all__ = [
 #: never be silently misread or clobbered.
 FORMAT_VERSION = 1
 
+#: canonical (sorted-keys) JSON text, byte for byte ``json.dumps(obj,
+#: sort_keys=True)``.  One shared encoder: ``json.dumps`` builds a new one
+#: on every call that passes an option, which costs as much as encoding a
+#: short line.  The encoder keeps no state between calls, so any thread
+#: may share it.
+canonical_json = json.JSONEncoder(sort_keys=True).encode
+
 
 class TuningDatabaseError(ValueError):
     """A tuning-database file or wire payload is unusable.
@@ -414,7 +421,7 @@ class AppendLog:
         """Write ``entry`` as one line, all or nothing; it reaches the OS
         (and, with ``fsync_appends``, the disk) before this returns."""
         fh = self._open_file()
-        line = json.dumps(entry, sort_keys=True) + "\n"
+        line = canonical_json(entry) + "\n"
         end = fh.tell()
         try:
             fh.write(line)

@@ -43,6 +43,7 @@ import time
 from typing import Dict, Optional
 
 from ..core.autotune.session import TuningResult
+from ..core.autotune.store import canonical_json
 from .errors import RequestError, RequestTimeout, error_from_wire
 from .journal import request_to_wire, result_from_wire
 from .request import TuningRequest
@@ -82,11 +83,11 @@ def encode_line(payload: Dict[str, object]) -> bytes:
     A top-level :class:`RawJSON` value is spliced in verbatim, between the
     same separators ``json.dumps`` puts around an encoded one."""
     if not any(isinstance(value, RawJSON) for value in payload.values()):
-        return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        return (canonical_json(payload) + "\n").encode("utf-8")
     fields = ", ".join(
-        json.dumps(key)
+        canonical_json(key)
         + ": "
-        + (value if isinstance(value, RawJSON) else json.dumps(value, sort_keys=True))
+        + (value if isinstance(value, RawJSON) else canonical_json(value))
         for key, value in sorted(payload.items())
     )
     return ("{" + fields + "}\n").encode("utf-8")

@@ -45,7 +45,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import hashlib
-import json
 import math
 import os
 import threading
@@ -58,6 +57,7 @@ from ..core.autotune.store import (
     TuningDatabaseError,
     _params_from_dict,
     _params_to_dict,
+    canonical_json,
 )
 from ..gpusim.spec import GPUSpec
 from .request import TuningRequest
@@ -151,7 +151,7 @@ def request_id(request: TuningRequest) -> str:
     """
     wire = request_to_wire(request)
     del wire["deadline"]
-    canonical = json.dumps(wire, sort_keys=True).encode("utf-8")
+    canonical = canonical_json(wire).encode("utf-8")
     return hashlib.sha256(canonical).hexdigest()[:32]
 
 
@@ -209,14 +209,15 @@ def result_from_wire(wire: Dict[str, object]) -> TuningResult:
 
 
 # -- the journal --------------------------------------------------------- #
-def _result_text(result: object) -> Optional[str]:
-    """A journaled result as canonical JSON text: format 2's text as is, or
-    a format-1 result object encoded the way :meth:`RequestJournal.complete`
-    encodes one."""
-    if result is None or isinstance(result, str):
+def _result_text(result: object) -> str:
+    """A done request's journaled result as canonical JSON text: format 2's
+    text as is, or a format-1 result object encoded the way
+    :meth:`RequestJournal.complete` encodes one.  Anything else, a missing
+    or null result included, is a corrupt journal."""
+    if isinstance(result, str):
         return result
     if isinstance(result, dict):
-        return json.dumps(result, sort_keys=True)
+        return canonical_json(result)
     raise TuningDatabaseError(
         f"journaled result is {type(result).__name__}, expected text or an object"
     )
@@ -252,11 +253,14 @@ class JournalEntry:
         status = str(d.get("status", "accepted"))
         if status not in _ORDER:
             raise TuningDatabaseError(f"unknown journal entry status {status!r}")
+        result = d.get("result")
         return cls(
             rid=str(d["rid"]),
             request=dict(d["request"]),
             status=status,
-            result=_result_text(d.get("result")),
+            result=(
+                _result_text(result) if status == "done" or result is not None else None
+            ),
             error=None if d.get("error") is None else dict(d["error"]),
         )
 
@@ -316,7 +320,7 @@ class RequestJournal:
             return JournalEntry(rid, entry.request, "running")
         if kind == "done":
             return JournalEntry(
-                rid, entry.request, "done", result=_result_text(event["result"])
+                rid, entry.request, "done", result=_result_text(event.get("result"))
             )
         if kind == "failed":
             return JournalEntry(rid, entry.request, "failed", error=dict(event["error"]))
@@ -372,7 +376,9 @@ class RequestJournal:
 
         The one encode of the result: the entry, the done line, every
         snapshot and every re-serve carry this text."""
-        text = json.dumps(result_wire, sort_keys=True)
+        if not isinstance(result_wire, dict):
+            raise TypeError(f"a result wire is a dict, not {type(result_wire).__name__}")
+        text = canonical_json(result_wire)
         with self._lock:
             return self._append_locked({"event": "done", "rid": rid, "result": text})
 

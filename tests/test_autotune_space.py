@@ -200,6 +200,17 @@ class TestConfigurationFromDict:
         _assert_same_verdict(d)
         assert Configuration.from_dict(d).layout is Layout.CHW
 
+    def test_layout_values_decode_to_their_members(self):
+        class Name(str):
+            pass
+
+        for layout in Layout.all():
+            for value in (layout.value, Name(layout.value), layout):
+                d = _config().as_dict()
+                d["layout"] = value
+                assert Configuration.from_dict(d).layout is layout
+                assert Configuration(**d).layout is layout
+
     def test_other_mappings_go_through_the_constructor(self):
         d = _config().as_dict()
         _assert_same_verdict(types.MappingProxyType(d))

@@ -37,7 +37,7 @@ import pytest
 
 from repro.conv import ConvParams
 from repro.core.autotune import TuningDatabase, TuningRecord
-from repro.core.autotune.store import AppendLog, TuningDatabaseError
+from repro.core.autotune.store import AppendLog, TuningDatabaseError, canonical_json
 from repro.gpusim import V100
 from repro.obs import FakeClock, MonotonicClock, Observability
 from repro.service import frontend
@@ -268,6 +268,48 @@ class TestRequestJournal:
         with pytest.raises(TuningDatabaseError):
             journal.accept("r1", {})
 
+    def test_complete_refuses_a_result_that_is_not_an_object(self, tmp_path):
+        journal = self._journal(tmp_path)
+        journal.accept("r1", {})
+        with pytest.raises(TypeError):
+            journal.complete("r1", None)
+        assert journal.get("r1").status == "accepted"
+        journal.close()
+        assert '"done"' not in (tmp_path / "requests.log").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("last", (True, False), ids=("last-line", "mid-log"))
+    @pytest.mark.parametrize("done", ({"result": None}, {}), ids=("null", "missing"))
+    def test_done_line_without_a_result_is_corrupt(self, tmp_path, done, last):
+        # Regression: a null result passed recovery as a done entry, and its
+        # re-serve wrote `"result": None`, which is not JSON.
+        lines = [
+            {"format": JOURNAL_FORMAT, "kind": "journal"},
+            {"event": "accepted", "rid": "r1", "request": {}},
+            {"event": "done", "rid": "r1", **done},
+        ]
+        if not last:
+            lines.append({"event": "accepted", "rid": "r2", "request": {}})
+        path = tmp_path / "requests.log"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(TuningDatabaseError, match="journaled result is NoneType"):
+            self._journal(tmp_path)
+
+    @pytest.mark.parametrize("done", ({"result": None}, {}), ids=("null", "missing"))
+    def test_done_snapshot_entry_without_a_result_is_corrupt(self, tmp_path, done):
+        entry = {"rid": "r1", "request": {}, "status": "done", "error": None, **done}
+        snapshot = {"format": JOURNAL_FORMAT, "kind": "journal-snapshot", "entries": [entry]}
+        (tmp_path / "requests.log.snap").write_text(json.dumps(snapshot), encoding="utf-8")
+        with pytest.raises(TuningDatabaseError, match="journaled result is NoneType"):
+            self._journal(tmp_path)
+
+    def test_pending_snapshot_entry_keeps_its_null_result(self, tmp_path):
+        entry = {"rid": "r1", "request": {}, "status": "running", "result": None, "error": None}
+        snapshot = {"format": JOURNAL_FORMAT, "kind": "journal-snapshot", "entries": [entry]}
+        (tmp_path / "requests.log.snap").write_text(json.dumps(snapshot), encoding="utf-8")
+        journal = self._journal(tmp_path)
+        assert journal.get("r1").to_dict() == entry
+        journal.close()
+
 
 # -- one encode per result ----------------------------------------------- #
 def _dict_reply(rid, result):
@@ -339,6 +381,18 @@ class TestSerializeOnce:
             expected = frontend.encode_line(_dict_reply(rid, request.tune_direct()))
             assert frontend.encode_line(reply) == expected
             assert json.loads(reply["result"]) == daemon.result(rid)
+
+    def test_canonical_json_is_json_dumps_with_sorted_keys(self):
+        result = _with_infinite_trial(_request(budget=6).tune_direct())
+        payloads = (
+            result_to_wire(result),
+            request_to_wire(_request()),
+            {"ok": True, "rid": "r\u00e9\n", "n": [1.5, None, float("inf"), -0.0, 10**20]},
+        )
+        for payload in payloads:
+            assert canonical_json(payload) == json.dumps(payload, sort_keys=True)
+            line = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+            assert frontend.encode_line(payload) == line
 
     def test_infinite_time_trial_splices_as_null(self, tmp_path):
         result = _with_infinite_trial(_request(budget=6).tune_direct())

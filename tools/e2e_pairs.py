@@ -49,9 +49,10 @@ def export(rev: str, target: Path) -> Path:
     return target
 
 
-def run_side(tree: Path, bench_dir: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run of ``workload`` from ``tree``; returns its summary
-    (the last line ``run.py`` prints)."""
+def run_side(tree: Path, bench_dir: Path, workload: str, seed: int) -> dict:
+    """One untraced run of ``workload`` from ``tree``, as long as the
+    benchmark's own timed window; returns its summary (the last line
+    ``run.py`` prints)."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env["BENCH_DIR"] = "."
     argv = [
@@ -59,7 +60,6 @@ def run_side(tree: Path, bench_dir: Path, workload: str, seed: int, seconds: flo
         str(tree / "benchmarks" / "e2e" / "run.py"),
         "--workload", workload,
         "--seed", str(seed),
-        "--seconds", str(seconds),
         "--trace", "0",
     ]
     done = subprocess.run(argv, cwd=bench_dir, env=env, capture_output=True, text=True)
@@ -86,7 +86,6 @@ def main(argv=None) -> int:
         "--workload", action="append", choices=WORKLOADS,
         help="a workload to run (repeatable; default: all four)",
     )
-    parser.add_argument("--seconds", type=float, default=15.0, help="each run's timed window")
     parser.add_argument("--out", default="e2e-pairs", help="output directory (created)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -106,7 +105,7 @@ def main(argv=None) -> int:
         for workload in args.workload or WORKLOADS:
             rates = {}
             for side in order:
-                summary = run_side(trees[side], bench_dirs[side], workload, seed, args.seconds)
+                summary = run_side(trees[side], bench_dirs[side], workload, seed)
                 rates[side] = summary["metrics"]["requests_per_s"]["value"]
             print(
                 f"pair {pair + 1}/{args.pairs} seed {seed} {workload:<9} "
